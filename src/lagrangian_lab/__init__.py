@@ -65,7 +65,6 @@ from .theorems import (
     closed_form,
     closed_form_exact,
     complete_value_exact,
-    lambda_prime_closed,
     lambda_prime_complete,
     theorem_ids,
     verify,

@@ -85,9 +85,11 @@ def _load_params(text: str | None) -> dict:
     if not text:
         return {}
     path = Path(text)
-    if path.exists():
-        text = path.read_text()
-    doc = json.loads(text)
+    try:
+        is_file = path.is_file()
+    except OSError:  # inline JSON can be longer than a file name may be
+        is_file = False
+    doc = json.loads(path.read_text() if is_file else text)
     if not isinstance(doc, dict):
         raise _UsageError("--params must be a JSON object")
     return doc
@@ -105,7 +107,12 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
         )
     if not args.coeffs:
         raise _UsageError("--objective weighted requires --coeffs")
-    return Coefficients.from_json(Path(args.coeffs).read_text()), 1
+    try:
+        return Coefficients.from_json(Path(args.coeffs).read_text()), 1
+    except (KeyError, AttributeError, TypeError) as exc:
+        raise _UsageError(
+            f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc!r})'
+        ) from None
 
 
 def _cmd_compute(args) -> int:
@@ -296,9 +303,7 @@ def _build_parser() -> _Parser:
     def add_solver_flags(p):
         p.add_argument("--starts", type=int, default=None, help="random multistart count")
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--grid-d", dest="grid_d", type=int, default=None, help="grid resolution")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("compute", help="maximize an objective over the simplex")
     p.add_argument("input", help="hypergraph file (JSON or text)")
@@ -309,6 +314,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--coeffs", help="coefficients JSON file for --objective weighted")
     p.add_argument("--grid", action="store_true", help="also run the grid oracle and keep the best")
+    p.add_argument("--grid-d", dest="grid_d", type=int, default=None, help="grid resolution")
     p.add_argument("--json", action="store_true")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_compute)
@@ -332,6 +338,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--params", help="JSON object (inline or a file path)")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--tol", type=float, default=1e-6)
     add_solver_flags(p)
     p.set_defaults(func=_cmd_verify)
 

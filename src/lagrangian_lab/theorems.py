@@ -1,18 +1,25 @@
-"""Closed-form registry, hypothesis checkers, and the verification driver.
+"""Theorem registry: one spec table, one closed form, and the verification driver.
 
-Each registered result pairs a closed-form optimum for a clique-structured
-family with checkable hypotheses (edge-type shape, clique orders, level
-spans, edge-count windows, coefficient thresholds). ``verify`` runs the
-numerical optimizer against the closed form and, in exact mode, evaluates
-the uniform-on-clique weighting in rational arithmetic where the identity
-must hold with zero tolerance.
+Every registered result has the Motzkin–Straus shape: on an instance meeting
+its hypotheses, the maximum of the weighted polynomial over the simplex is the
+value of the complete T-pattern on the largest clique (order t) under the
+uniform weighting, sum over r in T of c_r * C(t, r) / t^r. Only the weight
+c_r changes between results: 1 for ``lambda`` (monomial sum), alpha_r for
+``L`` (1 on the base level) and r! for ``lambda'`` (r0! times L with
+alpha_r = r!/r0!).
 
-Objective flavors:
+``SPECS`` holds one ``TheoremSpec`` row per theorem: the type pattern, the
+objective flavour, the ordered hypothesis checks (``_Checker`` methods) and
+whether a strict, clique-free branch applies. ``closed_form_exact`` resolves
+the pattern from the parameters and evaluates the sum; ``check_hypotheses``
+runs the checks; ``verify`` optimizes the objective and, in exact mode,
+evaluates the uniform-on-clique weighting in rational arithmetic, where the
+identity must hold with zero tolerance.
 
-* ``lambda``: plain monomial sum (uniform families),
-* ``L``: weighted program with explicit per-level coefficients,
-* ``lambda_prime``: factorial-weighted program, computed as r0! times L
-  with coefficients r!/r0!.
+In a type pattern an int is a fixed level, ``"r"`` the rank (parameter ``r``,
+else the instance's largest level above 2), ``"k?"`` a level k kept when the
+instance has it, and ``"3+"`` every instance level above 2: the checks of
+such an open pattern run over the instance's own levels.
 """
 
 from __future__ import annotations
@@ -21,16 +28,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from numbers import Integral
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
 from .hypergraph import Hypergraph, vertex_support
-from .objective import (
-    Coefficients,
-    eval_exact,
-    parse_number,
-    rational_uniform,
-)
+from .objective import Coefficients, eval_exact, parse_number, rational_uniform
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
@@ -59,20 +63,6 @@ class TheoremId(str, Enum):
 
 def theorem_ids() -> tuple[str, ...]:
     return tuple(t.value for t in TheoremId)
-
-
-_LAMBDA_IDS = {TheoremId.MS_T1, TheoremId.PZ, TheoremId.TPZZ, TheoremId.PTZ}
-_LAMBDA_PRIME_IDS = {
-    TheoremId.NONUNIF_T3,
-    TheoremId.COR1a,
-    TheoremId.COR1b,
-    TheoremId.COR2a,
-    TheoremId.COR2b,
-    TheoremId.MIXED_T10a,
-    TheoremId.MIXED_T10b,
-    TheoremId.MIXED_T10c,
-}
-_STRICT_CAPABLE = {TheoremId.TPZZ, TheoremId.MIXED_T10c}
 
 
 @dataclass(frozen=True)
@@ -143,11 +133,6 @@ class TheoremVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _falling(t: int, r: int) -> int:
-    """Product of (t - i) for i in 1..r-1."""
-    return math.prod(t - i for i in range(1, r))
-
-
 def pair_edge_window(t: int) -> tuple[int, int]:
     """Admissible 2-level edge counts: C(t,2) .. C(t,2) + t - 2."""
     return math.comb(t, 2), math.comb(t, 2) + t - 2
@@ -207,100 +192,87 @@ def lambda_prime_complete(t: int, types: Iterable[int]) -> Fraction:
     """Non-uniform Lagrangian of the complete T-pattern on t vertices."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    return sum(
-        Fraction(math.factorial(r) * math.comb(t, r), t**r) for r in sorted(set(types))
-    )
+    levels = tuple(sorted(set(types)))
+    alpha, scale = _scaled_alpha("lambda'", levels, {})
+    return scale * complete_value_exact(t, levels, alpha)
 
 
-def lambda_prime_closed(theorem: TheoremId | str, t: int, r: int) -> float:
-    """Closed non-uniform Lagrangian value for the factorial-weight corollaries."""
-    tid = TheoremId(theorem)
-    families = {
-        TheoremId.COR1a: (2, r),
-        TheoremId.COR1b: (1, 2, r),
-        TheoremId.MIXED_T10a: (2, r),
-        TheoremId.MIXED_T10b: (1, r),
-    }
-    if tid not in families:
-        raise ValueError(f"{tid.value} has no factorial-weight closed form here")
-    if t < r:
-        raise ValueError(f"need t >= r, got t={t}, r={r}")
-    return float(lambda_prime_complete(t, families[tid]))
+def _scaled_alpha(flavour: str, levels: tuple[int, ...], alpha: Mapping) -> tuple[dict, int]:
+    """The flavour written as scale * L: alpha_r of the levels above the lowest
+    one r0, and the scale (r0! for lambda', where alpha_r = r!/r0!; else 1)."""
+    r0 = min(levels, default=1)
+    if flavour == "lambda'":
+        fact = math.factorial
+        return {r: fact(r) // fact(r0) for r in levels[1:]}, fact(r0)
+    if flavour == "lambda":
+        return {r: 1 for r in levels[1:]}, 1
+    return {r: a for r, a in alpha.items() if r > r0}, 1
 
 
 def _exact(v) -> Fraction:
     return Fraction(parse_number(v))
 
 
+def _read_params(params: Mapping | None) -> dict:
+    """Copy of the parameters with ``t`` and ``r``, when given, as ints."""
+    p = dict(params or {})
+    for key in ("t", "r"):
+        value = p.get(key)
+        if isinstance(value, float) and value.is_integer():
+            p[key] = value = int(value)
+        if value is not None and not isinstance(value, Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    return p
+
+
+def _resolve(pattern: tuple, r: int | None, present: Iterable[int]) -> tuple[int, ...]:
+    """The levels a type pattern names, given the rank and the levels present."""
+    levels = set()
+    for entry in pattern:
+        if entry == "r":
+            levels.add(r)
+        elif entry == "3+":
+            levels.update(x for x in present if x > 2)
+        elif isinstance(entry, str):
+            levels.update(x for x in present if x == int(entry[:-1]))
+        else:
+            levels.add(entry)
+    return tuple(sorted(levels))
+
+
+def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -> dict:
+    """alpha_v of the ``L`` flavour for the levels above the lowest: a level
+    the pattern names reads ``alpha_2``/``alpha_3``/``alpha_r``, the others
+    read an open pattern's ``alpha`` map (kept whole), and unset ones are 1."""
+    open_ = "3+" in pattern
+    alpha = {int(k): _exact(v) for k, v in dict(p.get("alpha", {})).items()} if open_ else {}
+    for v in levels[1:]:
+        key = "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
+        if key in p:
+            alpha[v] = _exact(p[key])
+        else:
+            alpha.setdefault(v, Fraction(1))
+    return alpha
+
+
 def closed_form_exact(theorem: TheoremId | str, params: Mapping) -> Fraction:
-    """Exact closed-form optimum for a theorem at the given parameters."""
+    """Exact closed-form optimum: sum of c_r * C(t,r) / t^r over the pattern."""
     tid = TheoremId(theorem)
-    p = dict(params)
-    t = p.get("t")
+    spec = SPECS[tid]
+    p = _read_params(params)
+    t, r = p.get("t"), p.get("r")
     if t is None or t < 1:
         raise ValueError(f"closed form for {tid.value} needs a positive t, got {t}")
-    r = p.get("r")
-
-    def need_r(lo: int = 3):
-        if r is None or r < lo:
-            raise ValueError(f"closed form for {tid.value} needs r >= {lo}, got {r}")
-
-    if tid is TheoremId.MS_T1:
-        return Fraction(1, 2) * (1 - Fraction(1, t))
-    if tid is TheoremId.NONUNIF_T3:
-        return 2 - Fraction(1, t)
-    if tid is TheoremId.ONE_R_T4:
-        need_r()
-        a_r = _exact(p.get("alpha_r", 1))
-        return 1 + a_r * Fraction(_falling(t, r), math.factorial(r) * t ** (r - 1))
-    if tid is TheoremId.ONE_TWO_THREE_T5:
-        a2 = _exact(p.get("alpha_2", 1))
-        a3 = _exact(p.get("alpha_3", 1))
-        return 1 + a2 * Fraction(t - 1, 2 * t) + a3 * Fraction((t - 1) * (t - 2), 6 * t * t)
-    if tid in (TheoremId.TWO_R_T6a, TheoremId.TWO_R_EDGES_T7a):
-        need_r()
-        a_r = _exact(p.get("alpha_r", 1))
-        return Fraction(t - 1, 2 * t) + a_r * Fraction(
-            _falling(t, r), math.factorial(r) * t ** (r - 1)
-        )
-    if tid in (TheoremId.ONE_TWO_R_T6b, TheoremId.ONE_TWO_R_EDGES_T7b):
-        need_r()
-        a2 = _exact(p.get("alpha_2", 1))
-        a_r = _exact(p.get("alpha_r", 1))
-        return (
-            1
-            + a2 * Fraction(t - 1, 2 * t)
-            + a_r * Fraction(_falling(t, r), math.factorial(r) * t ** (r - 1))
-        )
-    if tid in (TheoremId.COR1a, TheoremId.COR2a):
-        need_r()
-        return Fraction(t - 1, t) + Fraction(_falling(t, r), t ** (r - 1))
-    if tid in (TheoremId.COR1b, TheoremId.COR2b):
-        need_r()
-        return 1 + Fraction(t - 1, t) + Fraction(_falling(t, r), t ** (r - 1))
-    if tid in (TheoremId.GENERAL_T9a, TheoremId.GENERAL_T9b):
-        types = tuple(sorted(set(p.get("types", ()))))
-        if not types:
+    levels = tuple(sorted(set(p.get("types", ())))) if spec.takes_types else ()
+    if not levels:
+        if any(isinstance(e, str) and e != "r" for e in spec.pattern):
             raise ValueError(f"closed form for {tid.value} needs the edge-type list")
-        alpha = {int(k): _exact(v) for k, v in dict(p.get("alpha", {})).items()}
-        for key in ("alpha_2", "alpha_r"):
-            if key in p and key == "alpha_2" and 2 in types:
-                alpha[2] = _exact(p[key])
-        return complete_value_exact(t, types, alpha)
-    if tid in (TheoremId.MIXED_T10a, TheoremId.MIXED_T10b, TheoremId.MIXED_T10c):
-        types = tuple(sorted(set(p.get("types", ()))))
-        if not types:
-            if tid is TheoremId.MIXED_T10c:
-                types = (1, 3)
-            else:
-                raise ValueError(f"closed form for {tid.value} needs the edge-type list")
-        return lambda_prime_complete(t, types)
-    if tid in (TheoremId.PZ, TheoremId.TPZZ):
-        return Fraction(math.comb(t, 3), t**3)
-    if tid is TheoremId.PTZ:
-        need_r()
-        return Fraction(math.comb(t, r), t**r)
-    raise ValueError(f"unknown theorem id {theorem!r}")
+        if "r" in spec.pattern and (r is None or r < 3):
+            raise ValueError(f"closed form for {tid.value} needs r >= 3, got {r}")
+        levels = _resolve(spec.pattern, r, ())
+    alpha = _alpha(spec.pattern, p, levels, r) if spec.flavour == "L" else {}
+    alpha, scale = _scaled_alpha(spec.flavour, levels, alpha)
+    return scale * complete_value_exact(t, levels, alpha)
 
 
 def closed_form(theorem: TheoremId | str, params: Mapping) -> float:
@@ -308,7 +280,7 @@ def closed_form(theorem: TheoremId | str, params: Mapping) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis checking
+# Hypothesis checks
 # ---------------------------------------------------------------------------
 
 
@@ -317,77 +289,270 @@ def _singleton_vertices(h: Hypergraph) -> frozenset[int]:
 
 
 class _Checker:
-    def __init__(self, h: Hypergraph, params: Mapping | None):
+    """Runs one row's checks on an instance. Each check appends conditions
+    and fills ``derived``; a check that returns False ends the run."""
+
+    def __init__(self, spec: TheoremSpec, h: Hypergraph, params: Mapping | None):
+        self.spec = spec
         self.h = h
-        self.p = dict(params or {})
+        self.types = h.edge_types
+        self.p = _read_params(params)
         self.conds: list[ConditionCheck] = []
         self.derived: dict = {}
+        self.r: int | None = None
 
-    def cond(self, name: str, ok, detail: str = "") -> bool:
+    @property
+    def t(self) -> int | None:
+        return self.derived.get("t")
+
+    @cached_property
+    def alpha(self) -> dict:
+        # An absent alpha_2 is 1 here even when the alpha map holds a 2.
+        return _alpha(self.spec.pattern, {"alpha_2": 1, **self.p}, self.want, self.r)
+
+    def coef(self, level: int) -> Fraction:
+        return Fraction(1) if level == self.want[0] else self.alpha[level]
+
+    def cond(self, name: str, ok, detail: str = "") -> None:
         self.conds.append(ConditionCheck(name, bool(ok), detail))
-        return bool(ok)
 
-    def alpha(self, key: str, default=1) -> Fraction:
-        return _exact(self.p.get(key, default))
-
-    def shape(self, expected: tuple[int, ...]) -> bool:
-        got = self.h.edge_types
-        return self.cond(
-            "type-shape", got == expected, f"T(H)={set(got) or {}} expected {set(expected)}"
-        )
-
-    def derive_r(self, minimum: int = 3) -> int | None:
+    def derive_r(self) -> int | None:
         r = self.p.get("r")
         if r is None:
-            higher = [x for x in self.h.edge_types if x >= minimum]
-            r = max(higher) if higher else None
+            r = max((x for x in self.types if x >= 3), default=None)
         if r is not None:
-            self.derived["r"] = int(r)
-        ok = r is not None and r >= minimum
-        self.cond("r-range", ok, f"r={r}, needs r >= {minimum}")
-        return int(r) if ok else None
+            self.derived["r"] = r
+        self.r = r if r is not None and r >= 3 else None
+        self.cond("r-range", self.r is not None, f"r={r}, needs r >= 3")
+        return self.r
 
-    def clique_order(self, types: tuple[int, ...], label: str = "clique-order") -> int:
-        res = max_complete_subgraph(self.h, types)
+    def run(self) -> None:
+        pattern = self.spec.pattern
+        if "r" in pattern and self.derive_r() is None:
+            return
+        self.want = _resolve(pattern, self.r, self.types)
+        self.levels = self.types if "3+" in pattern else self.want
+        for check in self.spec.checks:
+            if check(self) is False:
+                return
+        if self.spec.flavour == "L":
+            self.derived["alpha"] = self.alpha
+        self.derived["types"] = self.levels
+        # The top level is the rank, except where an optional level makes the
+        # pattern's shape depend on the instance: there only "r" names it.
+        if self.want[-1] > 2 and not any(str(e).endswith("?") for e in pattern):
+            self.derived.setdefault("r", self.want[-1])
+
+    def shape(self) -> None:
+        got, want = self.types, self.want
+        self.cond("type-shape", got == want, f"T(H)={set(got) or {}} expected {set(want)}")
+
+    def shape_within(self) -> None:
+        got, want = self.types, self.want
+        detail = f"T(H)={set(got) or {}} must be within {set(want)}"
+        self.cond("type-shape", set(got) <= set(want), detail)
+
+    def shape_open(self) -> bool:
+        got = self.types
+        higher = [x for x in got if x > 2]
+        base = ", ".join(str(e) for e in self.spec.pattern if e != "3+")
+        detail = f"T(H)={set(got) or {}} must be {{{base}}} plus levels above 2"
+        self.cond("type-shape", got == self.want and len(higher) >= 1, detail)
+        return bool(higher)
+
+    def rank_at_most_four(self) -> None:
+        self.cond("r-range-upper", self.r <= 4, f"r={self.r} must satisfy 3 <= r <= 4")
+
+    def clique(self) -> None:
+        res = max_complete_subgraph(self.h, self.levels)
         t = self.p.get("t", res.order)
-        self.derived.setdefault("t", int(t))
-        self.derived.setdefault("clique", res.vertices)
-        self.cond(
-            label,
-            res.order == t,
-            f"maximum complete {set(types)}-subgraph has order {res.order}, t={t}",
-        )
-        return res.order
+        self.derived["t"] = t
+        self.derived["clique"] = res.vertices
+        detail = f"maximum complete {set(self.levels)}-subgraph has order {res.order}, t={t}"
+        self.cond("clique-order", res.order == t, detail)
 
-    def level2_span(self, t: int | None) -> None:
-        span = len(vertex_support(self.h, 2))
-        self.cond("level2-span", t is not None and span == t, f"2-level covers {span} vertices, t={t}")
+    def pair_clique(self) -> None:
+        """The pattern without its top level has the same clique order."""
+        if 2 not in self.want:
+            return
+        pair, t = self.want[:-1], self.t
+        res = max_complete_subgraph(self.h, pair)
+        detail = f"maximum complete {set(pair)}-subgraph has order {res.order}, t={t}"
+        self.cond("pair-clique-order", t is not None and res.order == t, detail)
 
-    def singleton_order(self, t: int | None) -> None:
-        count = len(_singleton_vertices(self.h))
-        self.cond(
-            "singleton-order", t is not None and count == t, f"{count} singleton edges, t={t}"
-        )
+    def contains_clique(self) -> None:
+        top = self.want[-1]
+        res = max_complete_subgraph(self.h, (top,))
+        t = self.p.get("t", res.order)
+        self.derived["t"] = t
+        self.derived["clique"] = res.vertices[:t]
+        detail = f"maximum {top}-level clique has order {res.order}, t={t}"
+        self.cond("contains-clique", res.order >= t and t >= top, detail)
 
-    def edge_window(self, r_level: int, lo, hi) -> int:
-        m = self.h.num_edges(r_level)
+    def _strict_t(self, why: str) -> int | None:
+        """t for a clique-free window, which has no clique to derive it from."""
+        t = self.p.get("t")
+        self.cond("params", t is not None, f"t must be supplied {why}")
+        if t is not None:
+            self.derived["t"] = t
+            self.edge_window(3, *strict_three_window(t))
+        return t
+
+    def clique_free(self) -> None:
+        t = self._strict_t("for the clique-free hypothesis")
+        if t is not None:
+            absent = not contains_complete(self.h, t, (3,))
+            self.derived["clique_present"] = not absent
+            detail = f"instance must contain no complete order-{t} 3-graph"
+            self.cond("clique-free", absent, detail)
+
+    def strict_or_covered_clique(self) -> None:
+        t = self._strict_t("(the strict branch has no clique to derive it from)")
+        if t is None:
+            return
+        present3 = contains_complete(self.h, t, (3,))
+        present13 = contains_complete(self.h, t, (1, 3))
+        self.derived["clique_present"] = present13
+        if present13:
+            self.derived["clique"] = max_complete_subgraph(self.h, (1, 3)).vertices[:t]
+        elif present3:
+            detail = f"an order-{t} 3-level clique exists but is not covered by singletons"
+            self.cond("clique-singleton-cover", False, detail)
+
+    def level2_span(self) -> None:
+        span, t = len(vertex_support(self.h, 2)), self.t
+        detail = f"2-level covers {span} vertices, t={t}"
+        self.cond("level2-span", t is not None and span == t, detail)
+
+    def top_span(self) -> None:
+        top, t = self.want[-1], self.t
+        span = len(vertex_support(self.h, top))
+        detail = f"{top}-level covers {span} vertices, allowed t+1={t + 1}"
+        self.cond("r-level-span", span <= t + 1, detail)
+
+    def singleton_order(self) -> None:
+        count, t = len(_singleton_vertices(self.h)), self.t
+        detail = f"{count} singleton edges, t={t}"
+        self.cond("singleton-order", t is not None and count == t, detail)
+
+    def singleton_cover(self) -> None:
+        """Without a 2-level, every vertex of a top-level edge has its singleton."""
+        if 2 not in self.want:
+            covered = vertex_support(self.h, self.want[-1]) <= _singleton_vertices(self.h)
+            detail = "every vertex in a 3-edge must carry its singleton"
+            self.cond("singleton-cover", covered, detail)
+
+    def edge_window(self, level: int, lo, hi) -> None:
+        m = self.h.num_edges(level)
         self.derived["m"] = m
-        self.cond(
-            "edge-window", lo <= m <= hi, f"|E^{r_level}|={m}, window [{lo}, {hi}]"
-        )
-        return m
+        self.cond("edge-window", lo <= m <= hi, f"|E^{level}|={m}, window [{lo}, {hi}]")
 
-    def threshold(self, t: int | None, bound, detail: str) -> None:
+    def pair_window(self) -> None:
+        self.edge_window(2, *pair_edge_window(self.t))
+
+    def uniform_window(self) -> None:
+        self.edge_window(self.want[-1], *uniform_edge_window(self.t, self.want[-1]))
+
+    def threshold(self, bound, detail: str) -> None:
+        t = self.t
         ok = t is not None and Fraction(t) >= Fraction(bound)
         self.cond("order-threshold", ok, f"t={t} must be >= {bound} ({detail})")
 
-    def report(self, tid: TheoremId) -> HypothesisReport:
-        return HypothesisReport(
-            theorem=tid,
-            ok=all(c.ok for c in self.conds),
-            conditions=tuple(self.conds),
-            derived=self.derived,
-        )
+    def min_order_two(self) -> None:
+        t = self.t
+        self.cond("order-threshold", t is not None and t >= 2, f"t={t} must be >= 2")
+
+    def min_order_one_r(self) -> None:
+        a_r = self.coef(self.r)
+        detail = f"ceil([a_r-(r-2)!]^(r-2) / ((r-2)! a_r^(r-3))) with a_r={a_r}"
+        self.threshold(threshold_one_r(self.r, a_r), detail)
+
+    def min_order_one_two_three(self) -> None:
+        a2, a3 = self.coef(2), self.coef(3)
+        self.threshold(threshold_one_two_three(a2, a3), f"a2={a2}, a3={a3}")
+
+    def min_order_two_r(self) -> None:
+        r, a_r, a2 = self.r, self.coef(self.r), self.coef(2)
+        detail = f"a_r/(a2 (r-2)!) + 1 with a_r={a_r}, a2={a2}"
+        self.threshold(threshold_two_r(r, a_r, a2), detail)
+
+    def coefficient_ratio(self) -> None:
+        a_r, a2, fact = self.coef(self.r), self.coef(2), math.factorial(self.r - 2)
+        weak, strong = a_r / (2 * fact), a_r / fact
+        self.cond("coefficient-ratio", a2 >= weak, f"a2={a2} must be >= a_r/(2 (r-2)!) = {weak}")
+        # the statement carries two inconsistent bounds; require the stronger
+        # one for a pass, reporting both separately
+        detail = f"a2={a2} must be >= a_r/(r-2)! = {strong}"
+        self.cond("coefficient-ratio-strong", a2 >= strong, detail)
+
+    def min_order_factorial(self) -> None:
+        r = self.r
+        self.threshold(Fraction(r * (r - 1), 2) + 1, "r(r-1)/2 + 1")
+
+    def min_order_general(self) -> None:
+        higher = [x for x in self.want if x > 2]
+        k, r_max, a2 = len(higher), higher[-1], self.coef(2)
+        detail = f"(levels above 2)={k}, largest r={r_max}, a2={a2}"
+        self.threshold(threshold_general(k, r_max, self.coef(r_max), a2), detail)
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One registered result (see the module docstring). ``takes_types``:
+    the closed form runs over the caller's ``types``, as ``verify`` passes
+    the instance's levels. ``note`` goes into every verdict."""
+
+    pattern: tuple
+    flavour: str
+    checks: tuple[Callable[[_Checker], bool | None], ...]
+    strict: bool = False
+    takes_types: bool = False
+    note: str = ""
+
+
+_C = _Checker
+_T4 = (_C.shape, _C.clique, _C.singleton_order, _C.min_order_one_r)
+_T5 = (_C.shape, _C.clique, _C.singleton_order, _C.min_order_one_two_three)
+_TWO_R = (_C.shape, _C.clique, _C.level2_span, _C.min_order_two_r)
+_TWO_R_EDGES = (_C.shape, _C.clique, _C.pair_window, _C.min_order_two_r)
+_T7b = _TWO_R_EDGES + (_C.coefficient_ratio,)
+_COR1 = (_C.shape, _C.clique, _C.level2_span, _C.min_order_factorial)
+_COR2 = (_C.rank_at_most_four, _C.shape, _C.clique, _C.pair_window, _C.min_order_factorial)
+_GENERAL = (_C.shape_open, _C.clique, _C.level2_span, _C.min_order_general)
+_T9_NOTE = "threshold uses the largest cardinality as the driving level"
+_T6a_NOTE = "level-2 coefficient fixed to 1 (base type)"
+_PTZ = (_C.shape, _C.contains_clique, _C.top_span, _C.uniform_window)
+_T10a = (_C.shape, _C.clique, _C.pair_clique, _C.top_span, _C.uniform_window)
+_T10b = (_C.shape, _C.singleton_cover, _C.clique, _C.pair_clique, _C.uniform_window)
+_T10c = (_C.shape, _C.singleton_cover, _C.strict_or_covered_clique)
+
+SPECS: dict[TheoremId, TheoremSpec] = {
+    TheoremId.MS_T1: TheoremSpec((2,), "lambda", (_C.shape_within, _C.clique)),
+    TheoremId.NONUNIF_T3: TheoremSpec((1, 2), "lambda'", (_C.shape, _C.clique, _C.min_order_two)),
+    TheoremId.ONE_R_T4: TheoremSpec((1, "r"), "L", _T4),
+    TheoremId.ONE_TWO_THREE_T5: TheoremSpec((1, 2, 3), "L", _T5),
+    TheoremId.TWO_R_T6a: TheoremSpec((2, "r"), "L", _TWO_R, note=_T6a_NOTE),
+    TheoremId.ONE_TWO_R_T6b: TheoremSpec((1, 2, "r"), "L", _TWO_R),
+    TheoremId.TWO_R_EDGES_T7a: TheoremSpec((2, "r"), "L", _TWO_R_EDGES),
+    TheoremId.ONE_TWO_R_EDGES_T7b: TheoremSpec((1, 2, "r"), "L", _T7b),
+    TheoremId.COR1a: TheoremSpec((2, "r"), "lambda'", _COR1),
+    TheoremId.COR1b: TheoremSpec((1, 2, "r"), "lambda'", _COR1),
+    TheoremId.COR2a: TheoremSpec((2, "r"), "lambda'", _COR2),
+    TheoremId.COR2b: TheoremSpec((1, 2, "r"), "lambda'", _COR2),
+    TheoremId.GENERAL_T9a: TheoremSpec((2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
+    TheoremId.GENERAL_T9b: TheoremSpec((1, 2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
+    TheoremId.MIXED_T10a: TheoremSpec(("1?", 2, "r"), "lambda'", _T10a, takes_types=True),
+    TheoremId.MIXED_T10b: TheoremSpec((1, "2?", 3), "lambda'", _T10b, takes_types=True),
+    TheoremId.MIXED_T10c: TheoremSpec((1, 3), "lambda'", _T10c, strict=True, takes_types=True),
+    TheoremId.PZ: TheoremSpec((3,), "lambda", (_C.shape, _C.contains_clique, _C.uniform_window)),
+    TheoremId.TPZZ: TheoremSpec((3,), "lambda", (_C.shape, _C.clique_free), strict=True),
+    TheoremId.PTZ: TheoremSpec(("r",), "lambda", _PTZ),
+}
 
 
 def check_hypotheses(
@@ -399,297 +564,14 @@ def check_hypotheses(
     quantities the verifier needs (t, r, m, clique vertices, coefficients).
     """
     tid = TheoremId(theorem)
-    c = _Checker(h, params)
-    types = h.edge_types
-
-    if tid is TheoremId.MS_T1:
-        c.cond("type-shape", set(types) <= {2}, f"T(H)={set(types) or {}} must be within {{2}}")
-        c.clique_order((2,))
-        c.derived["types"] = (2,)
-
-    elif tid is TheoremId.NONUNIF_T3:
-        c.shape((1, 2))
-        c.clique_order((1, 2))
-        t = c.derived.get("t")
-        c.cond("order-threshold", t is not None and t >= 2, f"t={t} must be >= 2")
-        c.derived["types"] = (1, 2)
-
-    elif tid is TheoremId.ONE_R_T4:
-        r = c.derive_r()
-        if r is not None:
-            c.shape((1, r))
-            c.clique_order((1, r))
-            t = c.derived.get("t")
-            c.singleton_order(t)
-            a_r = c.alpha("alpha_r")
-            thr = threshold_one_r(r, a_r)
-            c.threshold(t, thr, f"ceil([a_r-(r-2)!]^(r-2) / ((r-2)! a_r^(r-3))) with a_r={a_r}")
-            c.derived["alpha"] = {r: a_r}
-            c.derived["types"] = (1, r)
-
-    elif tid is TheoremId.ONE_TWO_THREE_T5:
-        c.shape((1, 2, 3))
-        c.clique_order((1, 2, 3))
-        t = c.derived.get("t")
-        c.singleton_order(t)
-        a2, a3 = c.alpha("alpha_2"), c.alpha("alpha_3")
-        c.threshold(t, threshold_one_two_three(a2, a3), f"a2={a2}, a3={a3}")
-        c.derived["alpha"] = {2: a2, 3: a3}
-        c.derived["types"] = (1, 2, 3)
-        c.derived["r"] = 3
-
-    elif tid in (TheoremId.TWO_R_T6a, TheoremId.ONE_TWO_R_T6b):
-        with_one = tid is TheoremId.ONE_TWO_R_T6b
-        r = c.derive_r()
-        if r is not None:
-            expected = (1, 2, r) if with_one else (2, r)
-            c.shape(expected)
-            c.clique_order(expected)
-            t = c.derived.get("t")
-            c.level2_span(t)
-            a_r = c.alpha("alpha_r")
-            a2 = c.alpha("alpha_2") if with_one else Fraction(1)
-            c.threshold(t, threshold_two_r(r, a_r, a2), f"a_r/(a2 (r-2)!) + 1 with a_r={a_r}, a2={a2}")
-            c.derived["alpha"] = {2: a2, r: a_r} if with_one else {r: a_r}
-            c.derived["types"] = expected
-
-    elif tid in (TheoremId.TWO_R_EDGES_T7a, TheoremId.ONE_TWO_R_EDGES_T7b):
-        with_one = tid is TheoremId.ONE_TWO_R_EDGES_T7b
-        r = c.derive_r()
-        if r is not None:
-            expected = (1, 2, r) if with_one else (2, r)
-            c.shape(expected)
-            c.clique_order(expected)
-            t = c.derived.get("t")
-            if t is not None:
-                lo, hi = pair_edge_window(t)
-                c.edge_window(2, lo, hi)
-            a_r = c.alpha("alpha_r")
-            a2 = c.alpha("alpha_2") if with_one else Fraction(1)
-            c.threshold(t, threshold_two_r(r, a_r, a2), f"a_r/(a2 (r-2)!) + 1 with a_r={a_r}, a2={a2}")
-            if with_one:
-                weak = a_r / (2 * math.factorial(r - 2))
-                strong = a_r / math.factorial(r - 2)
-                c.cond(
-                    "coefficient-ratio",
-                    a2 >= weak,
-                    f"a2={a2} must be >= a_r/(2 (r-2)!) = {weak}",
-                )
-                # the statement carries two inconsistent bounds; require the
-                # stronger one for a pass, reporting both separately
-                c.cond(
-                    "coefficient-ratio-strong",
-                    a2 >= strong,
-                    f"a2={a2} must be >= a_r/(r-2)! = {strong}",
-                )
-            c.derived["alpha"] = {2: a2, r: a_r} if with_one else {r: a_r}
-            c.derived["types"] = expected
-
-    elif tid in (TheoremId.COR1a, TheoremId.COR1b):
-        with_one = tid is TheoremId.COR1b
-        r = c.derive_r()
-        if r is not None:
-            expected = (1, 2, r) if with_one else (2, r)
-            c.shape(expected)
-            c.clique_order(expected)
-            t = c.derived.get("t")
-            c.level2_span(t)
-            c.threshold(t, Fraction(r * (r - 1), 2) + 1, "r(r-1)/2 + 1")
-            c.derived["types"] = expected
-
-    elif tid in (TheoremId.COR2a, TheoremId.COR2b):
-        with_one = tid is TheoremId.COR2b
-        r = c.derive_r()
-        if r is not None:
-            c.cond("r-range-upper", r <= 4, f"r={r} must satisfy 3 <= r <= 4")
-            expected = (1, 2, r) if with_one else (2, r)
-            c.shape(expected)
-            c.clique_order(expected)
-            t = c.derived.get("t")
-            if t is not None:
-                lo, hi = pair_edge_window(t)
-                c.edge_window(2, lo, hi)
-            c.threshold(t, Fraction(r * (r - 1), 2) + 1, "r(r-1)/2 + 1")
-            c.derived["types"] = expected
-
-    elif tid in (TheoremId.GENERAL_T9a, TheoremId.GENERAL_T9b):
-        with_one = tid is TheoremId.GENERAL_T9b
-        higher = tuple(x for x in types if x > 2)
-        base = (1, 2) if with_one else (2,)
-        expected = tuple(sorted(base + higher))
-        c.cond(
-            "type-shape",
-            types == expected and len(higher) >= 1,
-            f"T(H)={set(types) or {}} must be {{{', '.join(map(str, base))}}} plus levels above 2",
-        )
-        if higher:
-            c.clique_order(types)
-            t = c.derived.get("t")
-            c.level2_span(t)
-            alpha_map = {int(k): _exact(v) for k, v in dict(c.p.get("alpha", {})).items()}
-            for r in higher:
-                alpha_map.setdefault(r, Fraction(1))
-            a2 = c.alpha("alpha_2") if with_one else Fraction(1)
-            r_max = max(higher)
-            thr = threshold_general(len(higher), r_max, alpha_map[r_max], a2)
-            c.threshold(
-                t, thr, f"(levels above 2)={len(higher)}, largest r={r_max}, a2={a2}"
-            )
-            if with_one:
-                alpha_map[2] = a2
-            c.derived["alpha"] = alpha_map
-            c.derived["types"] = types
-            c.derived["r"] = r_max
-
-    elif tid is TheoremId.MIXED_T10a:
-        r = c.derive_r()
-        if r is not None:
-            with_one = 1 in types
-            expected = (1, 2, r) if with_one else (2, r)
-            c.shape(expected)
-            c.clique_order(expected)
-            t = c.derived.get("t")
-            pair_types = (1, 2) if with_one else (2,)
-            pair_clique = max_complete_subgraph(h, pair_types)
-            c.cond(
-                "pair-clique-order",
-                t is not None and pair_clique.order == t,
-                f"maximum complete {set(pair_types)}-subgraph has order {pair_clique.order}, t={t}",
-            )
-            if t is not None:
-                span = len(vertex_support(h, r))
-                c.cond("r-level-span", span <= t + 1, f"{r}-level covers {span} vertices, allowed t+1={t + 1}")
-                lo, hi = uniform_edge_window(t, r)
-                c.edge_window(r, lo, hi)
-            c.derived["types"] = expected
-
-    elif tid is TheoremId.MIXED_T10b:
-        with_two = 2 in types
-        expected = (1, 2, 3) if with_two else (1, 3)
-        c.shape(expected)
-        if with_two:
-            c.clique_order((1, 2, 3))
-            t = c.derived.get("t")
-            pair_clique = max_complete_subgraph(h, (1, 2))
-            c.cond(
-                "pair-clique-order",
-                t is not None and pair_clique.order == t,
-                f"maximum complete {{1, 2}}-subgraph has order {pair_clique.order}, t={t}",
-            )
-        else:
-            covered = vertex_support(h, 3) <= _singleton_vertices(h)
-            c.cond(
-                "singleton-cover",
-                covered,
-                "every vertex in a 3-edge must carry its singleton",
-            )
-            c.clique_order((1, 3))
-        t = c.derived.get("t")
-        if t is not None:
-            lo, hi = uniform_edge_window(t, 3)
-            c.edge_window(3, lo, hi)
-        c.derived["types"] = expected
-
-    elif tid is TheoremId.MIXED_T10c:
-        c.shape((1, 3))
-        c.cond(
-            "singleton-cover",
-            vertex_support(h, 3) <= _singleton_vertices(h),
-            "every vertex in a 3-edge must carry its singleton",
-        )
-        t = c.p.get("t")
-        c.cond("params", t is not None, "t must be supplied (the strict branch has no clique to derive it from)")
-        if t is not None:
-            t = int(t)
-            c.derived["t"] = t
-            lo, hi = strict_three_window(t)
-            c.edge_window(3, lo, hi)
-            present3 = contains_complete(h, t, (3,))
-            present13 = contains_complete(h, t, (1, 3))
-            c.derived["clique_present"] = present13
-            if present13:
-                res = max_complete_subgraph(h, (1, 3))
-                c.derived["clique"] = res.vertices[:t]
-            elif present3:
-                c.cond(
-                    "clique-singleton-cover",
-                    False,
-                    f"an order-{t} 3-level clique exists but is not covered by singletons",
-                )
-        c.derived["types"] = (1, 3)
-        c.derived["r"] = 3
-
-    elif tid is TheoremId.PZ:
-        c.shape((3,))
-        res = max_complete_subgraph(h, (3,))
-        t = int(c.p.get("t", res.order))
-        c.derived["t"] = t
-        c.derived["clique"] = res.vertices[:t]
-        c.cond(
-            "contains-clique",
-            res.order >= t and t >= 3,
-            f"maximum 3-level clique has order {res.order}, t={t}",
-        )
-        lo, hi = uniform_edge_window(t, 3)
-        c.edge_window(3, lo, hi)
-        c.derived["types"] = (3,)
-        c.derived["r"] = 3
-
-    elif tid is TheoremId.TPZZ:
-        c.shape((3,))
-        t = c.p.get("t")
-        c.cond("params", t is not None, "t must be supplied for the clique-free hypothesis")
-        if t is not None:
-            t = int(t)
-            c.derived["t"] = t
-            lo, hi = strict_three_window(t)
-            c.edge_window(3, lo, hi)
-            absent = not contains_complete(h, t, (3,))
-            c.derived["clique_present"] = not absent
-            c.cond("clique-free", absent, f"instance must contain no complete order-{t} 3-graph")
-        c.derived["types"] = (3,)
-        c.derived["r"] = 3
-
-    elif tid is TheoremId.PTZ:
-        r = c.derive_r()
-        if r is not None:
-            c.shape((r,))
-            res = max_complete_subgraph(h, (r,))
-            t = int(c.p.get("t", res.order))
-            c.derived["t"] = t
-            c.derived["clique"] = res.vertices[:t]
-            c.cond(
-                "contains-clique",
-                res.order >= t and t >= r,
-                f"maximum {r}-level clique has order {res.order}, t={t}",
-            )
-            span = len(vertex_support(h, r))
-            c.cond("r-level-span", span <= t + 1, f"{r}-level covers {span} vertices, allowed t+1={t + 1}")
-            lo, hi = uniform_edge_window(t, r)
-            c.edge_window(r, lo, hi)
-            c.derived["types"] = (r,)
-
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown theorem id {theorem!r}")
-
-    return c.report(tid)
+    c = _Checker(SPECS[tid], h, params)
+    c.run()
+    return HypothesisReport(tid, all(cond.ok for cond in c.conds), tuple(c.conds), c.derived)
 
 
 # ---------------------------------------------------------------------------
 # Verification driver
 # ---------------------------------------------------------------------------
-
-
-def _objective_for(tid: TheoremId, h: Hypergraph, derived: dict):
-    """Coefficients and result scale for a theorem's objective flavor."""
-    types = h.edge_types
-    if tid in _LAMBDA_IDS:
-        return Coefficients.ones(types), 1
-    if tid in _LAMBDA_PRIME_IDS:
-        return Coefficients.lambda_prime_weights(types), math.factorial(min(types))
-    alpha = derived.get("alpha", {})
-    r0 = min(types)
-    return Coefficients.make(r0, {r: a for r, a in alpha.items() if r > r0}), 1
 
 
 def verify(
@@ -707,51 +589,37 @@ def verify(
     the measured gap is reported either way.
     """
     tid = TheoremId(theorem)
+    spec = SPECS[tid]
     p = dict(params or {})
     report = check_hypotheses(tid, h, p)
     derived = dict(report.derived)
-    merged = {**p, **derived}
     strictness_margin = float(p.get("strictness_margin", 1e-4))
-
-    notes: list[str] = []
-    if tid in (TheoremId.GENERAL_T9a, TheoremId.GENERAL_T9b):
-        notes.append("threshold uses the largest cardinality as the driving level")
-    if tid is TheoremId.TWO_R_T6a:
-        notes.append("level-2 coefficient fixed to 1 (base type)")
+    notes = [spec.note] if spec.note else []
 
     try:
-        cf_exact = closed_form_exact(tid, merged)
+        cf_exact = closed_form_exact(tid, {**p, **derived})
         cf = float(cf_exact)
     except (ValueError, ZeroDivisionError):
         cf_exact, cf = None, math.nan
-
-    def bail() -> TheoremVerdict:
-        return TheoremVerdict(
-            theorem=tid,
-            hypotheses_ok=report.ok,
-            conditions=report.conditions,
-            applicable=False,
-            closed_form=cf,
-            closed_form_exact=cf_exact,
-            numerical=None,
-            uniform_on_clique=None,
-            uniform_on_clique_exact=None,
-            kkt_residual=None,
-            tolerance=tol,
-            passed=False,
-            margin=None,
-            t=derived.get("t"),
-            r=derived.get("r"),
-            m=derived.get("m"),
-            solver=None,
-            notes=tuple(notes),
-        )
-
+    verdict = partial(
+        TheoremVerdict,
+        theorem=tid,
+        hypotheses_ok=report.ok,
+        conditions=report.conditions,
+        closed_form=cf,
+        closed_form_exact=cf_exact,
+        tolerance=tol,
+        t=derived.get("t"),
+        r=derived.get("r"),
+    )
     if not report.ok or cf_exact is None:
-        return bail()
+        outputs = ("numerical", "uniform_on_clique", "uniform_on_clique_exact", "kkt_residual")
+        unset = dict.fromkeys(outputs + ("margin", "solver"))
+        return verdict(**unset, applicable=False, passed=False, m=derived.get("m"), notes=tuple(notes))
 
     if h.edge_types:
-        coeffs, scale = _objective_for(tid, h, derived)
+        alpha, scale = _scaled_alpha(spec.flavour, h.edge_types, derived.get("alpha", {}))
+        coeffs = Coefficients.make(h.edge_types[0], alpha)
         res = maximize(h, coeffs, cfg)
         numerical = scale * res.value
         if not res.converged:
@@ -760,48 +628,28 @@ def verify(
         coeffs, scale, res = None, 1, None
         numerical = 0.0
 
-    strict_branch = tid is TheoremId.TPZZ or (
-        tid is TheoremId.MIXED_T10c and not derived.get("clique_present", False)
-    )
-
     uniform_exact: Fraction | None = None
-    uniform: float | None = None
-    margin: float | None = None
-    if strict_branch:
-        margin = cf - numerical
+    margin = cf - numerical
+    if spec.strict and not derived.get("clique_present", False):
         passed = margin >= strictness_margin
         notes.append(f"strict branch: measured gap {margin:.6g} (margin floor {strictness_margin:g})")
     else:
         clique = derived.get("clique")
-        if clique:
-            if coeffs is not None:
-                uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
-            else:
-                uniform_exact = Fraction(0)
-            uniform = float(uniform_exact)
-        margin = cf - numerical
-        passed = (
-            abs(numerical - cf) <= tol
-            and uniform_exact is not None
-            and uniform_exact == cf_exact
-        )
+        if clique and coeffs is not None:
+            uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
+        elif clique:
+            uniform_exact = Fraction(0)
+        exact_match = uniform_exact is not None and uniform_exact == cf_exact
+        passed = abs(numerical - cf) <= tol and exact_match
 
-    return TheoremVerdict(
-        theorem=tid,
-        hypotheses_ok=report.ok,
-        conditions=report.conditions,
+    return verdict(
         applicable=True,
-        closed_form=cf,
-        closed_form_exact=cf_exact,
         numerical=numerical,
-        uniform_on_clique=uniform,
+        uniform_on_clique=None if uniform_exact is None else float(uniform_exact),
         uniform_on_clique_exact=uniform_exact,
         kkt_residual=res.kkt_residual if res is not None else 0.0,
-        tolerance=tol,
         passed=passed,
         margin=margin,
-        t=derived.get("t"),
-        r=derived.get("r"),
         m=derived.get("m", h.num_edges(max(h.edge_types)) if h.edge_types else 0),
         solver=res,
         notes=tuple(notes),

@@ -62,6 +62,16 @@ class TestCompute:
     def test_missing_file(self, capsys):
         assert run(["compute", "/nonexistent/x.json"]) == 1
 
+    @pytest.mark.parametrize("doc", ['{"alpha": {"3": 1}}', "[1, 2]", '{"r0": null}'])
+    def test_malformed_coeffs_exit_one(self, k5_file, tmp_path, capsys, doc):
+        cfile = tmp_path / "coeffs.json"
+        cfile.write_text(doc)
+        assert run(["compute", k5_file, "--objective", "weighted", "--coeffs", str(cfile)]) == 1
+        assert "--coeffs must hold a JSON object" in capsys.readouterr().err
+
+    def test_tol_flag_removed(self, k5_file, capsys):
+        assert run(["compute", k5_file, "--tol", "1e-6"]) == 1
+
 
 class TestClique:
     def test_json_shape(self, tmp_path, capsys):
@@ -136,6 +146,21 @@ class TestVerify:
 
     def test_bad_theorem_name(self, one_two_file):
         assert run(["verify", "--theorem", "BOGUS", "--input", one_two_file]) == 1
+
+    def test_inline_params_longer_than_a_file_name(self, one_two_file, capsys):
+        params = json.dumps({"t": 3, "comment": "x" * 300})
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--starts", "4"]
+        assert run(args + ["--params", params]) == 0
+
+    @pytest.mark.parametrize("params", ['{"t": "4"}', '{"r": 3.5}'])
+    def test_non_integer_order_exits_one(self, one_two_file, capsys, params):
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--params", params]
+        assert run(args) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_grid_d_flag_removed(self, one_two_file, capsys):
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
+        assert run(args) == 1
 
 
 class TestGenerate:

@@ -11,7 +11,6 @@ from lagrangian_lab import (
     complete,
     complete_value_exact,
     gen_planted,
-    lambda_prime_closed,
     lambda_prime_complete,
     maximize,
     validate,
@@ -94,20 +93,12 @@ class TestClosedForms:
 
 class TestLambdaPrimeClosed:
     def test_values(self):
-        assert lambda_prime_closed("COR1a", 4, 3) == pytest.approx(9 / 8)
-        assert lambda_prime_closed("MIXED_T10b", 4, 3) == pytest.approx(1.375)
+        assert closed_form_exact("COR1a", {"t": 4, "r": 3}) == Fraction(9, 8)
+        assert closed_form_exact("MIXED_T10b", {"t": 4, "types": (1, 3)}) == Fraction(11, 8)
 
     @pytest.mark.parametrize("t", range(2, 9))
     def test_one_two_family(self, t):
         assert lambda_prime_complete(t, (1, 2)) == 2 - Fraction(1, t)
-
-    def test_requires_t_at_least_r(self):
-        with pytest.raises(ValueError):
-            lambda_prime_closed("COR1a", 2, 3)
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            lambda_prime_closed("MS_T1", 4, 2)
 
 
 class TestThresholds:
