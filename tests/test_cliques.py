@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -109,3 +110,49 @@ def test_monotone_under_edge_addition(seed):
         return
     bigger = validate(6, h.edges() + [list(rng.choice(missing))])
     assert max_complete_subgraph(bigger, (2,)).order >= before
+
+
+def _oracle(h, types):
+    """Every vertex subset checked against ``h.edges()``: the complete sets
+    by size, smallest first, each size in lexicographic order."""
+    edges = set(h.edges())
+    by_size = [[] for _ in range(h.n + 1)]
+    for size in range(h.n + 1):
+        for s in itertools.combinations(range(1, h.n + 1), size):
+            if all(c in edges for r in types if r <= size for c in itertools.combinations(s, r)):
+                by_size[size].append(s)
+    return by_size
+
+
+@st.composite
+def instances_and_types(draw):
+    """n <= 9, edges on up to three of the levels 1..4 at random densities,
+    and a type set that may name levels the instance lacks, include 1, or
+    exceed n."""
+    n = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = []
+    for r in sorted(draw(st.sets(st.integers(1, 4), max_size=3))):
+        density = draw(st.sampled_from((0.3, 0.6, 0.85, 1.0)))
+        edges += [c for c in itertools.combinations(range(1, n + 1), r) if rng.random() < density]
+    h = validate(n, edges)
+    types = draw(st.one_of(
+        st.just(h.edge_types) if h.edge_types else st.nothing(),
+        st.sets(st.integers(1, 6), min_size=1, max_size=3).map(lambda s: tuple(sorted(s))),
+    ))
+    return h, types
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instances_and_types())
+def test_matches_subset_oracle(case):
+    h, types = case
+    by_size = _oracle(h, types)
+    order = max(size for size, sets in enumerate(by_size) if sets)
+    res = max_complete_subgraph(h, types)
+    assert res.order == order
+    assert res.vertices == by_size[order][0]
+    assert res.is_unique_max == (len(by_size[order]) == 1)
+    for t in range(h.n + 2):
+        expected = t == 0 or (t <= h.n and bool(by_size[t]))
+        assert contains_complete(h, t, types) == expected
