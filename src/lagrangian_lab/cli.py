@@ -107,11 +107,12 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
         )
     if not args.coeffs:
         raise _UsageError("--objective weighted requires --coeffs")
+    text = Path(args.coeffs).read_text()
     try:
-        return Coefficients.from_json(Path(args.coeffs).read_text()), 1
-    except (KeyError, AttributeError, TypeError) as exc:
+        return Coefficients.from_json(text), 1
+    except ValueError as exc:
         raise _UsageError(
-            f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc!r})'
+            f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc})'
         ) from None
 
 

@@ -1,18 +1,29 @@
 """Exact maximum complete T-subgraph search.
 
 Completeness for a type set T is hereditary (every subset of a complete set
-is complete), so a depth-first branch and bound over vertices in increasing
-label order is exact. When 2 is in T, candidate lists are pruned by
-pairwise adjacency; other cardinalities are verified incrementally as the
-current set grows. Instances are desk-scale by design, so there is no
+is complete), so one depth-first search over vertices in increasing label
+order is exact; instances are desk-scale by design, so there is no
 approximate fallback.
+
+Vertex sets are integer bitmasks (bit v for vertex v). Each search builds one
+link table per level r >= 2 of T, mapping the mask of an (r-1)-set to the
+mask of the vertices that complete it to an r-edge; a level absent from the
+instance has an empty table. The search keeps, next to the complete set C,
+the candidate mask of vertices u above max(C) with C + {u} complete (at the
+root: every vertex, or the vertices with a singleton edge when 1 is in T).
+When v joins C, the new candidates are the old ones u above v such that
+T + {v, u} is an edge for every level r and every (r-2)-subset T of C: these
+are the only r-subsets of C + {v, u} not already known to be edges. A branch
+is cut as soon as |C| plus the number of candidates cannot reach the size
+sought. Visiting candidates in increasing label order enumerates complete
+sets in lexicographic order, which fixes the tie-break among maximum sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from .hypergraph import Hypergraph
 
@@ -24,117 +35,67 @@ class CliqueResult:
     is_unique_max: bool
 
 
-def _candidates(h: Hypergraph, types: tuple[int, ...]) -> list[int]:
-    verts = list(range(1, h.n + 1))
-    if 1 in types:
-        singles = h.edge_set(1)
-        verts = [v for v in verts if (v,) in singles]
-    return verts
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def _extends(h: Hypergraph, types: tuple[int, ...], current: list[int], v: int) -> bool:
-    """Whether current + {v} stays complete; only subsets through v need checking."""
-    size = len(current) + 1
-    for r in types:
-        if r == 1 or r > size:
-            continue
-        es = h.edge_set(r)
-        for tail in itertools.combinations(current, r - 1):
-            if tuple(sorted(tail + (v,))) not in es:
-                return False
-    return True
+class _Search:
+    """The start mask and link tables of one (hypergraph, type set) pair."""
+
+    def __init__(self, h: Hypergraph, types: Iterable[int]):
+        ts = sorted(set(types))
+        if not ts:
+            raise ValueError("edge-type set must be nonempty")
+        singletons = (e[0] for e in h.level_edges(1))
+        self.start = _mask(singletons if ts[0] == 1 else range(1, h.n + 1))
+        self.links: list[tuple[int, dict[int, int]]] = []
+        for r in ts:
+            if r == 1:
+                continue
+            table: dict[int, int] = {}
+            for e in h.level_edges(r):
+                edge = _mask(e)
+                for v in e:
+                    bit = 1 << v
+                    table[edge ^ bit] = table.get(edge ^ bit, 0) | bit
+            self.links.append((r - 2, table))
+
+    def complete_sets(self, floor: int) -> Iterator[tuple[int, ...]]:
+        """Complete sets of at least ``self.floor`` vertices, in lexicographic
+        order. Branches that cannot reach the floor are cut; it starts at
+        ``floor`` and the caller may raise it between two sets."""
+        self.floor = floor
+
+        def grow(members: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+            while cand and len(members) + cand.bit_count() >= self.floor:
+                bit = cand & -cand
+                cand ^= bit
+                nxt = cand
+                for size, table in self.links:
+                    for sub in combinations(members, size):
+                        nxt &= table.get(sum(sub) | bit, 0)
+                grown = members + (bit,)
+                if len(grown) >= self.floor:
+                    yield tuple(b.bit_length() - 1 for b in grown)
+                yield from grow(grown, nxt)
+
+        return grow((), self.start)
 
 
 def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
     """Largest vertex set complete for ``types``, lexicographically smallest on ties."""
-    ts = tuple(sorted(set(types)))
-    if not ts:
-        raise ValueError("edge-type set must be nonempty")
-    cands = _candidates(h, ts)
-    pair_ok = None
-    if 2 in ts:
-        pairs = h.edge_set(2)
-        pair_ok = lambda u, v: (min(u, v), max(u, v)) in pairs  # noqa: E731
-
-    best: list[int] = []
-
-    def search(current: list[int], remaining: list[int]) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        for k, v in enumerate(remaining):
-            if len(current) + len(remaining) - k <= len(best):
-                return
-            if not _extends(h, ts, current, v):
-                continue
-            nxt = remaining[k + 1 :]
-            if pair_ok is not None:
-                nxt = [u for u in nxt if pair_ok(v, u)]
-            current.append(v)
-            search(current, nxt)
-            current.pop()
-
-    search([], cands)
+    search = _Search(h, types)
+    best: tuple[int, ...] = ()
+    for found in search.complete_sets(1):
+        best = found
+        search.floor = len(found) + 1
     order = len(best)
-    return CliqueResult(tuple(best), order, _is_unique(h, ts, cands, order, tuple(best)))
-
-
-def _is_unique(
-    h: Hypergraph,
-    ts: tuple[int, ...],
-    cands: list[int],
-    order: int,
-    found: tuple[int, ...],
-) -> bool:
-    """Counting pass: is there a second complete set of the maximum order?"""
-    if order == 0:
-        return True
-    seen = 0
-
-    def count(current: list[int], remaining: list[int]) -> bool:
-        nonlocal seen
-        if len(current) == order:
-            seen += 1
-            return seen >= 2
-        for k, v in enumerate(remaining):
-            if len(current) + len(remaining) - k < order:
-                return False
-            if not _extends(h, ts, current, v):
-                continue
-            current.append(v)
-            if count(current, remaining[k + 1 :]):
-                current.pop()
-                return True
-            current.pop()
-        return False
-
-    count([], cands)
-    return seen < 2
+    unique = order == 0 or len(list(islice(search.complete_sets(order), 2))) == 1
+    return CliqueResult(best, order, unique)
 
 
 def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:
     """Whether some t-subset is complete for ``types``; t = 0 is vacuously true."""
     if t <= 0:
         return True
-    ts = tuple(sorted(set(types)))
-    if not ts:
-        raise ValueError("edge-type set must be nonempty")
-    cands = _candidates(h, ts)
-    if len(cands) < t:
-        return False
-
-    def search(current: list[int], remaining: list[int]) -> bool:
-        if len(current) == t:
-            return True
-        for k, v in enumerate(remaining):
-            if len(current) + len(remaining) - k < t:
-                return False
-            if not _extends(h, ts, current, v):
-                continue
-            current.append(v)
-            if search(current, remaining[k + 1 :]):
-                return True
-            current.pop()
-        return False
-
-    return search([], cands)
+    return next(_Search(h, types).complete_sets(t), None) is not None

@@ -5,6 +5,10 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
+An instance computes its hash and its per-level edge sets once, on first
+use, and keeps them: membership tests and dict lookups then cost O(1)
+instead of rehashing every edge.
+
 Desk-scale soft limits (r <= 6, n <= 24 by default) keep the enumeration
 oracles elsewhere in the package tractable; both are overridable.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +26,8 @@ MAX_CARDINALITY = 6
 MAX_VERTICES = 24
 
 Edge = tuple[int, ...]
+
+_NO_EDGES: frozenset[Edge] = frozenset()
 
 
 class HypergraphError(ValueError):
@@ -52,7 +58,18 @@ class Hypergraph:
         return ()
 
     def edge_set(self, r: int) -> frozenset[Edge]:
-        return _edge_set(self, r)
+        return self._edge_sets.get(r, _NO_EDGES)
+
+    @cached_property
+    def _edge_sets(self) -> dict[int, frozenset[Edge]]:
+        return {r: frozenset(es) for r, es in self.levels}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.levels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def edges(self) -> list[Edge]:
         """All edges, ordered by (cardinality, lexicographic)."""
@@ -73,11 +90,6 @@ class Hypergraph:
     def __repr__(self) -> str:
         counts = ", ".join(f"{r}:{len(es)}" for r, es in self.levels)
         return f"Hypergraph(n={self.n}, levels={{{counts}}})"
-
-
-@lru_cache(maxsize=1024)
-def _edge_set(h: Hypergraph, r: int) -> frozenset[Edge]:
-    return frozenset(h.level_edges(r))
 
 
 def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:

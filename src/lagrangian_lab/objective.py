@@ -106,9 +106,15 @@ class Coefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "Coefficients":
+        """Parse ``{"r0": int, "alpha": {"r": number, ...}}``; a malformed
+        document raises ``ValueError``."""
         doc = json.loads(text)
-        alpha = {int(r): parse_number(a) for r, a in doc.get("alpha", {}).items()}
-        return cls.make(int(doc["r0"]), alpha)
+        try:
+            alpha = {int(r): parse_number(a) for r, a in doc.get("alpha", {}).items()}
+            r0 = int(doc["r0"])
+        except (KeyError, AttributeError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed coefficients document: {exc!r}") from None
+        return cls.make(r0, alpha)
 
 
 def parse_number(value) -> Number:

@@ -242,14 +242,15 @@ def _resolve(pattern: tuple, r: int | None, present: Iterable[int]) -> tuple[int
 
 def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -> dict:
     """alpha_v of the ``L`` flavour for the levels above the lowest: a level
-    the pattern names reads ``alpha_2``/``alpha_3``/``alpha_r``, the others
-    read an open pattern's ``alpha`` map (kept whole), and unset ones are 1."""
+    the pattern names reads ``alpha_2``/``alpha_3``/``alpha_r`` and never the
+    ``alpha`` map, the others read an open pattern's ``alpha`` map (kept
+    whole), and unset ones are 1."""
     open_ = "3+" in pattern
     alpha = {int(k): _exact(v) for k, v in dict(p.get("alpha", {})).items()} if open_ else {}
     for v in levels[1:]:
         key = "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
-        if key in p:
-            alpha[v] = _exact(p[key])
+        if key is not None:
+            alpha[v] = _exact(p.get(key, 1))
         else:
             alpha.setdefault(v, Fraction(1))
     return alpha
@@ -307,8 +308,7 @@ class _Checker:
 
     @cached_property
     def alpha(self) -> dict:
-        # An absent alpha_2 is 1 here even when the alpha map holds a 2.
-        return _alpha(self.spec.pattern, {"alpha_2": 1, **self.p}, self.want, self.r)
+        return _alpha(self.spec.pattern, self.p, self.want, self.r)
 
     def coef(self, level: int) -> Fraction:
         return Fraction(1) if level == self.want[0] else self.alpha[level]

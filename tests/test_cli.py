@@ -62,7 +62,8 @@ class TestCompute:
     def test_missing_file(self, capsys):
         assert run(["compute", "/nonexistent/x.json"]) == 1
 
-    @pytest.mark.parametrize("doc", ['{"alpha": {"3": 1}}', "[1, 2]", '{"r0": null}'])
+    @pytest.mark.parametrize(
+        "doc", ['{"alpha": {"3": 1}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}'])
     def test_malformed_coeffs_exit_one(self, k5_file, tmp_path, capsys, doc):
         cfile = tmp_path / "coeffs.json"
         cfile.write_text(doc)

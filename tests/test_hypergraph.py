@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrangian_lab import hypergraph as hypergraph_module
 from lagrangian_lab import (
     Hypergraph,
     HypergraphError,
@@ -194,3 +195,42 @@ def test_hashable_and_equal():
     assert a == b and hash(a) == hash(b)
     assert a != validate(3, [[1, 2]])
     assert isinstance(a, Hypergraph)
+
+
+class TestHashAndIndexes:
+    """The hash and the per-level edge sets are computed once per instance."""
+
+    def routes(self):
+        h = validate(5, [[1, 2], [2, 3, 4], [5], [1, 4, 5]])
+        mapping = {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
+        inverse = {v: k for k, v in mapping.items()}
+        shuffled = validate(5, [[5, 4, 1], [5], [4, 3, 2], [2, 1]])
+        return h, [shuffled, relabel(relabel(h, mapping), inverse), from_json(to_json(h))]
+
+    def test_equal_instances_share_hash_and_key(self):
+        h, others = self.routes()
+        table = {h: "h"}
+        for other in others:
+            assert other is not h and other == h
+            assert hash(other) == hash(h) == hash((h.n, h.levels))
+            assert table[other] == "h"
+        assert len({h, *others}) == 1
+
+    def test_indexes_built_on_first_use(self):
+        h = validate(4, [[1, 2], [2, 3, 4]])
+        assert set(vars(h)) == {"n", "levels"}
+        assert h.edge_set(2) is h.edge_set(2)
+        assert h.edge_set(3) == frozenset({(2, 3, 4)})
+
+    def test_absent_level(self):
+        h = validate(4, [[1, 2], [2, 3, 4]])
+        assert h.edge_set(1) == frozenset() and h.edge_set(5) == frozenset()
+        assert not h.has_edge([1]) and not h.has_edge([1, 2, 3, 4])
+
+    def test_no_module_level_cache(self):
+        h = validate(3, [[1, 2]])
+        assert h.has_edge([1, 2])
+        for name, value in vars(hypergraph_module).items():
+            assert not hasattr(value, "cache_info"), name
+            if isinstance(value, dict):
+                assert not any(isinstance(k, Hypergraph) for k in value), name

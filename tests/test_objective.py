@@ -52,6 +52,12 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             Coefficients.make(2, {1: 1})
 
+    @pytest.mark.parametrize(
+        "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}'])
+    def test_malformed_json_raises_value_error(self, doc):
+        with pytest.raises(ValueError):
+            Coefficients.from_json(doc)
+
     def test_lambda_prime_weights(self):
         c = Coefficients.lambda_prime_weights((1, 2, 3))
         assert c.r0 == 1 and c.coefficient(2) == 2 and c.coefficient(3) == 6

@@ -225,6 +225,15 @@ class TestVerify:
         assert verdict.numerical == pytest.approx(float(complete_value_exact(5, (2, 3, 4))), abs=1e-6)
         assert any("largest cardinality" in note for note in verdict.notes)
 
+    def test_general_alpha_map_never_sets_a_named_level(self, fast_cfg):
+        """GENERAL_T9b names level 2, so alpha_2 is 1 when absent, even with a
+        2 in the alpha map; the closed form and verify agree on it."""
+        p = {"t": 5, "types": [1, 2, 3, 4], "alpha": {"2": 3}}
+        verdict = verify("GENERAL_T9b", complete(5, (1, 2, 3, 4)), p, cfg=fast_cfg)
+        assert verdict.hypotheses_ok
+        assert closed_form_exact("GENERAL_T9b", p) == verdict.closed_form_exact
+        assert verdict.closed_form_exact == complete_value_exact(5, (1, 2, 3, 4))
+
     def test_factorial_weight_bridge(self, fast_cfg):
         """A factorial-weighted verdict equals 2! times the plain weighted
         optimum with alpha_r = r!/2 on the same instance."""
