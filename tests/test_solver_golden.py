@@ -1,0 +1,287 @@
+"""Golden expectations for the solver.
+
+``tests/data/solver_golden.json`` pins the whole result of ``maximize`` and
+``polish`` on stored instances: ``value``, ``x`` (as ``float.hex``),
+``iterations``, ``converged``, ``method``, ``support``, ``sort_permutation``
+and ``kkt_residual``. It also pins ``grid_oracle`` on the cases that polish
+from a grid point. Integers, tuples and strings compare exactly; floats
+compare to 1e-12 relative and 1e-15 absolute.
+
+The cases cover every exit of an ascent. ``exercises`` records, per case,
+which of them a one-start-at-a-time reference run (``_reference_exits``,
+written from the public objective, gradient and projection) took: ``grad-tol``
+(KKT residual within ``tol_grad``), ``stall`` (no ascending step above the
+minimum step), ``budget`` (``max_iters`` ran out) and ``repolish`` (the
+tiny-support re-polish ran). Regenerate the data file (only when a change
+of behaviour is intended) with::
+
+    PYTHONPATH=src python tests/test_solver_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lagrangian_lab import (
+    Coefficients,
+    SolverConfig,
+    complete,
+    eval_L,
+    gen_planted,
+    gen_random,
+    gradient,
+    grid_oracle,
+    kkt_residual,
+    max_complete_subgraph,
+    maximize,
+    polish,
+    project_to_simplex,
+    uniform_weights,
+    validate,
+    with_singletons,
+)
+from lagrangian_lab import optimizer
+
+DATA = Path(__file__).parent / "data" / "solver_golden.json"
+EXITS = ("grad-tol", "stall", "budget", "repolish")
+REL, ABS = 1e-12, 1e-15
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _unhex(values) -> np.ndarray:
+    return np.array([float.fromhex(v) for v in values])
+
+
+def _record(res) -> dict:
+    return {
+        "value": float(res.value).hex(),
+        "x": _hex(res.x),
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "method": res.method,
+        "support": list(res.support),
+        "sort_permutation": list(res.sort_permutation),
+        "kkt_residual": float(res.kkt_residual).hex(),
+    }
+
+
+def _instance_cases() -> list[tuple]:
+    """(name, hypergraph, coefficients, solver settings, call). A call is
+    ``("maximize",)``, ``("polish", x0, method)`` or ``("grid", D, method)``
+    (polish from the grid oracle's argmax). Only used to (re)generate the
+    data file: the stored edge lists and starts are the test's inputs."""
+    cases = []
+    base = dict(starts=6, max_iters=1500)
+    families = (
+        ((1,), (2, 5)),
+        ((2,), (2, 4, 6, 9)),
+        ((3,), (3, 5, 7)),
+        ((1, 2), (3, 6, 8)),
+        ((2, 3), (4, 6, 7, 9)),
+        ((1, 2, 3), (4, 6, 8)),
+        ((2, 4), (5, 7, 9)),
+    )
+    for types, ns in families:
+        for k, n in enumerate(ns):
+            seed = 100 * n + len(types) * 10 + k
+            h = gen_random(n, types, 0.6, seed)
+            if k % 3 == 0:
+                coeffs = Coefficients.ones(h.edge_types)
+            elif k % 3 == 1:
+                coeffs = Coefficients.lambda_prime_weights(h.edge_types)
+            else:
+                ts = h.edge_types
+                coeffs = Coefficients.make(ts[0], {r: Fraction(2 * i + 3, i + 2) for i, r in enumerate(ts[1:])})
+            cases.append((f"random-{''.join(map(str, types))}-n{n}", h, coeffs,
+                          dict(base, seed=seed), ("maximize",)))
+    t6a = gen_planted("t6a", {"t": 4}, seed=3)
+    free = gen_planted("tpzz-free", {"t": 4}, seed=7)
+    ptz = with_singletons(gen_planted("ptz", {"t": 4}, seed=5))
+    for name, h in (("planted-t6a", t6a), ("planted-tpzz-free", free), ("planted-ptz-1", ptz)):
+        cases.append((name, h, Coefficients.ones(h.edge_types), dict(starts=8, seed=11), ("maximize",)))
+    cases.append(("complete-23-n5", complete(5, (2, 3)), Coefficients.ones((2, 3)),
+                  dict(starts=4, seed=1), ("maximize",)))
+    cases.append(("singletons-tie", validate(4, [[1], [2], [3], [4]]), Coefficients.ones((1,)),
+                  dict(starts=4, seed=2), ("maximize",)))
+    empty = validate(4, [])
+    cases.append(("edgeless", empty, Coefficients.make(2), dict(starts=3, seed=0), ("maximize",)))
+    cases.append(("edgeless-polish", empty, Coefficients.make(2), dict(starts=3, seed=0),
+                  ("polish", [0.5, 0.25, 0.25, 0.0], "warmstart")))
+    h = gen_random(6, (2, 3), 0.55, 44)
+    cases.append(("grid-polish-23-n6", h, Coefficients.ones(h.edge_types), dict(starts=4, seed=0),
+                  ("grid", 12, "grid")))
+    h = gen_random(5, (1, 2, 3), 0.6, 45)
+    cases.append(("grid-polish-123-n5", h, Coefficients.lambda_prime_weights(h.edge_types),
+                  dict(starts=4, seed=0), ("grid", 10, "grid")))
+    h = gen_random(8, (2, 3), 0.5, 46)
+    rng = np.random.default_rng(46)
+    cases.append(("polish-dirichlet-23-n8", h, Coefficients.ones(h.edge_types),
+                  dict(starts=4, seed=0), ("polish", list(rng.dirichlet(np.ones(8))), "multistart")))
+    # Vertex 5 carries no edge: a start that gives it a tiny weight ends the
+    # first ascent at once (tol_grad is huge) with that weight still inside
+    # (support_epsilon, 1e-6), so the re-polish runs from the cleaned point.
+    h = validate(5, [[1, 2], [2, 3], [1, 3], [3, 4]])
+    cases.append(("repolish-isolated-weight", h, Coefficients.ones((2,)),
+                  dict(starts=4, seed=0, tol_grad=1e3),
+                  ("polish", [0.3, 0.3, 0.3, 0.1 - 1e-8, 1e-8], "warmstart")))
+    h = gen_random(7, (2, 3), 0.6, 3)
+    cases.append(("budget-23-n7", h, Coefficients.ones(h.edge_types),
+                  dict(starts=8, seed=5, max_iters=40), ("maximize",)))
+    cases.append(("budget-polish-23-n7", h, Coefficients.ones(h.edge_types),
+                  dict(starts=8, seed=5, max_iters=5), ("polish", uniform_weights(7), "warmstart")))
+    for name, types, n, seed in (("many-starts-2-n7", (2,), 7, 49), ("dense-3-n9", (3,), 9, 50),
+                                 ("dense-123-n9", (1, 2, 3), 9, 51)):
+        h = gen_random(n, types, 0.8, seed)
+        cases.append((name, h, Coefficients.ones(h.edge_types), dict(starts=12, seed=seed),
+                      ("maximize",)))
+    h = gen_random(6, (2, 3), 0.6, 47)
+    cases.append(("stall-23-n6", h, Coefficients.ones(h.edge_types),
+                  dict(starts=4, seed=6, tol_grad=1e-300, max_iters=4000), ("maximize",)))
+    h = gen_random(6, (2,), 0.6, 48)
+    cases.append(("loose-support-eps-2-n6", h, Coefficients.ones(h.edge_types),
+                  dict(starts=5, seed=8, support_epsilon=1e-4, tol_grad=1e-6), ("maximize",)))
+    return cases
+
+
+def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
+    """How each start's ascent ends in a plain one-start-at-a-time loop."""
+    exits: set[str] = set()
+
+    def ascend(x):
+        x = project_to_simplex(x)
+        val = eval_L(h, coeffs, x)
+        step = 1.0
+        for _ in range(cfg.max_iters):
+            g = gradient(h, coeffs, x)
+            if kkt_residual(h, coeffs, x, cfg.support_epsilon) <= cfg.tol_grad:
+                exits.add("grad-tol")
+                return x
+            s = step
+            while s > optimizer._MIN_STEP:
+                y = project_to_simplex(x + s * g)
+                vy = eval_L(h, coeffs, y)
+                if vy > val:
+                    x, val, step = y, vy, min(2.0 * s, 1e3)
+                    break
+                s *= 0.5
+            else:
+                exits.add("stall")
+                return x
+        exits.add("budget")
+        return x
+
+    for x0 in starts:
+        x = ascend(np.asarray(x0, dtype=float))
+        tiny = (x > cfg.support_epsilon) & (x < 1e-6)
+        if tiny.any() and (x > 1e-6).any():
+            exits.add("repolish")
+            x2 = np.where(tiny, 0.0, x)
+            ascend(x2 / x2.sum())
+    return exits
+
+
+def _maximize_starts(h, cfg: SolverConfig) -> list[np.ndarray]:
+    """The start points ``maximize`` documents: clique, prefixes, Dirichlet."""
+    starts = []
+    clique = max_complete_subgraph(h, h.edge_types)
+    if clique.order > 0:
+        starts.append(uniform_weights(h.n, clique.vertices))
+    starts.extend(uniform_weights(h.n, range(1, k + 1)) for k in range(1, h.n + 1))
+    rng = np.random.default_rng(cfg.seed)
+    starts.extend(rng.dirichlet(np.ones(h.n)) for _ in range(cfg.starts))
+    return starts
+
+
+def _instance(case: dict):
+    return validate(case["n"], case["edges"], max_vertices=None)
+
+
+def _solve(case: dict):
+    h = _instance(case)
+    coeffs = Coefficients.from_json(case["coeffs"])
+    cfg = SolverConfig(**case["cfg"])
+    if case["call"] == "maximize":
+        return maximize(h, coeffs, cfg)
+    return polish(h, coeffs, _unhex(case["x0"]), cfg, method=case["method"])
+
+
+def _load() -> dict:
+    return json.loads(DATA.read_text())
+
+
+def _cases():
+    # A missing data file fails test_cases_cover_every_exit, not collection.
+    cases = _load()["cases"] if DATA.exists() else []
+    return [pytest.param(case, id=case["name"]) for case in cases]
+
+
+def _close(got: str, want: str) -> bool:
+    return float.fromhex(got) == pytest.approx(float.fromhex(want), rel=REL, abs=ABS)
+
+
+def test_cases_cover_every_exit():
+    cases = _load()["cases"]
+    assert set().union(*(c["exercises"] for c in cases)) == set(EXITS)
+    assert any(not c["expected"]["converged"] for c in cases)
+    assert {c["call"] for c in cases} == {"maximize", "polish"}
+    assert any("grid" in c for c in cases)
+    assert any(not c["edges"] for c in cases)
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_solver_golden(case):
+    got, want = _record(_solve(case)), case["expected"]
+    exact = ("iterations", "converged", "method", "support", "sort_permutation")
+    assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
+    assert _close(got["value"], want["value"]), (got["value"], want["value"])
+    assert _close(got["kkt_residual"], want["kkt_residual"]), (got["kkt_residual"], want["kkt_residual"])
+    assert len(got["x"]) == len(want["x"])
+    assert all(_close(a, b) for a, b in zip(got["x"], want["x"])), (got["x"], want["x"])
+
+
+@pytest.mark.parametrize("case", [c for c in _cases() if "grid" in c.values[0]])
+def test_grid_oracle_golden(case):
+    h = _instance(case)
+    value, x = grid_oracle(h, Coefficients.from_json(case["coeffs"]), case["grid"]["resolution"])
+    assert _close(float(value).hex(), case["grid"]["value"])
+    assert np.array_equal(x, _unhex(case["x0"]))
+
+
+def _regenerate() -> None:
+    cases = []
+    for name, h, coeffs, settings, call in _instance_cases():
+        cfg = SolverConfig(**settings)
+        case = {"name": name, "n": h.n, "edges": [list(e) for e in h.edges()],
+                "coeffs": coeffs.to_json(), "cfg": settings, "call": call[0]}
+        if call[0] == "maximize":
+            starts = _maximize_starts(h, cfg) if h.edge_types else []
+        else:
+            if call[0] == "grid":
+                value, x0 = grid_oracle(h, coeffs, call[1])
+                case["grid"] = {"resolution": call[1], "value": float(value).hex()}
+            else:
+                x0 = call[1]
+            case.update(call="polish", x0=_hex(x0), method=call[2])
+            starts = [_unhex(case["x0"])]
+        case["exercises"] = sorted(_reference_exits(h, coeffs, cfg, starts) if h.edge_types else ())
+        case["expected"] = _record(_solve(case))
+        cases.append(case)
+        print(f"{name}: {case['exercises']} iterations={case['expected']['iterations']}")
+    covered = set().union(*(c["exercises"] for c in cases))
+    assert covered == set(EXITS), f"exits not exercised: {set(EXITS) - covered}"
+    assert any(not c["expected"]["converged"] for c in cases), "no case ran out of max_iters"
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DATA}: {len(cases)} cases")
+
+
+if __name__ == "__main__":
+    _regenerate()
