@@ -54,7 +54,6 @@ from .optimizer import (
     maximize,
     polish,
     project_to_simplex,
-    support_pair_cover,
 )
 from .theorems import (
     ConditionCheck,

@@ -5,9 +5,10 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
-An instance computes its hash and its per-level edge sets once, on first
-use, and keeps them: membership tests and dict lookups then cost O(1)
-instead of rehashing every edge.
+An instance computes its hash, its per-level edge sets and its per-level
+index arrays once, on first use, and keeps them: membership tests and dict
+lookups then cost O(1) instead of rehashing every edge, and the objective
+reads the index arrays without rebuilding them.
 
 Desk-scale soft limits (r <= 6, n <= 24 by default) keep the enumeration
 oracles elsewhere in the package tractable; both are overridable.
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 MAX_CARDINALITY = 6
 MAX_VERTICES = 24
@@ -63,6 +66,20 @@ class Hypergraph:
     @cached_property
     def _edge_sets(self) -> dict[int, frozenset[Edge]]:
         return {r: frozenset(es) for r, es in self.levels}
+
+    def edge_array(self, r: int) -> np.ndarray:
+        """Zero-based ``(E, r)`` vertex-index array of level r, read-only."""
+        arr = self._edge_arrays.get(r)
+        return arr if arr is not None else np.empty((0, r), dtype=np.intp)
+
+    @cached_property
+    def _edge_arrays(self) -> dict[int, np.ndarray]:
+        out = {}
+        for r, es in self.levels:
+            arr = np.asarray(es, dtype=np.intp) - 1
+            arr.flags.writeable = False
+            out[r] = arr
+        return out
 
     @cached_property
     def _hash(self) -> int:

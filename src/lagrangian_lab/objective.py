@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -107,13 +107,18 @@ class Coefficients:
     @classmethod
     def from_json(cls, text: str) -> "Coefficients":
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``; a malformed
-        document raises ``ValueError``."""
+        document raises ``ValueError``. An integral float ``r0`` such as 3.0
+        is taken as an int; a boolean or fractional one is rejected."""
         doc = json.loads(text)
         try:
             alpha = {int(r): parse_number(a) for r, a in doc.get("alpha", {}).items()}
-            r0 = int(doc["r0"])
+            r0 = doc["r0"]
         except (KeyError, AttributeError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
+        if isinstance(r0, float) and r0.is_integer():
+            r0 = int(r0)
+        if isinstance(r0, bool) or not isinstance(r0, int):
+            raise ValueError(f"r0 must be an integer, got {r0!r}")
         return cls.make(r0, alpha)
 
 
@@ -186,17 +191,94 @@ def check_rational_feasible(x: Sequence[Fraction], n: int | None = None) -> tupl
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _edge_array(h: Hypergraph, r: int) -> np.ndarray:
-    """Zero-based (E, r) index array for one level."""
-    es = h.level_edges(r)
-    if not es:
-        return np.empty((0, r), dtype=np.intp)
-    return np.asarray(es, dtype=np.intp) - 1
+# Bound on the elements of one block's (rows x edges x r) temporaries; a
+# larger batch is evaluated block by block.
+_BLOCK_ELEMENTS = 1 << 19
 
 
-def _level_terms(h: Hypergraph, coeffs: Coefficients) -> list[tuple[float, np.ndarray]]:
-    return [(float(coeffs.coefficient(r)), _edge_array(h, r)) for r in h.edge_types]
+class Objective:
+    """L of one hypergraph and coefficient set, on a ``(B, n)`` batch of points.
+
+    The level index arrays and coefficients are read once. Every row gets
+    exactly the arithmetic of a one-point evaluation: each edge's product
+    multiplies its vertex weights left to right, a level's products are
+    added with numpy's pairwise summation, and the levels are added in
+    increasing order. Gradient component i accumulates, starting from 0,
+    the contributions of the edges through i in the order level, position
+    of i within the edge, edge.
+    """
+
+    def __init__(self, h: Hypergraph, coeffs: Coefficients):
+        self.n = h.n
+        self._levels = [(float(coeffs.coefficient(r)), h.edge_array(r)) for r in h.edge_types]
+        self._block = max(1, _BLOCK_ELEMENTS // max(1, sum(idx.size for _, idx in self._levels)))
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        """Gradient targets in accumulation order: per level, per position, per edge."""
+        return np.concatenate(
+            [idx.T.ravel() for _, idx in self._levels] or [np.empty(0, dtype=np.intp)])
+
+    def _rows(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise ValueError(f"points must have shape (B, {self.n}), got {arr.shape}")
+        return arr
+
+    def _columns(self, xt: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+        """The weights at each edge position, edge-major: (E, rows) each."""
+        return [xt[idx[:, j]] for j in range(idx.shape[1])]
+
+    def values(self, x) -> np.ndarray:
+        """L at every row of ``x``."""
+        arr = self._rows(x)
+        out = np.zeros(arr.shape[0])
+        for lo in range(0, arr.shape[0], self._block):
+            xt = np.ascontiguousarray(arr[lo:lo + self._block].T)
+            total = out[lo:lo + self._block]
+            for a, idx in self._levels:
+                cols = self._columns(xt, idx)
+                prod = cols[0]
+                for c in cols[1:]:
+                    prod = prod * c
+                # Row-major before summing: a contiguous row is summed pairwise.
+                total += a * np.ascontiguousarray(prod.T).sum(axis=1)
+        return out
+
+    def gradients(self, x) -> np.ndarray:
+        """Gradient of L at every row of ``x``: component i sums, over the
+        edges through i, the coefficient times the product of the other
+        vertex weights."""
+        arr = self._rows(x)
+        rows, n = arr.shape
+        out = np.zeros((rows, n))
+        for lo in range(0, rows, self._block):
+            xt = np.ascontiguousarray(arr[lo:lo + self._block].T)
+            b = xt.shape[1]
+            contrib = np.empty((self._targets.size, b))
+            k = 0
+            for a, idx in self._levels:
+                cols = self._columns(xt, idx)
+                r, e = len(cols), len(idx)
+                prefix = None
+                for p in range(r):
+                    # The other weights of each edge, multiplied left to right.
+                    others = prefix
+                    for c in cols[p + 1:]:
+                        others = c if others is None else others * c
+                    if others is None:
+                        contrib[k:k + e] = a
+                    else:
+                        np.multiply(others, a, out=contrib[k:k + e])
+                    k += e
+                    if p + 1 < r:
+                        prefix = cols[p] if prefix is None else prefix * cols[p]
+            # One flat scatter; bincount adds in input order, so each
+            # component sees its contributions in the documented order.
+            flat = (self._targets * b)[:, None] + np.arange(b)
+            g = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=n * b)
+            out[lo:lo + b] = g.reshape(n, b).T
+        return out
 
 
 def eval_L(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
@@ -208,11 +290,7 @@ def eval_L(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size != h.n:
         raise ValueError(f"weight vector has length {arr.size}, expected {h.n}")
-    total = 0.0
-    for a, idx in _level_terms(h, coeffs):
-        if idx.shape[0]:
-            total += a * float(np.prod(arr[idx], axis=1).sum())
-    return total
+    return float(Objective(h, coeffs).values(arr[None, :])[0])
 
 
 def eval_lambda_prime(h: Hypergraph, x: Sequence[float]) -> float:
@@ -237,19 +315,7 @@ def gradient(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> np.ndar
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size != h.n:
         raise ValueError(f"weight vector has length {arr.size}, expected {h.n}")
-    g = np.zeros(h.n)
-    for a, idx in _level_terms(h, coeffs):
-        if not idx.shape[0]:
-            continue
-        r = idx.shape[1]
-        if r == 1:
-            np.add.at(g, idx[:, 0], a)
-            continue
-        vals = arr[idx]
-        for p in range(r):
-            others = np.prod(np.delete(vals, p, axis=1), axis=1)
-            np.add.at(g, idx[:, p], a * others)
-    return g
+    return Objective(h, coeffs).gradients(arr[None, :])[0]
 
 
 class PairQuantities(NamedTuple):

@@ -6,8 +6,15 @@ value never falls below the clique bound), uniform prefixes of every
 length, and Dirichlet(1) random points. A rational-grid exhaustive search
 provides an independent certified lower bound for cross-validation.
 
-Multilinear objectives are cheap to evaluate at desk scale, so robustness
-wins over speed: no second-order method.
+All starts ascend in lockstep as one ``(B, n)`` batch: each iteration takes
+one batched gradient and KKT residual over the rows still running, and one
+batched line search that tries several halvings of every pending row per
+objective evaluation. A row leaves the batch when it converges, stalls or
+runs out of iterations; the tiny-support re-polish runs as a second batch.
+The batch only shares the per-call overhead: every row does exactly the
+arithmetic of an ascent from that start alone (the same projections, the
+same per-row sums and the same accepted steps), so its point, value,
+iteration count and stopping reason do not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .cliques import max_complete_subgraph
 from .hypergraph import Hypergraph
-from .objective import Coefficients, eval_L, gradient, uniform_weights
+from .objective import Coefficients, Objective, eval_L, gradient, uniform_weights
 
 _MIN_STEP = 1e-18
 
@@ -60,33 +67,41 @@ class OptimizationResult:
     sort_permutation: tuple[int, ...] = ()
 
 
+def _project_rows(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of a (B, n) array onto the simplex."""
+    n = v.shape[1]
+    u = np.sort(v, axis=1)[:, ::-1]
+    cs = np.cumsum(u, axis=1)
+    positive = u + (1.0 - cs) / np.arange(1, n + 1) > 0
+    if not positive.any(axis=1).all():
+        raise ValueError("cannot project a vector with non-finite or overflowing entries")
+    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    tau = (cs[np.arange(len(v)), rho] - 1.0) / (rho + 1)
+    x = np.maximum(v - tau[:, None], 0.0)
+    total = x.sum(axis=1)
+    bad = total <= 0
+    if bad.any():
+        x[bad] = 1.0 / n
+        total[bad] = 1.0
+    return x / total[:, None]
+
+
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:
     """Euclidean projection onto the simplex: x_i = max(v_i - tau, 0), sum 1."""
     arr = np.asarray(v, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(arr)[::-1]
-    cs = np.cumsum(u)
-    ks = np.arange(1, arr.size + 1)
-    rho = np.nonzero(u + (1.0 - cs) / ks > 0)[0][-1]
-    tau = (cs[rho] - 1.0) / (rho + 1)
-    x = np.maximum(arr - tau, 0.0)
-    total = x.sum()
-    if total <= 0:
-        return np.full(arr.size, 1.0 / arr.size)
-    return x / total
+    return _project_rows(arr[None, :])[0]
 
 
-def _residual(x: np.ndarray, g: np.ndarray, eps: float) -> float:
+def _residuals(x: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+    """Per row: gradient spread across the support plus any excess of an
+    off-support gradient over the support's largest; 0 with no support."""
     sup = x > eps
-    if not sup.any():
-        return 0.0
-    gs = g[sup]
-    spread = float(gs.max() - gs.min())
-    if sup.all():
-        return spread
-    excess = float(max(0.0, g[~sup].max() - gs.max()))
-    return spread + excess
+    top = np.where(sup, g, -np.inf).max(axis=1)
+    spread = top - np.where(sup, g, np.inf).min(axis=1)
+    excess = np.maximum(0.0, np.where(sup, -np.inf, g).max(axis=1) - top)
+    return np.where(sup.any(axis=1), spread + excess, 0.0)
 
 
 def kkt_residual(
@@ -94,85 +109,98 @@ def kkt_residual(
 ) -> float:
     """First-order optimality defect: gradient spread across the support plus
     any zero-weight gradient exceeding the support gradient."""
-    arr = np.asarray(x, dtype=float).ravel()
-    return _residual(arr, gradient(h, coeffs, arr), support_epsilon)
+    arr = np.asarray(x, dtype=float).ravel()[None, :]
+    return float(_residuals(arr, gradient(h, coeffs, arr[0])[None, :], support_epsilon)[0])
 
 
-def _compiled(h: Hypergraph, coeffs: Coefficients):
-    """Closure pair (value, gradient) with level arrays bound once."""
-    from .objective import _edge_array
-
-    terms = [(float(coeffs.coefficient(r)), _edge_array(h, r)) for r in h.edge_types]
-
-    def f(x: np.ndarray) -> float:
-        total = 0.0
-        for a, idx in terms:
-            total += a * float(np.prod(x[idx], axis=1).sum())
-        return total
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = np.zeros(x.size)
-        for a, idx in terms:
-            r = idx.shape[1]
-            if r == 1:
-                np.add.at(g, idx[:, 0], a)
-            elif r == 2:
-                np.add.at(g, idx[:, 0], a * x[idx[:, 1]])
-                np.add.at(g, idx[:, 1], a * x[idx[:, 0]])
-            else:
-                vals = x[idx]
-                for p in range(r):
-                    others = np.prod(np.delete(vals, p, axis=1), axis=1)
-                    np.add.at(g, idx[:, p], a * others)
-        return g
-
-    return f, grad
+# Trial steps per row in each line-search round, as halvings of the row's
+# current step: one round of width 1, then 2, then 8 at a time. Most rows
+# accept their first trial; the wider rounds serve rows that backtrack far.
+_WIDTHS = (2, 8)
+_HALVINGS = 0.5 ** np.arange(max(_WIDTHS))
 
 
-def _ascend(f, grad, x0: np.ndarray, cfg: SolverConfig):
-    """One projected-gradient run; stops at numerical stationarity."""
-    x = project_to_simplex(x0)
-    val = f(x)
-    step = 1.0
-    iters = 0
-    converged = False
-    for iters in range(1, cfg.max_iters + 1):
-        g = grad(x)
-        if _residual(x, g, cfg.support_epsilon) <= cfg.tol_grad:
-            converged = True
+def _line_search(obj: Objective, x, val, step, rows, g) -> np.ndarray:
+    """Backtracking along the projected gradient for ``rows`` of x at once.
+
+    Row i tries step[i], step[i]/2, ... while the step exceeds ``_MIN_STEP``
+    and keeps the first trial that raises its value; x, val and step of
+    those rows are updated in place (the next step doubles the accepted one,
+    up to 1e3). Returns the rows where no trial ascended.
+    """
+    n = x.shape[1]
+    s = step[rows]
+    stalled = []
+    rounds = itertools.chain(_WIDTHS, itertools.repeat(_WIDTHS[-1]))
+    while rows.size:
+        width = next(rounds)
+        trial = s[:, None] * _HALVINGS[:width]
+        y = _project_rows((x[rows, None, :] + trial[:, :, None] * g[:, None, :]).reshape(-1, n))
+        vy = obj.values(y).reshape(len(rows), width)
+        up = (trial > _MIN_STEP) & (vy > val[rows, None])
+        hit = up.any(axis=1)
+        first = up.argmax(axis=1)[hit]
+        done = rows[hit]
+        x[done] = y.reshape(len(rows), width, n)[hit, first]
+        val[done] = vy[hit, first]
+        step[done] = np.minimum(trial[hit, first] * 2.0, 1e3)
+        s = trial[~hit, -1] * 0.5
+        more = s > _MIN_STEP
+        stalled.append(rows[~hit][~more])
+        rows, g, s = rows[~hit][more], g[~hit][more], s[more]
+    return np.concatenate(stalled or [rows])
+
+
+def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
+    """Projected-gradient ascent of every row of x0 in lockstep.
+
+    Each iteration takes one batched gradient and residual over the rows
+    still running, then one batched line search. A row stops when its
+    residual is within ``tol_grad`` or no step above ``_MIN_STEP`` ascends
+    (both count as converged), or when ``max_iters`` runs out. Returns
+    points, values, iterations and converged flags, one per row.
+    """
+    x = _project_rows(x0)
+    val = obj.values(x)
+    step = np.ones(len(x))
+    iters = np.full(len(x), cfg.max_iters)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for it in range(1, cfg.max_iters + 1):
+        xa = x[active]
+        g = obj.gradients(xa)
+        small = _residuals(xa, g, cfg.support_epsilon) <= cfg.tol_grad
+        stalled = _line_search(obj, x, val, step, active[~small], g[~small])
+        stopped = np.concatenate([active[small], stalled])
+        iters[stopped] = it
+        converged[stopped] = True
+        active = np.flatnonzero(~converged)
+        if not active.size:
             break
-        s = step
-        accepted = False
-        while s > _MIN_STEP:
-            y = project_to_simplex(x + s * g)
-            vy = f(y)
-            if vy > val:
-                x, val = y, vy
-                step = min(s * 2.0, 1e3)
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            converged = True
-            break
-    else:
-        return x, val, cfg.max_iters, False
     return x, val, iters, converged
 
 
-def _run(f, grad, x0: np.ndarray, cfg: SolverConfig, label: str):
-    """Ascent plus the tiny-support re-polish: weights stuck between the
-    support epsilon and 1e-6 are truncated and the run restarted from the
-    cleaned point; both candidates are kept for selection."""
-    outs = []
-    x, val, iters, conv = _ascend(f, grad, x0, cfg)
-    outs.append((x, val, iters, conv, label))
+def _runs(obj: Objective, x0: np.ndarray, labels: Sequence[str], cfg: SolverConfig) -> list:
+    """Ascents from the rows of x0, each followed by its tiny-support
+    re-polish: weights stuck between the support epsilon and 1e-6 are
+    truncated and the ascent restarted from the cleaned point, as a second
+    batch; both candidates are kept for selection, the re-polish right
+    after its first run. Runs are (x, value, iterations, converged, label)."""
+    x, val, iters, conv = _ascend_batch(obj, x0, cfg)
     tiny = (x > cfg.support_epsilon) & (x < 1e-6)
-    if tiny.any() and (x > 1e-6).any():
-        x2 = np.where(tiny, 0.0, x)
-        x2, val2, iters2, conv2 = _ascend(f, grad, x2 / x2.sum(), cfg)
-        outs.append((x2, val2, iters + iters2, conv2, label))
-    return outs
+    again = np.nonzero(tiny.any(axis=1) & (x > 1e-6).any(axis=1))[0]
+    second = {}
+    if again.size:
+        x2 = np.where(tiny[again], 0.0, x[again])
+        x2, val2, iters2, conv2 = _ascend_batch(obj, x2 / x2.sum(axis=1)[:, None], cfg)
+        second = {int(i): (x2[k], val2[k], int(iters[i] + iters2[k]), bool(conv2[k]))
+                  for k, i in enumerate(again)}
+    runs = []
+    for i, label in enumerate(labels):
+        runs.append((x[i], val[i], int(iters[i]), bool(conv[i]), label))
+        if i in second:
+            runs.append(second[i] + (label,))
+    return runs
 
 
 def _support(x: np.ndarray, eps: float) -> tuple[int, ...]:
@@ -216,7 +244,6 @@ def maximize(
         x[0] = 1.0
         return _finalize(h, coeffs, x, cfg, "warmstart", 0, True)
 
-    f, grad = _compiled(h, coeffs)
     starts: list[tuple[str, np.ndarray]] = []
     clique = max_complete_subgraph(h, h.edge_types)
     if clique.order > 0:
@@ -227,10 +254,8 @@ def maximize(
     for _ in range(cfg.starts):
         starts.append(("multistart", rng.dirichlet(np.ones(h.n))))
 
-    runs = []
-    for label, x0 in starts:
-        runs.extend(_run(f, grad, x0, cfg, label))
-
+    labels, points = zip(*starts)
+    runs = _runs(Objective(h, coeffs), np.array(points), labels, cfg)
     best_val = max(r[1] for r in runs)
     pool = [r for r in runs if r[1] >= best_val - cfg.tol_value]
     pool.sort(key=lambda r: (len(_support(r[0], cfg.support_epsilon)),
@@ -251,8 +276,8 @@ def polish(
     coeffs.require_for(h)
     if not h.edge_types:
         return _finalize(h, coeffs, np.asarray(x0, float), cfg, method, 0, True)
-    f, grad = _compiled(h, coeffs)
-    runs = _run(f, grad, np.asarray(x0, dtype=float), cfg, method)
+    x0 = np.asarray(x0, dtype=float).ravel()[None, :]
+    runs = _runs(Objective(h, coeffs), x0, [method], cfg)
     runs.sort(key=lambda r: -r[1])
     x, _, iters, conv, label = runs[0]
     return _finalize(h, coeffs, x, cfg, label, iters, conv)
@@ -270,18 +295,6 @@ def _grid_points(n: int, resolution: int):
         yield out
 
 
-def _eval_batch(h: Hypergraph, coeffs: Coefficients, pts: np.ndarray) -> np.ndarray:
-    from .objective import _edge_array
-
-    total = np.zeros(pts.shape[0])
-    for r in h.edge_types:
-        a = float(coeffs.coefficient(r))
-        idx = _edge_array(h, r)
-        if idx.shape[0]:
-            total += a * np.prod(pts[:, idx], axis=2).sum(axis=1)
-    return total
-
-
 def grid_oracle(
     h: Hypergraph, coeffs: Coefficients, resolution: int
 ) -> tuple[float, np.ndarray]:
@@ -297,6 +310,7 @@ def grid_oracle(
         raise GridTooLargeError(
             f"grid with D={resolution}, n={n} has {count} points (limit 10^7)"
         )
+    obj = Objective(h, coeffs)
     best_val = -math.inf
     best_x: np.ndarray | None = None
     chunk: list[list[int]] = []
@@ -307,7 +321,7 @@ def grid_oracle(
         if not chunk:
             return
         pts = np.asarray(chunk, dtype=float) / resolution
-        vals = _eval_batch(h, coeffs, pts)
+        vals = obj.values(pts)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val = float(vals[k])
@@ -321,15 +335,3 @@ def grid_oracle(
     flush()
     assert best_x is not None
     return best_val, best_x
-
-
-def support_pair_cover(h: Hypergraph, result: OptimizationResult) -> bool:
-    """Whether every support pair lies jointly inside some edge."""
-    covered: set[tuple[int, int]] = set()
-    for e in h.edges():
-        for p in itertools.combinations(e, 2):
-            covered.add(p)
-    for p in itertools.combinations(result.support, 2):
-        if p not in covered:
-            return False
-    return True

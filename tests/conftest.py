@@ -37,6 +37,12 @@ def brute_force_max_complete(h, types):
     return 0, best
 
 
+def support_pair_cover(h, result):
+    """Whether every pair of support vertices lies jointly inside some edge."""
+    covered = {p for e in h.edges() for p in itertools.combinations(e, 2)}
+    return all(p in covered for p in itertools.combinations(result.support, 2))
+
+
 def fd_gradient(h, coeffs, x, step=1e-6):
     """Central finite differences of the objective in ambient coordinates."""
     base = np.asarray(x, dtype=float)

@@ -63,7 +63,8 @@ class TestCompute:
         assert run(["compute", "/nonexistent/x.json"]) == 1
 
     @pytest.mark.parametrize(
-        "doc", ['{"alpha": {"3": 1}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}'])
+        "doc", ['{"alpha": {"3": 1}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}',
+                '{"r0": 2.7, "alpha": {"3": 1}}'])
     def test_malformed_coeffs_exit_one(self, k5_file, tmp_path, capsys, doc):
         cfile = tmp_path / "coeffs.json"
         cfile.write_text(doc)

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrangian_lab import hypergraph as hypergraph_module
+from lagrangian_lab import objective as objective_module
+from lagrangian_lab import optimizer as optimizer_module
 from lagrangian_lab import (
+    Coefficients,
     Hypergraph,
     HypergraphError,
+    SolverConfig,
     complete,
     from_json,
     from_text,
@@ -15,6 +19,7 @@ from lagrangian_lab import (
     is_complete_on,
     level,
     loads,
+    maximize,
     relabel,
     to_json,
     to_text,
@@ -230,7 +235,17 @@ class TestHashAndIndexes:
     def test_no_module_level_cache(self):
         h = validate(3, [[1, 2]])
         assert h.has_edge([1, 2])
-        for name, value in vars(hypergraph_module).items():
-            assert not hasattr(value, "cache_info"), name
-            if isinstance(value, dict):
-                assert not any(isinstance(k, Hypergraph) for k in value), name
+        maximize(h, Coefficients.ones((2,)), SolverConfig(starts=2))
+        for module in (hypergraph_module, objective_module, optimizer_module):
+            for name, value in vars(module).items():
+                assert not hasattr(value, "cache_info"), (module.__name__, name)
+                if isinstance(value, dict):
+                    assert not any(isinstance(k, Hypergraph) for k in value), (module.__name__, name)
+
+    def test_edge_arrays_per_instance(self):
+        h = validate(4, [[1, 2], [2, 3, 4]])
+        assert h.edge_array(3) is h.edge_array(3)
+        assert h.edge_array(3).tolist() == [[1, 2, 3]]
+        assert h.edge_array(2).tolist() == [[0, 1]]
+        assert h.edge_array(1).shape == (0, 1)
+        assert not h.edge_array(2).flags.writeable

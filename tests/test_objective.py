@@ -58,6 +58,17 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             Coefficients.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc", ['{"r0": 2.7, "alpha": {"3": 1}}', '{"r0": true, "alpha": {"3": 1}}',
+                '{"r0": false}', '{"r0": "2", "alpha": {"3": 1}}'])
+    def test_non_integral_r0_rejected(self, doc):
+        with pytest.raises(ValueError, match="r0 must be an integer"):
+            Coefficients.from_json(doc)
+
+    def test_integral_float_r0_accepted(self):
+        c = Coefficients.from_json('{"r0": 2.0, "alpha": {"3": 1}}')
+        assert c.r0 == 2 and type(c.r0) is int and c == Coefficients.make(2, {3: 1})
+
     def test_lambda_prime_weights(self):
         c = Coefficients.lambda_prime_weights((1, 2, 3))
         assert c.r0 == 1 and c.coefficient(2) == 2 and c.coefficient(3) == 6

@@ -19,12 +19,11 @@ from lagrangian_lab import (
     maximize,
     polish,
     project_to_simplex,
-    support_pair_cover,
     uniform_weights,
     validate,
 )
 
-from conftest import random_instance, random_simplex_point
+from conftest import random_instance, random_simplex_point, support_pair_cover
 
 
 class TestProjection:
