@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -193,7 +192,7 @@ def check_rational_feasible(x: Sequence[Fraction], n: int | None = None) -> tupl
 
 # Bound on the elements of one block's (rows x edges x r) temporaries; a
 # larger batch is evaluated block by block.
-_BLOCK_ELEMENTS = 1 << 19
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class Objective:
@@ -210,14 +209,15 @@ class Objective:
 
     def __init__(self, h: Hypergraph, coeffs: Coefficients):
         self.n = h.n
-        self._levels = [(float(coeffs.coefficient(r)), h.edge_array(r)) for r in h.edge_types]
-        self._block = max(1, _BLOCK_ELEMENTS // max(1, sum(idx.size for _, idx in self._levels)))
-
-    @cached_property
-    def _targets(self) -> np.ndarray:
-        """Gradient targets in accumulation order: per level, per position, per edge."""
-        return np.concatenate(
-            [idx.T.ravel() for _, idx in self._levels] or [np.empty(0, dtype=np.intp)])
+        levels = [(float(coeffs.coefficient(r)), h.edge_array(r)) for r in h.edge_types]
+        # (coefficient, r, edge count) per level, and every edge position's
+        # vertex in the order per level, per position, per edge: one gather
+        # reads all weights, and it is also the gradient's scatter order.
+        self._levels = [(a, idx.shape[1], idx.shape[0]) for a, idx in levels]
+        self._targets = np.concatenate(
+            [idx.T.ravel() for _, idx in levels] or [np.empty(0, dtype=np.intp)])
+        self._edges = sum(e for _, _, e in self._levels)
+        self._block = max(1, _BLOCK_ELEMENTS // max(1, self._targets.size))
 
     def _rows(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -225,24 +225,34 @@ class Objective:
             raise ValueError(f"points must have shape (B, {self.n}), got {arr.shape}")
         return arr
 
-    def _columns(self, xt: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
-        """The weights at each edge position, edge-major: (E, rows) each."""
-        return [xt[idx[:, j]] for j in range(idx.shape[1])]
+    def _blocks(self, arr: np.ndarray):
+        """Row blocks of ``arr`` with every edge position's weight, (b, K)."""
+        for lo in range(0, arr.shape[0], self._block):
+            yield lo, np.take(arr[lo:lo + self._block], self._targets, axis=1)
 
     def values(self, x) -> np.ndarray:
         """L at every row of ``x``."""
         arr = self._rows(x)
         out = np.zeros(arr.shape[0])
-        for lo in range(0, arr.shape[0], self._block):
-            xt = np.ascontiguousarray(arr[lo:lo + self._block].T)
-            total = out[lo:lo + self._block]
-            for a, idx in self._levels:
-                cols = self._columns(xt, idx)
-                prod = cols[0]
-                for c in cols[1:]:
-                    prod = prod * c
-                # Row-major before summing: a contiguous row is summed pairwise.
-                total += a * np.ascontiguousarray(prod.T).sum(axis=1)
+        for lo, w in self._blocks(arr):
+            prods = np.empty((w.shape[0], self._edges))
+            k = off = 0
+            for a, r, e in self._levels:
+                prod = prods[:, off:off + e]
+                if r == 1:
+                    prod[...] = w[:, k:k + e]
+                else:
+                    np.multiply(w[:, k:k + e], w[:, k + e:k + 2 * e], out=prod)
+                    for j in range(2, r):
+                        np.multiply(prod, w[:, k + j * e:k + (j + 1) * e], out=prod)
+                k += r * e
+                off += e
+            total = out[lo:lo + len(w)]
+            off = 0
+            for a, _, e in self._levels:
+                # Each row of a row-major block is summed pairwise.
+                total += a * prods[:, off:off + e].sum(axis=1)
+                off += e
         return out
 
     def gradients(self, x) -> np.ndarray:
@@ -251,15 +261,13 @@ class Objective:
         vertex weights."""
         arr = self._rows(x)
         rows, n = arr.shape
-        out = np.zeros((rows, n))
-        for lo in range(0, rows, self._block):
-            xt = np.ascontiguousarray(arr[lo:lo + self._block].T)
-            b = xt.shape[1]
-            contrib = np.empty((self._targets.size, b))
+        out = np.empty((rows, n))
+        for lo, w in self._blocks(arr):
+            b = w.shape[0]
+            contrib = np.empty_like(w)
             k = 0
-            for a, idx in self._levels:
-                cols = self._columns(xt, idx)
-                r, e = len(cols), len(idx)
+            for a, r, e in self._levels:
+                cols = [w[:, k + j * e:k + (j + 1) * e] for j in range(r)]
                 prefix = None
                 for p in range(r):
                     # The other weights of each edge, multiplied left to right.
@@ -267,17 +275,17 @@ class Objective:
                     for c in cols[p + 1:]:
                         others = c if others is None else others * c
                     if others is None:
-                        contrib[k:k + e] = a
+                        contrib[:, k:k + e] = a
                     else:
-                        np.multiply(others, a, out=contrib[k:k + e])
+                        np.multiply(others, a, out=contrib[:, k:k + e])
                     k += e
                     if p + 1 < r:
                         prefix = cols[p] if prefix is None else prefix * cols[p]
             # One flat scatter; bincount adds in input order, so each
             # component sees its contributions in the documented order.
-            flat = (self._targets * b)[:, None] + np.arange(b)
-            g = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=n * b)
-            out[lo:lo + b] = g.reshape(n, b).T
+            flat = self._targets if b == 1 else (np.arange(b) * n)[:, None] + self._targets
+            g = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=b * n)
+            out[lo:lo + b] = g.reshape(b, n)
         return out
 
 

@@ -71,19 +71,15 @@ def _project_rows(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row of a (B, n) array onto the simplex."""
     n = v.shape[1]
     u = np.sort(v, axis=1)[:, ::-1]
-    cs = np.cumsum(u, axis=1)
-    positive = u + (1.0 - cs) / np.arange(1, n + 1) > 0
-    if not positive.any(axis=1).all():
+    # tau_k for the k largest entries; the support is the largest k with u_k > tau_k.
+    taus = (u.cumsum(axis=1) - 1.0) / np.arange(1, n + 1)
+    inside = u > taus
+    if not inside.any(axis=1).all():
         raise ValueError("cannot project a vector with non-finite or overflowing entries")
-    rho = n - 1 - np.argmax(positive[:, ::-1], axis=1)
-    tau = (cs[np.arange(len(v)), rho] - 1.0) / (rho + 1)
-    x = np.maximum(v - tau[:, None], 0.0)
-    total = x.sum(axis=1)
-    bad = total <= 0
-    if bad.any():
-        x[bad] = 1.0 / n
-        total[bad] = 1.0
-    return x / total[:, None]
+    rho = n - 1 - inside[:, ::-1].argmax(axis=1)
+    # The entry at rho exceeds tau, so every row keeps a positive sum.
+    x = np.maximum(v - taus[np.arange(len(v)), rho][:, None], 0.0)
+    return x / x.sum(axis=1)[:, None]
 
 
 def project_to_simplex(v: Sequence[float]) -> np.ndarray:
@@ -130,25 +126,28 @@ def _line_search(obj: Objective, x, val, step, rows, g) -> np.ndarray:
     """
     n = x.shape[1]
     s = step[rows]
-    stalled = []
-    rounds = itertools.chain(_WIDTHS, itertools.repeat(_WIDTHS[-1]))
-    while rows.size:
-        width = next(rounds)
+    stalled = rows[:0]
+    for width in itertools.chain(_WIDTHS, itertools.repeat(_WIDTHS[-1])):
+        if not rows.size:
+            break
         trial = s[:, None] * _HALVINGS[:width]
         y = _project_rows((x[rows, None, :] + trial[:, :, None] * g[:, None, :]).reshape(-1, n))
-        vy = obj.values(y).reshape(len(rows), width)
-        up = (trial > _MIN_STEP) & (vy > val[rows, None])
-        hit = up.any(axis=1)
-        first = up.argmax(axis=1)[hit]
-        done = rows[hit]
-        x[done] = y.reshape(len(rows), width, n)[hit, first]
-        val[done] = vy[hit, first]
-        step[done] = np.minimum(trial[hit, first] * 2.0, 1e3)
-        s = trial[~hit, -1] * 0.5
+        vy = obj.values(y)
+        up = (vy > np.repeat(val[rows], width)) & (trial.ravel() > _MIN_STEP)
+        # The first ascending trial of each row, as an index into the trials.
+        pick = np.arange(0, up.size, width) + up.reshape(-1, width).argmax(axis=1)
+        hit = up[pick]
+        done, pick = rows[hit], pick[hit]
+        x[done], val[done] = y[pick], vy[pick]
+        step[done] = np.minimum(trial.ravel()[pick] * 2.0, 1e3)
+        if len(done) == len(rows):
+            break
+        miss = ~hit
+        s = trial[miss, -1] * 0.5
         more = s > _MIN_STEP
-        stalled.append(rows[~hit][~more])
-        rows, g, s = rows[~hit][more], g[~hit][more], s[more]
-    return np.concatenate(stalled or [rows])
+        stalled = np.concatenate([stalled, rows[miss][~more]])
+        rows, g, s = rows[miss][more], g[miss][more], s[more]
+    return stalled
 
 
 def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):

@@ -142,6 +142,15 @@ class TestGridOracle:
         polished = polish(h, coeffs, gx, fast_cfg, method="grid")
         assert abs(polished.value - res.value) <= 1e-6
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_is_eval_L_at_argmax(self, seed):
+        # The grid's batches and eval_L share one evaluator, so the reported
+        # value is exactly the objective at the reported point.
+        h = gen_random(10, (2, 3), 0.7, seed)
+        coeffs = Coefficients.ones(h.edge_types)
+        val, x = grid_oracle(h, coeffs, 6)
+        assert val == eval_L(h, coeffs, x)
+
     def test_budget_guard(self):
         h = complete(12, (2,))
         with pytest.raises(GridTooLargeError):
