@@ -216,7 +216,6 @@ class Objective:
         self._levels = [(a, idx.shape[1], idx.shape[0]) for a, idx in levels]
         self._targets = np.concatenate(
             [idx.T.ravel() for _, idx in levels] or [np.empty(0, dtype=np.intp)])
-        self._edges = sum(e for _, _, e in self._levels)
         self._block = max(1, _BLOCK_ELEMENTS // max(1, self._targets.size))
 
     def _rows(self, x) -> np.ndarray:
@@ -226,7 +225,8 @@ class Objective:
         return arr
 
     def _blocks(self, arr: np.ndarray):
-        """Row blocks of ``arr`` with every edge position's weight, (b, K)."""
+        """Row blocks of ``arr``, each with the weight at every edge
+        position: a (rows, positions) array in ``_targets`` order."""
         for lo in range(0, arr.shape[0], self._block):
             yield lo, np.take(arr[lo:lo + self._block], self._targets, axis=1)
 
@@ -235,24 +235,15 @@ class Objective:
         arr = self._rows(x)
         out = np.zeros(arr.shape[0])
         for lo, w in self._blocks(arr):
-            prods = np.empty((w.shape[0], self._edges))
-            k = off = 0
-            for a, r, e in self._levels:
-                prod = prods[:, off:off + e]
-                if r == 1:
-                    prod[...] = w[:, k:k + e]
-                else:
-                    np.multiply(w[:, k:k + e], w[:, k + e:k + 2 * e], out=prod)
-                    for j in range(2, r):
-                        np.multiply(prod, w[:, k + j * e:k + (j + 1) * e], out=prod)
-                k += r * e
-                off += e
             total = out[lo:lo + len(w)]
-            off = 0
-            for a, _, e in self._levels:
-                # Each row of a row-major block is summed pairwise.
-                total += a * prods[:, off:off + e].sum(axis=1)
-                off += e
+            k = 0
+            for a, r, e in self._levels:
+                prod = w[:, k:k + e]
+                for j in range(1, r):
+                    prod = prod * w[:, k + j * e:k + (j + 1) * e]
+                # Each row's products lie contiguous and are summed pairwise.
+                total += a * prod.sum(axis=1)
+                k += r * e
         return out
 
     def gradients(self, x) -> np.ndarray:

@@ -110,8 +110,9 @@ def kkt_residual(
 
 
 # Trial steps per row in each line-search round, as halvings of the row's
-# current step: one round of width 1, then 2, then 8 at a time. Most rows
-# accept their first trial; the wider rounds serve rows that backtrack far.
+# current step: two in the first round, then eight per round. The step
+# doubles after every accepted trial, so a row in steady state fails at 2s
+# and accepts s; a first round of two covers both.
 _WIDTHS = (2, 8)
 _HALVINGS = 0.5 ** np.arange(max(_WIDTHS))
 

@@ -26,7 +26,10 @@ from lagrangian_lab import (
     validate,
 )
 
-from conftest import fd_gradient, random_simplex_point
+from lagrangian_lab import objective as objective_module
+from lagrangian_lab.objective import Objective
+
+from conftest import TYPE_FAMILIES, fd_gradient, random_instance, random_simplex_point
 
 
 class TestCoefficients:
@@ -192,6 +195,23 @@ class TestGradient:
             c = Coefficients.make(r, {})
             lhs = float(np.dot(x, gradient(lvl, c, x)))
             assert lhs == pytest.approx(r * eval_L(lvl, c, x), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), budget=st.sampled_from([1, 40, 1 << 16]))
+def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
+    """A row's value and gradient do not depend on the batch around it or
+    on how the batch is split into blocks."""
+    h = random_instance(seed, n_max=8, families=TYPE_FAMILIES + ((3,), (2, 4)))
+    coeffs = Coefficients.lambda_prime_weights(h.edge_types)
+    x = np.random.default_rng(seed).dirichlet(np.ones(h.n), size=rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objective_module, "_BLOCK_ELEMENTS", budget)
+        obj = Objective(h, coeffs)
+        values, grads = obj.values(x), obj.gradients(x)
+    for i in range(rows):
+        assert values[i] == eval_L(h, coeffs, x[i])
+        assert np.array_equal(grads[i], gradient(h, coeffs, x[i]))
 
 
 class TestPairQuantities:

@@ -41,6 +41,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_to_simplex([])
 
+    @pytest.mark.parametrize("v", [[1e300, 1.0], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_non_finite_or_overflowing_rejected(self, v):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            project_to_simplex(v)
+
     @settings(max_examples=80, deadline=None)
     @given(
         vals=st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
