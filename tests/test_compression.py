@@ -77,6 +77,30 @@ def _brute_force_left_compressed(h):
     return True
 
 
+_TYPE_SETS = ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (2, 4))
+
+instances = st.builds(
+    gen_random,
+    n=st.sampled_from(range(1, 10)),
+    types=st.sampled_from(_TYPE_SETS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+)
+
+
+def _reference_fixpoint(h):
+    """Try pairs in lexicographic order through ``compress_hypergraph`` and
+    restart from (1, 2) after every step that changes the graph."""
+    while True:
+        for i, j in itertools.combinations(range(1, h.n + 1), 2):
+            nxt = compress_hypergraph(h, i, j)
+            if nxt != h:
+                h = nxt
+                break
+        else:
+            return h
+
+
 class TestIsLeftCompressed:
     def test_complete_graphs(self):
         for n, types in [(4, (2,)), (5, (1, 2)), (4, (2, 3))]:
@@ -94,6 +118,11 @@ class TestIsLeftCompressed:
     @given(seed=st.integers(0, 10_000))
     def test_agrees_with_brute_force(self, seed):
         h = gen_random(6, (2, 3), 0.4, seed)
+        assert is_left_compressed(h) == _brute_force_left_compressed(h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=instances)
+    def test_agrees_with_brute_force_on_mixed_types(self, h):
         assert is_left_compressed(h) == _brute_force_left_compressed(h)
 
 
@@ -119,6 +148,11 @@ class TestFixpoint:
         for r in set(h.edge_types) | set(fp.edge_types):
             assert fp.num_edges(r) == h.num_edges(r)
         assert compression_potential(fp) <= compression_potential(h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=instances)
+    def test_matches_restarting_pair_sweep(self, h):
+        assert left_compress_fixpoint(h) == _reference_fixpoint(h)
 
 
 @settings(max_examples=80, deadline=None)
