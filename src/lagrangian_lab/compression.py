@@ -3,11 +3,14 @@
 Compressing an edge toward a smaller vertex (replace j by i, i < j, when i
 is absent and j present) never changes edge cardinalities, and the family
 operator moves an edge only when its image is not already present, so
-per-level edge counts are conserved. Repeated sweeps reach a fixed point:
-the vertex-label sum strictly drops on every effective step.
+per-level edge counts are conserved. The fixpoint applies the
+lexicographically first pair that moves an edge, until none does; it
+terminates because the vertex-label sum strictly drops on every such step.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .hypergraph import Edge, Hypergraph, _build
 
@@ -42,18 +45,21 @@ def compress_hypergraph(h: Hypergraph, i: int, j: int) -> Hypergraph:
     return _build(h.n, per_level)
 
 
+def _movable_pair(h: Hypergraph) -> tuple[int, int] | None:
+    """The lexicographically first pair (i, j), i < j, for which some edge
+    containing j but not i has an image missing from its level; None when
+    no pair moves an edge."""
+    for i, j in itertools.combinations(range(1, h.n + 1), 2):
+        for r in h.edge_types:
+            es = h.edge_set(r)
+            if any(j in e and i not in e and compress_edge(e, i, j) not in es for e in es):
+                return i, j
+    return None
+
+
 def is_left_compressed(h: Hypergraph) -> bool:
     """True iff every edge containing j but not i (i < j) maps to an existing edge."""
-    for r, es in h.levels:
-        existing = h.edge_set(r)
-        for e in es:
-            for j in e:
-                for i in range(1, j):
-                    if i in e:
-                        continue
-                    if compress_edge(e, i, j) not in existing:
-                        return False
-    return True
+    return _movable_pair(h) is None
 
 
 def compression_potential(h: Hypergraph) -> int:
@@ -62,23 +68,14 @@ def compression_potential(h: Hypergraph) -> int:
 
 
 def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
-    """Sweep (i, j) pairs in lexicographic order, restarting after any change.
+    """Apply the lexicographically first pair that moves an edge, until none does.
 
-    The order is a free choice; a deterministic sweep makes outputs
-    reproducible. Terminates because the label-sum potential is a strictly
-    decreasing nonnegative integer across effective steps.
+    This is the same graph a sweep of (i, j) pairs in lexicographic order,
+    restarting after every change, reaches; only the steps that move an edge
+    build a new graph. The order is a free choice; a deterministic one makes
+    outputs reproducible. Terminates because the label-sum potential is a
+    strictly decreasing nonnegative integer across effective steps.
     """
-    current = h
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, current.n):
-            for j in range(i + 1, current.n + 1):
-                nxt = compress_hypergraph(current, i, j)
-                if nxt != current:
-                    current = nxt
-                    changed = True
-                    break
-            if changed:
-                break
-    return current
+    while (pair := _movable_pair(h)) is not None:
+        h = compress_hypergraph(h, *pair)
+    return h

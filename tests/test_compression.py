@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrangian_lab import compression
 from lagrangian_lab import (
     Coefficients,
     compress_edge,
@@ -153,6 +154,21 @@ class TestFixpoint:
     @given(h=instances)
     def test_matches_restarting_pair_sweep(self, h):
         assert left_compress_fixpoint(h) == _reference_fixpoint(h)
+
+    def test_builds_only_graphs_that_move_an_edge(self, monkeypatch):
+        steps = []
+
+        def spy(h, i, j):
+            out = compress_hypergraph(h, i, j)
+            steps.append((h, out))
+            return out
+
+        monkeypatch.setattr(compression, "compress_hypergraph", spy)
+        for seed, types in enumerate(_TYPE_SETS):
+            h = gen_random(8, types, 0.5, seed)
+            assert left_compress_fixpoint(h) == _reference_fixpoint(h)
+        assert steps
+        assert all(out != h for h, out in steps)
 
 
 @settings(max_examples=80, deadline=None)
