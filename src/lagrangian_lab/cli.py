@@ -73,8 +73,6 @@ def _solver_config(args) -> SolverConfig:
     kwargs = {}
     if getattr(args, "starts", None) is not None:
         kwargs["starts"] = args.starts
-    if getattr(args, "grid_d", None) is not None:
-        kwargs["grid_resolution"] = args.grid_d
     if getattr(args, "max_iters", None) is not None:
         kwargs["max_iters"] = args.max_iters
     kwargs["seed"] = _default_seed(getattr(args, "seed", None))
@@ -126,7 +124,7 @@ def _cmd_compute(args) -> int:
         result = maximize(h, coeffs, cfg)
         value = scale * result.value
         if args.grid:
-            gval, gx = grid_oracle(h, coeffs, cfg.grid_resolution)
+            gval, gx = grid_oracle(h, coeffs, args.grid_d)
             polished = polish(h, coeffs, gx, cfg, method="grid")
             if scale * polished.value > value:
                 value, result = scale * polished.value, polished
@@ -315,7 +313,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--coeffs", help="coefficients JSON file for --objective weighted")
     p.add_argument("--grid", action="store_true", help="also run the grid oracle and keep the best")
-    p.add_argument("--grid-d", dest="grid_d", type=int, default=None, help="grid resolution")
+    p.add_argument("--grid-d", dest="grid_d", type=int, default=24, help="grid resolution")
     p.add_argument("--json", action="store_true")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_compute)

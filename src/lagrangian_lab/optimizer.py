@@ -31,6 +31,8 @@ from .hypergraph import Hypergraph
 from .objective import Coefficients, Objective, eval_L, gradient, uniform_weights
 
 _MIN_STEP = 1e-18
+# Runs whose values lie within this of the best count as ties in ``maximize``.
+_TOL_VALUE = 1e-12
 
 
 class GridTooLargeError(ValueError):
@@ -42,15 +44,13 @@ class SolverConfig:
     starts: int = 64
     max_iters: int = 5000
     tol_grad: float = 1e-9
-    tol_value: float = 1e-12
     support_epsilon: float = 1e-10
-    grid_resolution: int = 24
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.starts, self.max_iters, self.grid_resolution) < 1:
-            raise ValueError("starts, max_iters and grid_resolution must be positive")
-        if min(self.tol_grad, self.tol_value, self.support_epsilon) <= 0:
+        if min(self.starts, self.max_iters) < 1:
+            raise ValueError("starts and max_iters must be positive")
+        if min(self.tol_grad, self.support_epsilon) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -233,7 +233,7 @@ def maximize(
 ) -> OptimizationResult:
     """Best projected-gradient result over clique, prefix and random starts.
 
-    Among runs whose values tie within ``tol_value`` the smallest support
+    Among runs whose values tie within ``_TOL_VALUE`` the smallest support
     wins, with the lexicographically smallest support set breaking remaining
     ties; this realizes the minimal-support solution convention.
     """
@@ -257,7 +257,7 @@ def maximize(
     labels, points = zip(*starts)
     runs = _runs(Objective(h, coeffs), np.array(points), labels, cfg)
     best_val = max(r[1] for r in runs)
-    pool = [r for r in runs if r[1] >= best_val - cfg.tol_value]
+    pool = [r for r in runs if r[1] >= best_val - _TOL_VALUE]
     pool.sort(key=lambda r: (len(_support(r[0], cfg.support_epsilon)),
                              _support(r[0], cfg.support_epsilon), -r[1]))
     x, _, iters, conv, label = pool[0]
@@ -304,6 +304,8 @@ def grid_oracle(
     :func:`polish` from the returned argmax to close the gap.
     """
     coeffs.require_for(h)
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
     n = h.n
     count = math.comb(resolution + n - 1, n - 1)
     if count > 10_000_000:
@@ -333,5 +335,4 @@ def grid_oracle(
         if len(chunk) >= chunk_size:
             flush()
     flush()
-    assert best_x is not None
     return best_val, best_x

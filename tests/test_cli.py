@@ -59,6 +59,12 @@ class TestCompute:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.333333333333"
 
+    def test_grid_resolution_below_one_exits_one(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        dump(complete(3, (2,)), h)
+        assert run(["compute", str(h), "--grid", "--grid-d", "0", "--starts", "2"]) == 1
+        assert "grid resolution" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run(["compute", "/nonexistent/x.json"]) == 1
 

@@ -156,6 +156,11 @@ class TestGridOracle:
         val, x = grid_oracle(h, coeffs, 6)
         assert val == eval_L(h, coeffs, x)
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_rejected(self, resolution):
+        with pytest.raises(ValueError, match="grid resolution"):
+            grid_oracle(complete(3, (2,)), Coefficients.make(2, {}), resolution)
+
     def test_budget_guard(self):
         h = complete(12, (2,))
         with pytest.raises(GridTooLargeError):
