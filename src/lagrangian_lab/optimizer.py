@@ -28,7 +28,7 @@ import numpy as np
 
 from .cliques import max_complete_subgraph
 from .hypergraph import Hypergraph
-from .objective import Coefficients, Objective, eval_L, gradient, uniform_weights
+from .objective import Coefficients, Objective, gradient, uniform_weights
 
 _MIN_STEP = 1e-18
 # Runs whose values lie within this of the best count as ties in ``maximize``.
@@ -208,18 +208,19 @@ def _support(x: np.ndarray, eps: float) -> tuple[int, ...]:
 
 
 def _finalize(
-    h: Hypergraph, coeffs: Coefficients, x: np.ndarray, cfg: SolverConfig, label: str,
-    iterations: int, converged: bool,
+    obj: Objective, x: np.ndarray, cfg: SolverConfig, label: str, iterations: int,
+    converged: bool,
 ) -> OptimizationResult:
     x = project_to_simplex(x)
-    value = eval_L(h, coeffs, x)
-    order = np.lexsort((np.arange(1, h.n + 1), -x))
+    row = x[None, :]
+    residual = _residuals(row, obj.gradients(row), cfg.support_epsilon)[0]
+    order = np.lexsort((np.arange(1, x.size + 1), -x))
     perm = tuple(int(i) + 1 for i in order)
     return OptimizationResult(
-        value=value,
+        value=float(obj.values(row)[0]),
         x=x,
         support=_support(x, cfg.support_epsilon),
-        kkt_residual=kkt_residual(h, coeffs, x, cfg.support_epsilon),
+        kkt_residual=float(residual),
         method=label,
         iterations=iterations,
         converged=converged,
@@ -239,10 +240,11 @@ def maximize(
     """
     cfg = cfg or SolverConfig()
     coeffs.require_for(h)
+    obj = Objective(h, coeffs)
     if not h.edge_types:
         x = np.zeros(h.n)
         x[0] = 1.0
-        return _finalize(h, coeffs, x, cfg, "warmstart", 0, True)
+        return _finalize(obj, x, cfg, "warmstart", 0, True)
 
     starts: list[tuple[str, np.ndarray]] = []
     clique = max_complete_subgraph(h, h.edge_types)
@@ -255,13 +257,13 @@ def maximize(
         starts.append(("multistart", rng.dirichlet(np.ones(h.n))))
 
     labels, points = zip(*starts)
-    runs = _runs(Objective(h, coeffs), np.array(points), labels, cfg)
+    runs = _runs(obj, np.array(points), labels, cfg)
     best_val = max(r[1] for r in runs)
     pool = [r for r in runs if r[1] >= best_val - _TOL_VALUE]
     pool.sort(key=lambda r: (len(_support(r[0], cfg.support_epsilon)),
                              _support(r[0], cfg.support_epsilon), -r[1]))
     x, _, iters, conv, label = pool[0]
-    return _finalize(h, coeffs, x, cfg, label, iters, conv)
+    return _finalize(obj, x, cfg, label, iters, conv)
 
 
 def polish(
@@ -274,13 +276,14 @@ def polish(
     """Single ascent run from a given point (used to refine grid maxima)."""
     cfg = cfg or SolverConfig()
     coeffs.require_for(h)
+    obj = Objective(h, coeffs)
     if not h.edge_types:
-        return _finalize(h, coeffs, np.asarray(x0, float), cfg, method, 0, True)
+        return _finalize(obj, np.asarray(x0, float), cfg, method, 0, True)
     x0 = np.asarray(x0, dtype=float).ravel()[None, :]
-    runs = _runs(Objective(h, coeffs), x0, [method], cfg)
+    runs = _runs(obj, x0, [method], cfg)
     runs.sort(key=lambda r: -r[1])
     x, _, iters, conv, label = runs[0]
-    return _finalize(h, coeffs, x, cfg, label, iters, conv)
+    return _finalize(obj, x, cfg, label, iters, conv)
 
 
 def _grid_points(n: int, resolution: int):

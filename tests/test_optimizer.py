@@ -23,6 +23,8 @@ from lagrangian_lab import (
     validate,
 )
 
+from lagrangian_lab import objective, optimizer
+
 from conftest import random_instance, random_simplex_point, support_pair_cover
 
 
@@ -217,6 +219,29 @@ class TestSupportPairCover:
             converged=True,
         )
         assert support_pair_cover(h, res)
+
+
+@pytest.mark.parametrize("solve", ["maximize", "polish"])
+def test_one_objective_per_solve(solve, monkeypatch, fast_cfg):
+    built = []
+
+    class Counted(optimizer.Objective):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for module in (objective, optimizer):
+        monkeypatch.setattr(module, "Objective", Counted)
+    h = gen_random(6, (2, 3), 0.6, seed=4)
+    coeffs = Coefficients.ones(h.edge_types)
+    if solve == "maximize":
+        res = maximize(h, coeffs, fast_cfg)
+    else:
+        res = polish(h, coeffs, uniform_weights(h.n), fast_cfg)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert res.value == eval_L(h, coeffs, res.x)
+    assert res.kkt_residual == kkt_residual(h, coeffs, res.x, fast_cfg.support_epsilon)
 
 
 def test_solver_config_validation():
