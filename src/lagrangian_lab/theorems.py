@@ -214,7 +214,8 @@ def _exact(v) -> Fraction:
 
 
 def _read_params(params: Mapping | None) -> dict:
-    """Copy of the parameters with ``t`` and ``r``, when given, as ints."""
+    """Copy of the parameters with ``t`` and ``r``, when given, as ints; a
+    given ``t`` must be positive."""
     p = dict(params or {})
     for key in ("t", "r"):
         value = p.get(key)
@@ -222,6 +223,8 @@ def _read_params(params: Mapping | None) -> dict:
             p[key] = value = int(value)
         if value is not None and not isinstance(value, Integral):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+    if p.get("t") is not None and p["t"] < 1:
+        raise ValueError(f"t must be a positive integer, got {p['t']!r}")
     return p
 
 
@@ -262,7 +265,7 @@ def closed_form_exact(theorem: TheoremId | str, params: Mapping) -> Fraction:
     spec = SPECS[tid]
     p = _read_params(params)
     t, r = p.get("t"), p.get("r")
-    if t is None or t < 1:
+    if t is None:
         raise ValueError(f"closed form for {tid.value} needs a positive t, got {t}")
     levels = tuple(sorted(set(p.get("types", ())))) if spec.takes_types else ()
     if not levels:
@@ -283,10 +286,6 @@ def closed_form(theorem: TheoremId | str, params: Mapping) -> float:
 # ---------------------------------------------------------------------------
 # Hypothesis checks
 # ---------------------------------------------------------------------------
-
-
-def _singleton_vertices(h: Hypergraph) -> frozenset[int]:
-    return frozenset(e[0] for e in h.level_edges(1))
 
 
 class _Checker:
@@ -431,14 +430,14 @@ class _Checker:
         self.cond("r-level-span", span <= t + 1, detail)
 
     def singleton_order(self) -> None:
-        count, t = len(_singleton_vertices(self.h)), self.t
+        count, t = len(vertex_support(self.h, 1)), self.t
         detail = f"{count} singleton edges, t={t}"
         self.cond("singleton-order", t is not None and count == t, detail)
 
     def singleton_cover(self) -> None:
         """Without a 2-level, every vertex of a top-level edge has its singleton."""
         if 2 not in self.want:
-            covered = vertex_support(self.h, self.want[-1]) <= _singleton_vertices(self.h)
+            covered = vertex_support(self.h, self.want[-1]) <= vertex_support(self.h, 1)
             detail = "every vertex in a 3-edge must carry its singleton"
             self.cond("singleton-cover", covered, detail)
 
@@ -451,7 +450,11 @@ class _Checker:
         self.edge_window(2, *pair_edge_window(self.t))
 
     def uniform_window(self) -> None:
-        self.edge_window(self.want[-1], *uniform_edge_window(self.t, self.want[-1]))
+        top, t = self.want[-1], self.t
+        if t < 1:
+            self.cond("edge-window", False, f"t={t}: the {top}-level window needs t >= 1")
+        else:
+            self.edge_window(top, *uniform_edge_window(t, top))
 
     def threshold(self, bound, detail: str) -> None:
         t = self.t

@@ -166,6 +166,11 @@ class TestVerify:
         assert run(args) == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_order_below_one_exits_one(self, one_two_file, capsys):
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--params", '{"t": 0}']
+        assert run(args) == 1
+        assert "t must be a positive integer" in capsys.readouterr().err
+
     def test_grid_d_flag_removed(self, one_two_file, capsys):
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
         assert run(args) == 1

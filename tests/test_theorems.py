@@ -167,6 +167,28 @@ class TestCheckHypotheses:
         report = check_hypotheses("TWO_R_T6a", h, {"t": 3})
         assert not report.ok
 
+    @pytest.mark.parametrize("theorem", ["PTZ", "MIXED_T10a", "MIXED_T10b", "TPZZ", "MIXED_T10c"])
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_supplied_t_below_one_rejected(self, theorem, t, fast_cfg):
+        h = complete(5, (1, 2, 3))
+        with pytest.raises(ValueError, match="t must be a positive integer"):
+            check_hypotheses(theorem, h, {"t": t})
+        with pytest.raises(ValueError, match="t must be a positive integer"):
+            verify(theorem, h, {"t": t}, fast_cfg)
+        with pytest.raises(ValueError, match="t must be a positive integer"):
+            closed_form_exact(theorem, {"t": t, "r": 3, "types": (1, 2, 3)})
+
+    def test_order_zero_clique_fails_the_window(self, fast_cfg):
+        # A {3}-graph without singletons has no (1,3)-clique, so t = 0.
+        h = validate(5, [[1, 2, 3], [1, 2, 4], [2, 3, 4]])
+        report = check_hypotheses("MIXED_T10b", h)
+        assert not report.ok
+        assert report.derived["t"] == 0
+        window = [c for c in report.conditions if c.name == "edge-window"]
+        assert len(window) == 1 and not window[0].ok
+        verdict = verify("MIXED_T10b", h, None, fast_cfg)
+        assert not verdict.applicable and not verdict.passed
+
 
 class TestVerify:
     def test_one_two_graph(self, fast_cfg):
