@@ -70,11 +70,9 @@ def compression_potential(h: Hypergraph) -> int:
 def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
     """Apply the lexicographically first pair that moves an edge, until none does.
 
-    This is the same graph a sweep of (i, j) pairs in lexicographic order,
-    restarting after every change, reaches; only the steps that move an edge
-    build a new graph. The order is a free choice; a deterministic one makes
-    outputs reproducible. Terminates because the label-sum potential is a
-    strictly decreasing nonnegative integer across effective steps.
+    The deterministic order makes outputs reproducible, and only steps that
+    move an edge build a graph. Terminates because the label-sum potential
+    is a strictly decreasing nonnegative integer across effective steps.
     """
     while (pair := _movable_pair(h)) is not None:
         h = compress_hypergraph(h, *pair)

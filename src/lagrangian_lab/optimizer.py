@@ -31,7 +31,6 @@ from .hypergraph import Hypergraph
 from .objective import Coefficients, Objective, gradient, uniform_weights
 
 _MIN_STEP = 1e-18
-# Runs whose values lie within this of the best count as ties in ``maximize``.
 _TOL_VALUE = 1e-12
 
 
@@ -208,19 +207,17 @@ def _support(x: np.ndarray, eps: float) -> tuple[int, ...]:
 
 
 def _finalize(
-    obj: Objective, x: np.ndarray, cfg: SolverConfig, label: str, iterations: int,
-    converged: bool,
+    obj: Objective, x: np.ndarray, cfg: SolverConfig, label: str, iterations: int, converged: bool
 ) -> OptimizationResult:
     x = project_to_simplex(x)
     row = x[None, :]
-    residual = _residuals(row, obj.gradients(row), cfg.support_epsilon)[0]
     order = np.lexsort((np.arange(1, x.size + 1), -x))
     perm = tuple(int(i) + 1 for i in order)
     return OptimizationResult(
         value=float(obj.values(row)[0]),
         x=x,
         support=_support(x, cfg.support_epsilon),
-        kkt_residual=float(residual),
+        kkt_residual=float(_residuals(row, obj.gradients(row), cfg.support_epsilon)[0]),
         method=label,
         iterations=iterations,
         converged=converged,

@@ -214,8 +214,7 @@ def _exact(v) -> Fraction:
 
 
 def _read_params(params: Mapping | None) -> dict:
-    """Copy of the parameters with ``t`` and ``r``, when given, as ints; a
-    given ``t`` must be positive."""
+    """Copy of the parameters with ``t`` (positive) and ``r``, when given, as ints."""
     p = dict(params or {})
     for key in ("t", "r"):
         value = p.get(key)
