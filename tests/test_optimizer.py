@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -162,6 +163,26 @@ class TestGridOracle:
     def test_resolution_below_one_rejected(self, resolution):
         with pytest.raises(ValueError, match="grid resolution"):
             grid_oracle(complete(3, (2,)), Coefficients.make(2, {}), resolution)
+
+    @pytest.mark.parametrize("types", [(2,), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reference_enumeration(self, types, n):
+        """Value and argmax equal a point-by-point scan of the compositions in
+        ``itertools.combinations`` cut order, where the first maximum wins."""
+        coeffs = Coefficients.ones(types)
+        for density in (1.0, 0.5):
+            h = gen_random(n, types, density, seed=10 * n + len(types))
+            for d in range(1, 9):
+                best_val, best_x = -math.inf, None
+                for cuts in itertools.combinations(range(d + n - 1), n - 1):
+                    bounds = (-1,) + cuts + (d + n - 1,)
+                    x = np.array([b - a - 1 for a, b in zip(bounds, bounds[1:])]) / d
+                    val = eval_L(h, coeffs, x)
+                    if val > best_val:
+                        best_val, best_x = val, x
+                val, x = grid_oracle(h, coeffs, d)
+                assert val == best_val
+                assert np.array_equal(x, best_x)
 
     def test_budget_guard(self):
         h = complete(12, (2,))
