@@ -8,7 +8,6 @@ from .cliques import CliqueResult, contains_complete, max_complete_subgraph
 from .compression import (
     compress_edge,
     compress_hypergraph,
-    compression_potential,
     is_left_compressed,
     left_compress_fixpoint,
 )
@@ -20,7 +19,6 @@ from .hypergraph import (
     dump,
     from_json,
     from_text,
-    is_complete_on,
     level,
     load,
     loads,
@@ -33,15 +31,10 @@ from .hypergraph import (
 from .objective import (
     Coefficients,
     MissingCoefficientError,
-    PairQuantities,
-    check_feasible,
     check_rational_feasible,
     eval_exact,
     eval_L,
-    eval_lambda_prime,
     gradient,
-    lambda_prime_exact,
-    pair_quantities,
     rational_uniform,
     uniform_weights,
 )
@@ -64,7 +57,6 @@ from .theorems import (
     closed_form,
     closed_form_exact,
     complete_value_exact,
-    lambda_prime_complete,
     theorem_ids,
     verify,
 )

@@ -121,11 +121,12 @@ def _cmd_compute(args) -> int:
     else:
         coeffs, scale = _coefficients_for(args, h)
         cfg = _solver_config(args)
+        # The grid runs first: a bad resolution or size fails before the solve.
+        grid = grid_oracle(h, coeffs, args.grid_d) if args.grid else None
         result = maximize(h, coeffs, cfg)
         value = scale * result.value
-        if args.grid:
-            gval, gx = grid_oracle(h, coeffs, args.grid_d)
-            polished = polish(h, coeffs, gx, cfg, method="grid")
+        if grid is not None:
+            polished = polish(h, coeffs, grid[1], cfg, method="grid")
             if scale * polished.value > value:
                 value, result = scale * polished.value, polished
     if args.json:

@@ -62,11 +62,6 @@ def is_left_compressed(h: Hypergraph) -> bool:
     return _movable_pair(h) is None
 
 
-def compression_potential(h: Hypergraph) -> int:
-    """Sum of all vertex labels over all edges; strictly decreases on effective steps."""
-    return sum(v for e in h.edges() for v in e)
-
-
 def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
     """Apply the lexicographically first pair that moves an edge, until none does.
 

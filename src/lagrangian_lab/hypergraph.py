@@ -196,21 +196,6 @@ def vertex_support(h: Hypergraph, r: int) -> frozenset[int]:
     return frozenset(v for e in h.level_edges(r) for v in e)
 
 
-def is_complete_on(h: Hypergraph, vertices: Iterable[int], types: Iterable[int]) -> bool:
-    """True iff every r-subset of ``vertices`` is an edge, for each r in ``types`` with r <= |vertices|."""
-    s = sorted(set(vertices))
-    if any(v < 1 or v > h.n for v in s):
-        raise HypergraphError(f"vertex set {s} not within 1..{h.n}")
-    for r in sorted(set(types)):
-        if r > len(s):
-            continue
-        es = h.edge_set(r)
-        for c in itertools.combinations(s, r):
-            if c not in es:
-                return False
-    return True
-
-
 def relabel(h: Hypergraph, mapping: Mapping[int, int]) -> Hypergraph:
     """Rename vertices by a bijection of [n] onto itself."""
     if sorted(mapping) != list(range(1, h.n + 1)) or sorted(mapping.values()) != list(

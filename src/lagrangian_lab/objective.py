@@ -1,29 +1,26 @@
 """Weighted polynomial objectives of a hypergraph over the standard simplex.
 
-Three families share one evaluation core:
+One evaluator, :class:`Objective`, computes the weighted program ``L`` and
+its gradient on a batch of points: the base-cardinality level has
+coefficient 1 and each higher level r a positive coefficient alpha_r. The
+uniform-level monomial sum is the case alpha_r = 1, and the non-uniform
+Lagrangian ``lambda'`` (every level r weighted by r!) is r0! times L with
+alpha_r = r!/r0!, r0 the smallest edge type. The factorial-weighted sum
+written out independently is a test oracle, so the identity is
+cross-checked in the tests rather than assumed.
 
-* the uniform-level monomial sum (each r-edge contributes the product of
-  its vertex weights),
-* the weighted program ``L``: base-cardinality level has coefficient 1,
-  each higher level r a positive coefficient alpha_r,
-* the non-uniform Lagrangian ``lambda'``: every level r weighted by r!.
-
-``lambda'`` equals r0! times L with alpha_r = r!/r0! (r0 the smallest edge
-type); the two are implemented independently so the identity can be
-cross-checked rather than assumed.
-
-Evaluations accept any real vector of length n; simplex membership is a
-separate validation used by the optimizer. An exact mode over rationals
-backs the closed-form identity checks.
+Float evaluations accept any real vector of length n. An exact mode over
+rationals, which requires a point of the simplex, backs the closed-form
+identity checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,20 +132,6 @@ def parse_number(value) -> Number:
 # ---------------------------------------------------------------------------
 # Weight vectors
 # ---------------------------------------------------------------------------
-
-
-def check_feasible(x: Sequence[float], n: int | None = None, tol: float = 1e-12) -> np.ndarray:
-    """Validate simplex membership: nonnegative entries summing to 1 within tol."""
-    arr = np.asarray(x, dtype=float).ravel()
-    if n is not None and arr.size != n:
-        raise ValueError(f"weight vector has length {arr.size}, expected {n}")
-    if arr.size == 0:
-        raise ValueError("weight vector must be nonempty")
-    if arr.min() < -tol:
-        raise ValueError(f"negative weight {arr.min()}")
-    if abs(arr.sum() - 1.0) > tol:
-        raise ValueError(f"weights sum to {arr.sum()}, expected 1")
-    return arr
 
 
 def uniform_weights(n: int, support: Iterable[int] | None = None) -> np.ndarray:
@@ -292,22 +275,6 @@ def eval_L(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
     return float(Objective(h, coeffs).values(arr[None, :])[0])
 
 
-def eval_lambda_prime(h: Hypergraph, x: Sequence[float]) -> float:
-    """Non-uniform Lagrangian objective: each level r weighted by r!.
-
-    Deliberately shares no code with :func:`eval_L` so the factorial-weight
-    identity between the two can be tested rather than assumed.
-    """
-    xs = [float(v) for v in x]
-    if len(xs) != h.n:
-        raise ValueError(f"weight vector has length {len(xs)}, expected {h.n}")
-    level_sums = []
-    for r, es in h.levels:
-        s = math.fsum(math.prod(xs[v - 1] for v in e) for e in es)
-        level_sums.append(math.factorial(r) * s)
-    return math.fsum(level_sums)
-
-
 def gradient(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> np.ndarray:
     """Partial derivatives of L: component i sums, over edges through i,
     the coefficient times the product of the other vertex weights."""
@@ -315,51 +282,6 @@ def gradient(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> np.ndar
     if arr.size != h.n:
         raise ValueError(f"weight vector has length {arr.size}, expected {h.n}")
     return Objective(h, coeffs).gradients(arr[None, :])[0]
-
-
-class PairQuantities(NamedTuple):
-    """Weighted link values for a vertex pair (i, j).
-
-    ``e_ij``: edges through both, evaluated on the remaining vertices.
-    ``e_i_not_j``: edges through i (j absent) whose j-swapped image is not
-    an edge; symmetric for ``e_j_not_i``. These are the second-derivative
-    and difference structures behind the equal-gradient optimality
-    conditions: grad_i - grad_j = (x_j - x_i) * e_ij + e_i_not_j - e_j_not_i.
-    """
-
-    e_ij: float
-    e_i_not_j: float
-    e_j_not_i: float
-
-
-def pair_quantities(
-    h: Hypergraph, coeffs: Coefficients, x: Sequence[float], i: int, j: int
-) -> PairQuantities:
-    if i == j:
-        raise ValueError("pair quantities need two distinct vertices")
-    xs = [float(v) for v in x]
-    if len(xs) != h.n:
-        raise ValueError(f"weight vector has length {len(xs)}, expected {h.n}")
-    both: list[float] = []
-    i_only: list[float] = []
-    j_only: list[float] = []
-    for r, es in h.levels:
-        a = float(coeffs.coefficient(r))
-        existing = h.edge_set(r)
-        for e in es:
-            has_i = i in e
-            has_j = j in e
-            if has_i and has_j:
-                both.append(a * math.prod(xs[v - 1] for v in e if v != i and v != j))
-            elif has_i:
-                image = tuple(sorted([j] + [v for v in e if v != i]))
-                if image not in existing:
-                    i_only.append(a * math.prod(xs[v - 1] for v in e if v != i))
-            elif has_j:
-                image = tuple(sorted([i] + [v for v in e if v != j]))
-                if image not in existing:
-                    j_only.append(a * math.prod(xs[v - 1] for v in e if v != j))
-    return PairQuantities(math.fsum(both), math.fsum(i_only), math.fsum(j_only))
 
 
 def eval_exact(
@@ -379,12 +301,3 @@ def eval_exact(
         total += a * s
     return total
 
-
-def lambda_prime_exact(h: Hypergraph, x: Sequence[Fraction]) -> Fraction:
-    """Exact non-uniform Lagrangian value via the factorial-weight scaling."""
-    if not h.edge_types:
-        check_rational_feasible(x, h.n)
-        return Fraction(0)
-    r0 = h.edge_types[0]
-    weights = Coefficients.lambda_prime_weights(h.edge_types)
-    return math.factorial(r0) * eval_exact(h, weights, x)

@@ -4,7 +4,10 @@ Projected-gradient ascent with backtracking line search, run from three
 start families: uniform on the maximum complete subgraph (so the reported
 value never falls below the clique bound), uniform prefixes of every
 length, and Dirichlet(1) random points. A rational-grid exhaustive search
-provides an independent certified lower bound for cross-validation.
+provides an independent certified lower bound for cross-validation; it
+turns the grid's compositions into numpy count arrays one block of rows at
+a time, in ``itertools.combinations`` order, and evaluates each block as
+one batch.
 
 All starts ascend in lockstep as one ``(B, n)`` batch: each iteration takes
 one batched gradient and KKT residual over the rows still running, and one
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -283,16 +286,17 @@ def polish(
     return _finalize(obj, x, cfg, label, iters, conv)
 
 
-def _grid_points(n: int, resolution: int):
-    """All compositions of ``resolution`` into n nonnegative parts."""
-    for cuts in itertools.combinations(range(resolution + n - 1), n - 1):
-        prev = -1
-        out = []
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(resolution + n - 2 - prev)
-        yield out
+# Grid points per block: the most count rows ``grid_oracle`` holds at once.
+_GRID_ROWS = 200_000
+
+
+def _grid_blocks(n: int, total: int):
+    """All compositions of ``total`` into n nonnegative parts, as (rows, n)
+    count arrays in ``itertools.combinations`` order of the n - 1 cuts."""
+    cuts = itertools.combinations(range(total + n - 1), n - 1)
+    while block := list(itertools.islice(cuts, _GRID_ROWS)):
+        c = np.array(block, dtype=np.intp)
+        yield np.diff(c, prepend=-1, append=total + n - 1, axis=1) - 1
 
 
 def grid_oracle(
@@ -301,7 +305,8 @@ def grid_oracle(
     """Exact maximum of the objective over the grid {x : x_i = k_i/D}.
 
     A certified lower bound on the true optimum; combine with
-    :func:`polish` from the returned argmax to close the gap.
+    :func:`polish` from the returned argmax to close the gap. Among equal
+    maxima the first point in enumeration order wins.
     """
     coeffs.require_for(h)
     if resolution < 1:
@@ -313,26 +318,11 @@ def grid_oracle(
             f"grid with D={resolution}, n={n} has {count} points (limit 10^7)"
         )
     obj = Objective(h, coeffs)
-    best_val = -math.inf
-    best_x: np.ndarray | None = None
-    chunk: list[list[int]] = []
-    chunk_size = 200_000
-
-    def flush():
-        nonlocal best_val, best_x
-        if not chunk:
-            return
-        pts = np.asarray(chunk, dtype=float) / resolution
+    best_val, best_x = -math.inf, None
+    for counts in _grid_blocks(n, resolution):
+        pts = counts / resolution
         vals = obj.values(pts)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_x = pts[k].copy()
-        chunk.clear()
-
-    for counts in _grid_points(n, resolution):
-        chunk.append(counts)
-        if len(chunk) >= chunk_size:
-            flush()
-    flush()
+            best_val, best_x = float(vals[k]), pts[k].copy()
     return best_val, best_x

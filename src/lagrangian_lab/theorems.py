@@ -163,11 +163,6 @@ def threshold_one_two_three(alpha_2: Fraction, alpha_3: Fraction) -> int:
     return math.ceil((s * s - alpha_3) / s)
 
 
-def threshold_two_r(r: int, alpha_r: Fraction, alpha_2: Fraction = Fraction(1)) -> Fraction:
-    """Minimal clique order t for the {2,r} / {1,2,r} families."""
-    return alpha_r / (alpha_2 * math.factorial(r - 2)) + 1
-
-
 def threshold_general(
     k_higher: int, r_max: int, alpha_max: Fraction, alpha_2: Fraction = Fraction(1)
 ) -> Fraction:
@@ -186,15 +181,6 @@ def complete_value_exact(
         a = Fraction(1) if r == ts[0] else Fraction(alpha.get(r, 1))
         total += a * Fraction(math.comb(t, r), t**r)
     return total
-
-
-def lambda_prime_complete(t: int, types: Iterable[int]) -> Fraction:
-    """Non-uniform Lagrangian of the complete T-pattern on t vertices."""
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
-    levels = tuple(sorted(set(types)))
-    alpha, scale = _scaled_alpha("lambda'", levels, {})
-    return scale * complete_value_exact(t, levels, alpha)
 
 
 def _scaled_alpha(flavour: str, levels: tuple[int, ...], alpha: Mapping) -> tuple[dict, int]:
@@ -476,7 +462,7 @@ class _Checker:
     def min_order_two_r(self) -> None:
         r, a_r, a2 = self.r, self.coef(self.r), self.coef(2)
         detail = f"a_r/(a2 (r-2)!) + 1 with a_r={a_r}, a2={a2}"
-        self.threshold(threshold_two_r(r, a_r, a2), detail)
+        self.threshold(threshold_general(1, r, a_r, a2), detail)
 
     def coefficient_ratio(self) -> None:
         a_r, a2, fact = self.coef(self.r), self.coef(2), math.factorial(self.r - 2)

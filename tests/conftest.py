@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from lagrangian_lab import Coefficients, SolverConfig, eval_L, gen_random
+from lagrangian_lab import (
+    Coefficients,
+    HypergraphError,
+    SolverConfig,
+    check_rational_feasible,
+    eval_L,
+    gen_random,
+)
 
 
 @pytest.fixture
@@ -79,3 +89,106 @@ def random_simplex_point(rng, n):
     raws = [-np.log(rng.random()) for _ in range(n)]
     total = sum(raws)
     return np.array([v / total for v in raws])
+
+
+def check_feasible(x, n=None, tol=1e-12):
+    """Validate simplex membership: nonnegative entries summing to 1 within tol."""
+    arr = np.asarray(x, dtype=float).ravel()
+    if n is not None and arr.size != n:
+        raise ValueError(f"weight vector has length {arr.size}, expected {n}")
+    if arr.size == 0:
+        raise ValueError("weight vector must be nonempty")
+    if arr.min() < -tol:
+        raise ValueError(f"negative weight {arr.min()}")
+    if abs(arr.sum() - 1.0) > tol:
+        raise ValueError(f"weights sum to {arr.sum()}, expected 1")
+    return arr
+
+
+def eval_lambda_prime(h, x):
+    """Non-uniform Lagrangian: each level r weighted by r!, summed with fsum
+    and sharing no code with the package's evaluator."""
+    xs = [float(v) for v in x]
+    if len(xs) != h.n:
+        raise ValueError(f"weight vector has length {len(xs)}, expected {h.n}")
+    return math.fsum(
+        math.factorial(r) * math.fsum(math.prod(xs[v - 1] for v in e) for e in es)
+        for r, es in h.levels
+    )
+
+
+def lambda_prime_exact(h, x):
+    """Exact non-uniform Lagrangian at a rational simplex point."""
+    xs = check_rational_feasible(x, h.n)
+    return sum(
+        (math.factorial(r) * sum(math.prod(xs[v - 1] for v in e) for e in es) for r, es in h.levels),
+        Fraction(0),
+    )
+
+
+def lambda_prime_complete(t, types):
+    """Non-uniform Lagrangian of the complete T-pattern on t vertices at the
+    uniform weighting: the sum of r! C(t, r) / t^r over r in ``types``."""
+    return sum(
+        (Fraction(math.factorial(r) * math.comb(t, r), t**r) for r in set(types)), Fraction(0)
+    )
+
+
+class PairQuantities(NamedTuple):
+    """Weighted link values for a vertex pair (i, j).
+
+    ``e_ij``: edges through both, evaluated on the remaining vertices.
+    ``e_i_not_j``: edges through i (j absent) whose j-swapped image is not
+    an edge; symmetric for ``e_j_not_i``. These are the second-derivative
+    and difference structures behind the equal-gradient optimality
+    conditions: grad_i - grad_j = (x_j - x_i) * e_ij + e_i_not_j - e_j_not_i.
+    """
+
+    e_ij: float
+    e_i_not_j: float
+    e_j_not_i: float
+
+
+def pair_quantities(h, coeffs, x, i, j):
+    if i == j:
+        raise ValueError("pair quantities need two distinct vertices")
+    xs = [float(v) for v in x]
+    if len(xs) != h.n:
+        raise ValueError(f"weight vector has length {len(xs)}, expected {h.n}")
+    both, i_only, j_only = [], [], []
+    for r, es in h.levels:
+        a = float(coeffs.coefficient(r))
+        existing = h.edge_set(r)
+        for e in es:
+            has_i = i in e
+            has_j = j in e
+            if has_i and has_j:
+                both.append(a * math.prod(xs[v - 1] for v in e if v != i and v != j))
+            elif has_i:
+                image = tuple(sorted([j] + [v for v in e if v != i]))
+                if image not in existing:
+                    i_only.append(a * math.prod(xs[v - 1] for v in e if v != i))
+            elif has_j:
+                image = tuple(sorted([i] + [v for v in e if v != j]))
+                if image not in existing:
+                    j_only.append(a * math.prod(xs[v - 1] for v in e if v != j))
+    return PairQuantities(math.fsum(both), math.fsum(i_only), math.fsum(j_only))
+
+
+def is_complete_on(h, vertices, types):
+    """True iff every r-subset of ``vertices`` is an edge, for each r in ``types`` with r <= |vertices|."""
+    s = sorted(set(vertices))
+    if any(v < 1 or v > h.n for v in s):
+        raise HypergraphError(f"vertex set {s} not within 1..{h.n}")
+    for r in sorted(set(types)):
+        if r > len(s):
+            continue
+        es = h.edge_set(r)
+        if any(c not in es for c in itertools.combinations(s, r)):
+            return False
+    return True
+
+
+def compression_potential(h):
+    """Sum of all vertex labels over all edges; strictly decreases on effective steps."""
+    return sum(v for e in h.edges() for v in e)

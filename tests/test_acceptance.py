@@ -25,10 +25,7 @@ from lagrangian_lab import (
     gen_random,
     grid_oracle,
     gradient,
-    lambda_prime_complete,
-    lambda_prime_exact,
     maximize,
-    pair_quantities,
     polish,
     rational_uniform,
     relabel,
@@ -38,7 +35,15 @@ from lagrangian_lab import (
 )
 from lagrangian_lab.theorems import pair_edge_window, threshold_one_r
 
-from conftest import TYPE_FAMILIES, brute_force_max_complete, fd_gradient, random_simplex_point
+from conftest import (
+    TYPE_FAMILIES,
+    brute_force_max_complete,
+    fd_gradient,
+    lambda_prime_complete,
+    lambda_prime_exact,
+    pair_quantities,
+    random_simplex_point,
+)
 
 
 def _criterion(num, name, ok, detail=""):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lagrangian_lab import complete, dump, gen_planted, load, to_json, validate, with_singletons
+from lagrangian_lab import cli
 from lagrangian_lab.cli import run
 
 
@@ -64,6 +65,16 @@ class TestCompute:
         dump(complete(3, (2,)), h)
         assert run(["compute", str(h), "--grid", "--grid-d", "0", "--starts", "2"]) == 1
         assert "grid resolution" in capsys.readouterr().err
+
+    def test_grid_resolution_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("maximize ran before the grid resolution was checked")
+
+        h = tmp_path / "h.json"
+        dump(complete(3, (2,)), h)
+        monkeypatch.setattr(cli, "maximize", no_solve)
+        assert run(["compute", str(h), "--grid", "--grid-d", "0", "--starts", "2"]) == 1
+        assert "grid resolution must be a positive integer" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert run(["compute", "/nonexistent/x.json"]) == 1

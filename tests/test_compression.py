@@ -10,7 +10,6 @@ from lagrangian_lab import (
     Coefficients,
     compress_edge,
     compress_hypergraph,
-    compression_potential,
     complete,
     eval_L,
     gen_random,
@@ -19,7 +18,7 @@ from lagrangian_lab import (
     validate,
 )
 
-from conftest import random_simplex_point
+from conftest import compression_potential, random_simplex_point
 
 
 class TestCompressEdge:

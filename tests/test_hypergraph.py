@@ -16,7 +16,6 @@ from lagrangian_lab import (
     from_json,
     from_text,
     gen_random,
-    is_complete_on,
     level,
     loads,
     maximize,
@@ -26,6 +25,8 @@ from lagrangian_lab import (
     validate,
     vertex_support,
 )
+
+from conftest import is_complete_on
 
 
 class TestValidate:

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 from lagrangian_lab import (
     Coefficients,
     MissingCoefficientError,
-    check_feasible,
     check_rational_feasible,
     complete,
     eval_exact,
     eval_L,
-    eval_lambda_prime,
     gen_random,
     gradient,
-    lambda_prime_exact,
     level,
-    pair_quantities,
     rational_uniform,
     uniform_weights,
     validate,
@@ -29,7 +25,16 @@ from lagrangian_lab import (
 from lagrangian_lab import objective as objective_module
 from lagrangian_lab.objective import Objective
 
-from conftest import TYPE_FAMILIES, fd_gradient, random_instance, random_simplex_point
+from conftest import (
+    TYPE_FAMILIES,
+    check_feasible,
+    eval_lambda_prime,
+    fd_gradient,
+    lambda_prime_exact,
+    pair_quantities,
+    random_instance,
+    random_simplex_point,
+)
 
 
 class TestCoefficients:

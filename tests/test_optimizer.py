@@ -184,6 +184,18 @@ class TestGridOracle:
                 assert val == best_val
                 assert np.array_equal(x, best_x)
 
+    @pytest.mark.parametrize("n, d", [(3, 8), (5, 7)])
+    def test_result_independent_of_block_size(self, n, d, monkeypatch):
+        # Blocks of 7 rows: several blocks and a partial last one.
+        h = gen_random(n, (2, 3), 1.0, seed=n)
+        coeffs = Coefficients.ones((2, 3))
+        val, x = grid_oracle(h, coeffs, d)
+        monkeypatch.setattr(optimizer, "_GRID_ROWS", 7)
+        assert math.comb(d + n - 1, n - 1) % 7
+        val7, x7 = grid_oracle(h, coeffs, d)
+        assert val7 == val
+        assert np.array_equal(x7, x)
+
     def test_budget_guard(self):
         h = complete(12, (2,))
         with pytest.raises(GridTooLargeError):

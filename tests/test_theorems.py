@@ -11,7 +11,6 @@ from lagrangian_lab import (
     complete,
     complete_value_exact,
     gen_planted,
-    lambda_prime_complete,
     maximize,
     validate,
     verify,
@@ -20,11 +19,13 @@ from lagrangian_lab import (
 from lagrangian_lab.theorems import (
     pair_edge_window,
     strict_three_window,
+    threshold_general,
     threshold_one_r,
     threshold_one_two_three,
-    threshold_two_r,
     uniform_edge_window,
 )
+
+from conftest import lambda_prime_complete
 
 
 class TestClosedForms:
@@ -114,8 +115,8 @@ class TestThresholds:
         assert threshold_one_two_three(Fraction(1), Fraction(1)) == 2
 
     def test_two_r_threshold(self):
-        assert threshold_two_r(3, Fraction(1)) == 2
-        assert threshold_two_r(4, Fraction(4), Fraction(2)) == 2
+        assert threshold_general(1, 3, Fraction(1)) == 2
+        assert threshold_general(1, 4, Fraction(4), Fraction(2)) == 2
 
     def test_pair_window(self):
         assert pair_edge_window(4) == (6, 8)
