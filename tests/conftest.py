@@ -120,10 +120,10 @@ def eval_lambda_prime(h, x):
 def lambda_prime_exact(h, x):
     """Exact non-uniform Lagrangian at a rational simplex point."""
     xs = check_rational_feasible(x, h.n)
-    return sum(
-        (math.factorial(r) * sum(math.prod(xs[v - 1] for v in e) for e in es) for r, es in h.levels),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for r, es in h.levels:
+        total += math.factorial(r) * sum(math.prod(xs[v - 1] for v in e) for e in es)
+    return total
 
 
 def lambda_prime_complete(t, types):
