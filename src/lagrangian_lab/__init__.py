@@ -19,7 +19,6 @@ from .hypergraph import (
     dump,
     from_json,
     from_text,
-    level,
     load,
     loads,
     relabel,
@@ -54,7 +53,6 @@ from .theorems import (
     TheoremId,
     TheoremVerdict,
     check_hypotheses,
-    closed_form,
     closed_form_exact,
     complete_value_exact,
     theorem_ids,

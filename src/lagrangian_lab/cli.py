@@ -2,8 +2,7 @@
 
 Exit codes: 0 for success (and passing verdicts), 2 when a verification ran
 fine but the check failed, 1 for usage or input errors. All numeric output
-uses 12-digit fixed precision. ``LAGRANGIAN_LAB_SEED`` overrides the default
-seed when no --seed flag is given.
+uses 12-digit fixed precision. The seed is 0 unless --seed sets it.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from pathlib import Path
 from . import __version__
 from .cliques import max_complete_subgraph
 from .compression import is_left_compressed, left_compress_fixpoint
-from .generators import FAMILIES, GenerationError, gen_planted
-from .hypergraph import Hypergraph, HypergraphError, dump, load, to_json
-from .objective import Coefficients, MissingCoefficientError
-from .optimizer import GridTooLargeError, SolverConfig, grid_oracle, maximize, polish
+from .generators import FAMILIES, gen_planted
+from .hypergraph import Hypergraph, dump, load, to_json
+from .objective import Coefficients
+from .optimizer import SolverConfig, check_grid, grid_oracle, maximize, polish
 from .theorems import TheoremId, theorem_ids, verify
 
 _SWEEP_COLUMNS = [
@@ -62,20 +61,12 @@ def _fmt(value: float | None) -> str:
     return f"{value:.12f}"
 
 
-def _default_seed(args_seed: int | None) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("LAGRANGIAN_LAB_SEED")
-    return int(env) if env else 0
-
-
 def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "starts", None) is not None:
+    kwargs = {"seed": args.seed}
+    if args.starts is not None:
         kwargs["starts"] = args.starts
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
-    kwargs["seed"] = _default_seed(getattr(args, "seed", None))
     return SolverConfig(**kwargs)
 
 
@@ -93,34 +84,37 @@ def _load_params(text: str | None) -> dict:
     return doc
 
 
-def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
-    """Objective selection: returns (coefficients, value scale)."""
-    objective = getattr(args, "objective", "lambda")
-    if objective == "lambda":
+def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients | None, int]:
+    """Objective selection: returns (coefficients, value scale). An edgeless
+    input, whose objectives are all 0, gets None unless --coeffs gives them."""
+    if args.objective == "weighted":
+        if not args.coeffs:
+            raise _UsageError("--objective weighted requires --coeffs")
+        text = Path(args.coeffs).read_text()
+        try:
+            return Coefficients.from_json(text), 1
+        except ValueError as exc:
+            raise _UsageError(
+                f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc})'
+            ) from None
+    if not h.edge_types:
+        return None, 1
+    if args.objective == "lambda":
         return Coefficients.ones(h.edge_types), 1
-    if objective == "lambda-prime":
-        return (
-            Coefficients.lambda_prime_weights(h.edge_types),
-            math.factorial(min(h.edge_types)),
-        )
-    if not args.coeffs:
-        raise _UsageError("--objective weighted requires --coeffs")
-    text = Path(args.coeffs).read_text()
-    try:
-        return Coefficients.from_json(text), 1
-    except ValueError as exc:
-        raise _UsageError(
-            f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc})'
-        ) from None
+    return Coefficients.lambda_prime_weights(h.edge_types), math.factorial(min(h.edge_types))
 
 
 def _cmd_compute(args) -> int:
     h = load(args.input)
+    # The flags are checked on an edgeless input too, so a bad flag fails on
+    # every input alike.
+    coeffs, scale = _coefficients_for(args, h)
+    cfg = _solver_config(args)
     if not h.edge_types:
+        if args.grid:
+            check_grid(h.n, args.grid_d)
         value, result = 0.0, None
     else:
-        coeffs, scale = _coefficients_for(args, h)
-        cfg = _solver_config(args)
         # The grid runs first: a bad resolution or size fails before the solve.
         grid = grid_oracle(h, coeffs, args.grid_d) if args.grid else None
         result = maximize(h, coeffs, cfg)
@@ -210,8 +204,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = _load_params(args.params)
-    seed = _default_seed(args.seed)
-    h = gen_planted(args.family, params, seed)
+    h = gen_planted(args.family, params, args.seed)
     if args.output:
         dump(h, args.output)
     else:
@@ -303,7 +296,7 @@ def _build_parser() -> _Parser:
     def add_solver_flags(p):
         p.add_argument("--starts", type=int, default=None, help="random multistart count")
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("compute", help="maximize an objective over the simplex")
     p.add_argument("input", help="hypergraph file (JSON or text)")
@@ -345,7 +338,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="build a planted instance family member")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--params", help="JSON object (inline or a file path)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)
 
@@ -369,18 +362,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        HypergraphError,
-        MissingCoefficientError,
-        GenerationError,
-        GridTooLargeError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,8 +10,9 @@ index arrays once, on first use, and keeps them: membership tests and dict
 lookups then cost O(1) instead of rehashing every edge, and the objective
 reads the index arrays without rebuilding them.
 
-Desk-scale soft limits (r <= 6, n <= 24 by default) keep the enumeration
-oracles elsewhere in the package tractable; both are overridable.
+Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
+elsewhere in the package tractable; ``validate`` and ``complete`` enforce
+them.
 """
 
 from __future__ import annotations
@@ -119,13 +120,7 @@ def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
     return Hypergraph(n=n, levels=levels)
 
 
-def validate(
-    n: int,
-    edges: Iterable[Sequence[int]],
-    *,
-    max_vertices: int | None = MAX_VERTICES,
-    max_cardinality: int | None = MAX_CARDINALITY,
-) -> Hypergraph:
+def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Canonicalize raw edge lists into a Hypergraph.
 
     Each edge is sorted; a repeated vertex inside an edge, a vertex outside
@@ -134,10 +129,8 @@ def validate(
     """
     if n < 1:
         raise HypergraphError(f"vertex count must be positive, got {n}")
-    if max_vertices is not None and n > max_vertices:
-        raise HypergraphError(
-            f"n={n} exceeds the soft limit {max_vertices}; pass max_vertices=None to override"
-        )
+    if n > MAX_VERTICES:
+        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
     per_level: dict[int, set[Edge]] = {}
     for raw in edges:
         e = tuple(sorted(raw))
@@ -149,11 +142,8 @@ def validate(
             bad = e[0] if e[0] < 1 else e[-1]
             raise HypergraphError(f"vertex {bad} out of range 1..{n} in edge {list(raw)}")
         r = len(e)
-        if max_cardinality is not None and r > max_cardinality:
-            raise HypergraphError(
-                f"edge cardinality {r} exceeds the soft limit {max_cardinality}; "
-                "pass max_cardinality=None to override"
-            )
+        if r > MAX_CARDINALITY:
+            raise HypergraphError(f"edge cardinality {r} exceeds the soft limit {MAX_CARDINALITY}")
         bucket = per_level.setdefault(r, set())
         if e in bucket:
             raise HypergraphError(f"duplicate edge {list(e)} (after canonical sorting)")
@@ -161,13 +151,7 @@ def validate(
     return _build(n, per_level)
 
 
-def complete(
-    n: int,
-    types: Iterable[int],
-    *,
-    max_vertices: int | None = MAX_VERTICES,
-    max_cardinality: int | None = MAX_CARDINALITY,
-) -> Hypergraph:
+def complete(n: int, types: Iterable[int]) -> Hypergraph:
     """The complete hypergraph on [n] with all edges of each cardinality in ``types``."""
     ts = sorted(set(types))
     if not ts:
@@ -176,19 +160,14 @@ def complete(
         raise HypergraphError(f"edge type {ts[0]} must be >= 1")
     if ts[-1] > n:
         raise HypergraphError(f"max edge type {ts[-1]} exceeds n={n}")
-    if max_vertices is not None and n > max_vertices:
-        raise HypergraphError(f"n={n} exceeds the soft limit {max_vertices}")
-    if max_cardinality is not None and ts[-1] > max_cardinality:
-        raise HypergraphError(f"edge type {ts[-1]} exceeds the soft limit {max_cardinality}")
+    if n > MAX_VERTICES:
+        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
+    if ts[-1] > MAX_CARDINALITY:
+        raise HypergraphError(f"edge type {ts[-1]} exceeds the soft limit {MAX_CARDINALITY}")
     per_level = {
         r: [tuple(c) for c in itertools.combinations(range(1, n + 1), r)] for r in ts
     }
     return _build(n, per_level)
-
-
-def level(h: Hypergraph, r: int) -> Hypergraph:
-    """The uniform sub-hypergraph of all r-edges, on the same vertex set."""
-    return _build(h.n, {r: h.level_edges(r)})
 
 
 def vertex_support(h: Hypergraph, r: int) -> frozenset[int]:
@@ -218,14 +197,14 @@ def to_json(h: Hypergraph) -> str:
     return json.dumps({"n": h.n, "edges": [list(e) for e in h.edges()]})
 
 
-def from_json(text: str, **limits) -> Hypergraph:
+def from_json(text: str) -> Hypergraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise HypergraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise HypergraphError('hypergraph JSON must be {"n": int, "edges": [[...], ...]}')
-    return validate(doc["n"], doc["edges"], **limits)
+    return validate(doc["n"], doc["edges"])
 
 
 def to_text(h: Hypergraph) -> str:
@@ -234,7 +213,7 @@ def to_text(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str, **limits) -> Hypergraph:
+def from_text(text: str) -> Hypergraph:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -249,18 +228,18 @@ def from_text(text: str, **limits) -> Hypergraph:
             edges.append([int(tok) for tok in ln.split()])
         except ValueError as exc:
             raise HypergraphError(f"bad edge line {ln!r}") from exc
-    return validate(n, edges, **limits)
+    return validate(n, edges)
 
 
-def loads(text: str, **limits) -> Hypergraph:
+def loads(text: str) -> Hypergraph:
     """Parse either accepted format, sniffing JSON by the leading character."""
     if text.lstrip().startswith("{"):
-        return from_json(text, **limits)
-    return from_text(text, **limits)
+        return from_json(text)
+    return from_text(text)
 
 
-def load(path: str | Path, **limits) -> Hypergraph:
-    return loads(Path(path).read_text(), **limits)
+def load(path: str | Path) -> Hypergraph:
+    return loads(Path(path).read_text())
 
 
 def dump(h: Hypergraph, path: str | Path, fmt: str = "json") -> None:

@@ -35,6 +35,10 @@ from .objective import Coefficients, Objective, gradient, uniform_weights
 
 _MIN_STEP = 1e-18
 _TOL_VALUE = 1e-12
+# An ascent stops once its KKT residual is within _TOL_GRAD; a weight above
+# _SUPPORT_EPS counts as support.
+_TOL_GRAD = 1e-9
+_SUPPORT_EPS = 1e-10
 
 
 class GridTooLargeError(ValueError):
@@ -43,17 +47,17 @@ class GridTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver's budget: Dirichlet random starts, iterations per ascent,
+    and the seed of the random starts. The stopping and support tolerances
+    are the module constants ``_TOL_GRAD`` and ``_SUPPORT_EPS``."""
+
     starts: int = 64
     max_iters: int = 5000
-    tol_grad: float = 1e-9
-    support_epsilon: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if min(self.starts, self.max_iters) < 1:
             raise ValueError("starts and max_iters must be positive")
-        if min(self.tol_grad, self.support_epsilon) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,23 +96,22 @@ def project_to_simplex(v: Sequence[float]) -> np.ndarray:
     return _project_rows(arr[None, :])[0]
 
 
-def _residuals(x: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+def _residuals(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per row: gradient spread across the support plus any excess of an
     off-support gradient over the support's largest; 0 with no support."""
-    sup = x > eps
+    sup = x > _SUPPORT_EPS
     top = np.where(sup, g, -np.inf).max(axis=1)
     spread = top - np.where(sup, g, np.inf).min(axis=1)
     excess = np.maximum(0.0, np.where(sup, -np.inf, g).max(axis=1) - top)
     return np.where(sup.any(axis=1), spread + excess, 0.0)
 
 
-def kkt_residual(
-    h: Hypergraph, coeffs: Coefficients, x: Sequence[float], support_epsilon: float = 1e-10
-) -> float:
-    """First-order optimality defect: gradient spread across the support plus
-    any zero-weight gradient exceeding the support gradient."""
+def kkt_residual(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
+    """First-order optimality defect: gradient spread across the support
+    (weights above ``_SUPPORT_EPS``) plus any off-support gradient exceeding
+    the support gradient."""
     arr = np.asarray(x, dtype=float).ravel()[None, :]
-    return float(_residuals(arr, gradient(h, coeffs, arr[0])[None, :], support_epsilon)[0])
+    return float(_residuals(arr, gradient(h, coeffs, arr[0])[None, :])[0])
 
 
 # Trial steps per row in each line-search round, as halvings of the row's
@@ -158,7 +161,7 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
 
     Each iteration takes one batched gradient and residual over the rows
     still running, then one batched line search. A row stops when its
-    residual is within ``tol_grad`` or no step above ``_MIN_STEP`` ascends
+    residual is within ``_TOL_GRAD`` or no step above ``_MIN_STEP`` ascends
     (both count as converged), or when ``max_iters`` runs out. Returns
     points, values, iterations and converged flags, one per row.
     """
@@ -171,7 +174,7 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
     for it in range(1, cfg.max_iters + 1):
         xa = x[active]
         g = obj.gradients(xa)
-        small = _residuals(xa, g, cfg.support_epsilon) <= cfg.tol_grad
+        small = _residuals(xa, g) <= _TOL_GRAD
         stalled = _line_search(obj, x, val, step, active[~small], g[~small])
         stopped = np.concatenate([active[small], stalled])
         iters[stopped] = it
@@ -189,7 +192,7 @@ def _runs(obj: Objective, x0: np.ndarray, labels: Sequence[str], cfg: SolverConf
     batch; both candidates are kept for selection, the re-polish right
     after its first run. Runs are (x, value, iterations, converged, label)."""
     x, val, iters, conv = _ascend_batch(obj, x0, cfg)
-    tiny = (x > cfg.support_epsilon) & (x < 1e-6)
+    tiny = (x > _SUPPORT_EPS) & (x < 1e-6)
     again = np.nonzero(tiny.any(axis=1) & (x > 1e-6).any(axis=1))[0]
     second = {}
     if again.size:
@@ -205,12 +208,12 @@ def _runs(obj: Objective, x0: np.ndarray, labels: Sequence[str], cfg: SolverConf
     return runs
 
 
-def _support(x: np.ndarray, eps: float) -> tuple[int, ...]:
-    return tuple(int(i) + 1 for i in np.nonzero(x > eps)[0])
+def _support(x: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) + 1 for i in np.nonzero(x > _SUPPORT_EPS)[0])
 
 
 def _finalize(
-    obj: Objective, x: np.ndarray, cfg: SolverConfig, label: str, iterations: int, converged: bool
+    obj: Objective, x: np.ndarray, label: str, iterations: int, converged: bool
 ) -> OptimizationResult:
     x = project_to_simplex(x)
     row = x[None, :]
@@ -219,8 +222,8 @@ def _finalize(
     return OptimizationResult(
         value=float(obj.values(row)[0]),
         x=x,
-        support=_support(x, cfg.support_epsilon),
-        kkt_residual=float(_residuals(row, obj.gradients(row), cfg.support_epsilon)[0]),
+        support=_support(x),
+        kkt_residual=float(_residuals(row, obj.gradients(row))[0]),
         method=label,
         iterations=iterations,
         converged=converged,
@@ -244,7 +247,7 @@ def maximize(
     if not h.edge_types:
         x = np.zeros(h.n)
         x[0] = 1.0
-        return _finalize(obj, x, cfg, "warmstart", 0, True)
+        return _finalize(obj, x, "warmstart", 0, True)
 
     starts: list[tuple[str, np.ndarray]] = []
     clique = max_complete_subgraph(h, h.edge_types)
@@ -260,10 +263,9 @@ def maximize(
     runs = _runs(obj, np.array(points), labels, cfg)
     best_val = max(r[1] for r in runs)
     pool = [r for r in runs if r[1] >= best_val - _TOL_VALUE]
-    pool.sort(key=lambda r: (len(_support(r[0], cfg.support_epsilon)),
-                             _support(r[0], cfg.support_epsilon), -r[1]))
+    pool.sort(key=lambda r: (len(_support(r[0])), _support(r[0]), -r[1]))
     x, _, iters, conv, label = pool[0]
-    return _finalize(obj, x, cfg, label, iters, conv)
+    return _finalize(obj, x, label, iters, conv)
 
 
 def polish(
@@ -278,12 +280,12 @@ def polish(
     coeffs.require_for(h)
     obj = Objective(h, coeffs)
     if not h.edge_types:
-        return _finalize(obj, np.asarray(x0, float), cfg, method, 0, True)
+        return _finalize(obj, np.asarray(x0, float), method, 0, True)
     x0 = np.asarray(x0, dtype=float).ravel()[None, :]
     runs = _runs(obj, x0, [method], cfg)
     runs.sort(key=lambda r: -r[1])
     x, _, iters, conv, label = runs[0]
-    return _finalize(obj, x, cfg, label, iters, conv)
+    return _finalize(obj, x, label, iters, conv)
 
 
 # Grid points per block: the most count rows ``grid_oracle`` holds at once.
@@ -299,6 +301,17 @@ def _grid_blocks(n: int, total: int):
         yield np.diff(c, prepend=-1, append=total + n - 1, axis=1) - 1
 
 
+def check_grid(n: int, resolution: int) -> None:
+    """Reject a resolution below 1 or a grid of more than 10^7 points."""
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
+    count = math.comb(resolution + n - 1, n - 1)
+    if count > 10_000_000:
+        raise GridTooLargeError(
+            f"grid with D={resolution}, n={n} has {count} points (limit 10^7)"
+        )
+
+
 def grid_oracle(
     h: Hypergraph, coeffs: Coefficients, resolution: int
 ) -> tuple[float, np.ndarray]:
@@ -309,17 +322,10 @@ def grid_oracle(
     maxima the first point in enumeration order wins.
     """
     coeffs.require_for(h)
-    if resolution < 1:
-        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
-    n = h.n
-    count = math.comb(resolution + n - 1, n - 1)
-    if count > 10_000_000:
-        raise GridTooLargeError(
-            f"grid with D={resolution}, n={n} has {count} points (limit 10^7)"
-        )
+    check_grid(h.n, resolution)
     obj = Objective(h, coeffs)
     best_val, best_x = -math.inf, None
-    for counts in _grid_blocks(n, resolution):
+    for counts in _grid_blocks(h.n, resolution):
         pts = counts / resolution
         vals = obj.values(pts)
         k = int(np.argmax(vals))

@@ -264,10 +264,6 @@ def closed_form_exact(theorem: TheoremId | str, params: Mapping) -> Fraction:
     return scale * complete_value_exact(t, levels, alpha)
 
 
-def closed_form(theorem: TheoremId | str, params: Mapping) -> float:
-    return float(closed_form_exact(theorem, params))
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis checks
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from lagrangian_lab import (
     HypergraphError,
     SolverConfig,
     check_rational_feasible,
+    closed_form_exact,
     eval_L,
     gen_random,
+    validate,
 )
 
 
@@ -192,3 +194,13 @@ def is_complete_on(h, vertices, types):
 def compression_potential(h):
     """Sum of all vertex labels over all edges; strictly decreases on effective steps."""
     return sum(v for e in h.edges() for v in e)
+
+
+def level(h, r):
+    """The uniform sub-hypergraph of all r-edges, on the same vertex set."""
+    return validate(h.n, h.level_edges(r))
+
+
+def closed_form(theorem, params):
+    """``closed_form_exact`` as a float."""
+    return float(closed_form_exact(theorem, params))

@@ -16,7 +16,6 @@ import numpy as np
 from lagrangian_lab import (
     Coefficients,
     SolverConfig,
-    closed_form,
     closed_form_exact,
     complete,
     compress_hypergraph,
@@ -38,6 +37,7 @@ from lagrangian_lab.theorems import pair_edge_window, threshold_one_r
 from conftest import (
     TYPE_FAMILIES,
     brute_force_max_complete,
+    closed_form,
     fd_gradient,
     lambda_prime_complete,
     lambda_prime_exact,

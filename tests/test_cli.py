@@ -17,6 +17,13 @@ def k5_file(tmp_path):
 
 
 @pytest.fixture
+def edgeless_file(tmp_path):
+    path = tmp_path / "empty.json"
+    dump(validate(3, []), path)
+    return str(path)
+
+
+@pytest.fixture
 def one_two_file(tmp_path):
     path = tmp_path / "h.json"
     dump(complete(3, (1, 2)), path)
@@ -36,6 +43,20 @@ class TestCompute:
 
     def test_weighted_needs_coeffs(self, k5_file, capsys):
         assert run(["compute", k5_file, "--objective", "weighted"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--grid", "--grid-d", "0"], ["--objective", "weighted"], ["--starts", "0"]],
+        ids=["grid-d-0", "weighted-no-coeffs", "starts-0"],
+    )
+    def test_bad_flags_fail_on_edgeless_input(self, edgeless_file, capsys, flags):
+        assert run(["compute", edgeless_file] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_edgeless_output(self, edgeless_file, capsys):
+        for objective in ("lambda", "lambda-prime"):
+            assert run(["compute", edgeless_file, "--objective", objective, "--grid", "--json"]) == 0
+            assert capsys.readouterr().out == '{"value": 0.0}\n'
 
     def test_weighted_with_coeffs(self, tmp_path, capsys):
         h = tmp_path / "h.json"
@@ -207,15 +228,6 @@ class TestGenerate:
         out2 = tmp_path / "g2.json"
         assert run(args[:-1] + [str(out2)]) == 0
         assert hashlib.sha256(to_json(load(out2)).encode()).hexdigest() == digest
-
-    def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LAGRANGIAN_LAB_SEED", "5")
-        assert run(["generate", "--family", "t6a", "--params", '{"t": 4, "r": 3, "n": 6}']) == 0
-        envout = capsys.readouterr().out
-        assert run(
-            ["generate", "--family", "t6a", "--params", '{"t": 4, "r": 3, "n": 6}', "--seed", "5"]
-        ) == 0
-        assert capsys.readouterr().out == envout
 
     def test_infeasible_window(self, capsys):
         assert run(["generate", "--family", "t7a", "--params", '{"t": 4, "m": 99}']) == 1

@@ -12,6 +12,7 @@ from lagrangian_lab import (
     vertex_support,
     with_singletons,
 )
+from lagrangian_lab import generators
 
 
 class TestGenRandom:
@@ -85,6 +86,20 @@ class TestPlantedFamilies:
     def test_random_lc(self):
         h = gen_planted("random-lc", {"n": 6, "types": (2, 3), "density": 0.5}, seed=9)
         assert is_left_compressed(h)
+
+    def test_infeasible_build_checked_once(self, monkeypatch):
+        """A planted build randomizes only what its target hypotheses do not
+        read, so a failed check is final: one check, no resampling."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return check_hypotheses(*args)
+
+        monkeypatch.setattr(generators, "check_hypotheses", spy)
+        with pytest.raises(GenerationError, match="failed its hypothesis check"):
+            gen_planted("t6a", {"t": 4, "r": 3, "alpha_r": 5}, seed=0)
+        assert len(calls) == 1
 
     def test_unknown_family(self):
         with pytest.raises(GenerationError):

@@ -16,7 +16,6 @@ from lagrangian_lab import (
     from_json,
     from_text,
     gen_random,
-    level,
     loads,
     maximize,
     relabel,
@@ -26,7 +25,7 @@ from lagrangian_lab import (
     vertex_support,
 )
 
-from conftest import is_complete_on
+from conftest import is_complete_on, level
 
 
 class TestValidate:
@@ -56,8 +55,6 @@ class TestValidate:
             validate(25, [[1, 2]])
         with pytest.raises(HypergraphError, match="soft limit"):
             validate(10, [[1, 2, 3, 4, 5, 6, 7]])
-        h = validate(25, [[1, 25]], max_vertices=None)
-        assert h.n == 25
 
     def test_isolated_vertices_allowed(self):
         h = validate(5, [[1, 2]])

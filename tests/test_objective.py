@@ -16,7 +16,6 @@ from lagrangian_lab import (
     eval_L,
     gen_random,
     gradient,
-    level,
     rational_uniform,
     uniform_weights,
     validate,
@@ -31,6 +30,7 @@ from conftest import (
     eval_lambda_prime,
     fd_gradient,
     lambda_prime_exact,
+    level,
     pair_quantities,
     random_instance,
     random_simplex_point,

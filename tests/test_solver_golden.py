@@ -12,7 +12,10 @@ which of them a one-start-at-a-time reference run (``_reference_exits``,
 written from the public objective, gradient and projection) took: ``grad-tol``
 (KKT residual within ``tol_grad``), ``stall`` (no ascending step above the
 minimum step), ``budget`` (``max_iters`` ran out) and ``repolish`` (the
-tiny-support re-polish ran). Regenerate the data file (only when a change
+tiny-support re-polish ran). A case's stored ``cfg`` may also set
+``tol_grad`` or ``support_epsilon``; the harness applies those by patching
+the solver's constants ``_TOL_GRAD`` and ``_SUPPORT_EPS`` for that case.
+Regenerate the data file (only when a change
 of behaviour is intended) with::
 
     PYTHONPATH=src python tests/test_solver_golden.py
@@ -21,8 +24,10 @@ of behaviour is intended) with::
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +156,19 @@ def _instance_cases() -> list[tuple]:
     return cases
 
 
+@contextmanager
+def _config(settings: dict):
+    """The case's ``SolverConfig``, with its ``tol_grad`` and ``support_epsilon``
+    (the solver's defaults when absent) patched in for the duration."""
+    settings = dict(settings)
+    with mock.patch.multiple(
+        optimizer,
+        _TOL_GRAD=settings.pop("tol_grad", optimizer._TOL_GRAD),
+        _SUPPORT_EPS=settings.pop("support_epsilon", optimizer._SUPPORT_EPS),
+    ):
+        yield SolverConfig(**settings)
+
+
 def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
     """How each start's ascent ends in a plain one-start-at-a-time loop."""
     exits: set[str] = set()
@@ -161,7 +179,7 @@ def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
         step = 1.0
         for _ in range(cfg.max_iters):
             g = gradient(h, coeffs, x)
-            if kkt_residual(h, coeffs, x, cfg.support_epsilon) <= cfg.tol_grad:
+            if kkt_residual(h, coeffs, x) <= optimizer._TOL_GRAD:
                 exits.add("grad-tol")
                 return x
             s = step
@@ -180,7 +198,7 @@ def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
 
     for x0 in starts:
         x = ascend(np.asarray(x0, dtype=float))
-        tiny = (x > cfg.support_epsilon) & (x < 1e-6)
+        tiny = (x > optimizer._SUPPORT_EPS) & (x < 1e-6)
         if tiny.any() and (x > 1e-6).any():
             exits.add("repolish")
             x2 = np.where(tiny, 0.0, x)
@@ -201,16 +219,16 @@ def _maximize_starts(h, cfg: SolverConfig) -> list[np.ndarray]:
 
 
 def _instance(case: dict):
-    return validate(case["n"], case["edges"], max_vertices=None)
+    return validate(case["n"], case["edges"])
 
 
 def _solve(case: dict):
     h = _instance(case)
     coeffs = Coefficients.from_json(case["coeffs"])
-    cfg = SolverConfig(**case["cfg"])
-    if case["call"] == "maximize":
-        return maximize(h, coeffs, cfg)
-    return polish(h, coeffs, _unhex(case["x0"]), cfg, method=case["method"])
+    with _config(case["cfg"]) as cfg:
+        if case["call"] == "maximize":
+            return maximize(h, coeffs, cfg)
+        return polish(h, coeffs, _unhex(case["x0"]), cfg, method=case["method"])
 
 
 def _load() -> dict:
@@ -258,20 +276,21 @@ def test_grid_oracle_golden(case):
 def _regenerate() -> None:
     cases = []
     for name, h, coeffs, settings, call in _instance_cases():
-        cfg = SolverConfig(**settings)
         case = {"name": name, "n": h.n, "edges": [list(e) for e in h.edges()],
                 "coeffs": coeffs.to_json(), "cfg": settings, "call": call[0]}
-        if call[0] == "maximize":
-            starts = _maximize_starts(h, cfg) if h.edge_types else []
-        else:
-            if call[0] == "grid":
-                value, x0 = grid_oracle(h, coeffs, call[1])
-                case["grid"] = {"resolution": call[1], "value": float(value).hex()}
+        with _config(settings) as cfg:
+            if call[0] == "maximize":
+                starts = _maximize_starts(h, cfg) if h.edge_types else []
             else:
-                x0 = call[1]
-            case.update(call="polish", x0=_hex(x0), method=call[2])
-            starts = [_unhex(case["x0"])]
-        case["exercises"] = sorted(_reference_exits(h, coeffs, cfg, starts) if h.edge_types else ())
+                if call[0] == "grid":
+                    value, x0 = grid_oracle(h, coeffs, call[1])
+                    case["grid"] = {"resolution": call[1], "value": float(value).hex()}
+                else:
+                    x0 = call[1]
+                case.update(call="polish", x0=_hex(x0), method=call[2])
+                starts = [_unhex(case["x0"])]
+            exits = _reference_exits(h, coeffs, cfg, starts) if h.edge_types else ()
+        case["exercises"] = sorted(exits)
         case["expected"] = _record(_solve(case))
         cases.append(case)
         print(f"{name}: {case['exercises']} iterations={case['expected']['iterations']}")

@@ -176,7 +176,7 @@ def _instance_cases() -> list[dict]:
 
 
 def _instance(case: dict):
-    return validate(case["n"], case["edges"], max_vertices=None)
+    return validate(case["n"], case["edges"])
 
 
 def _searches(monkeypatch) -> list:

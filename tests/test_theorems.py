@@ -6,7 +6,6 @@ import pytest
 from lagrangian_lab import (
     TheoremId,
     check_hypotheses,
-    closed_form,
     closed_form_exact,
     complete,
     complete_value_exact,
@@ -25,7 +24,7 @@ from lagrangian_lab.theorems import (
     uniform_edge_window,
 )
 
-from conftest import lambda_prime_complete
+from conftest import closed_form, lambda_prime_complete
 
 
 class TestClosedForms:
@@ -146,7 +145,7 @@ class TestCheckHypotheses:
         h8 = gen_planted("t7a", {"t": 4, "m": 8}, seed=1)
         assert check_hypotheses("TWO_R_EDGES_T7a", h8, {"t": 4}).ok
         # push one extra 2-edge beyond the window
-        bumped = validate(6, h8.edges() + [[5, 6]], max_vertices=None)
+        bumped = validate(6, h8.edges() + [[5, 6]])
         report = check_hypotheses("TWO_R_EDGES_T7a", bumped, {"t": 4})
         assert not report.ok
         names = {c.name: c.ok for c in report.conditions}
