@@ -23,7 +23,6 @@ from .hypergraph import (
     loads,
     relabel,
     to_json,
-    to_text,
     validate,
     vertex_support,
 )
@@ -33,6 +32,7 @@ from .objective import (
     check_rational_feasible,
     eval_exact,
     eval_L,
+    flavour_coefficients,
     gradient,
     rational_uniform,
     uniform_weights,

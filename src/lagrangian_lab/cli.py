@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -22,7 +21,7 @@ from .cliques import max_complete_subgraph
 from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
-from .objective import Coefficients
+from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, check_grid, grid_oracle, maximize, polish
 from .theorems import TheoremId, theorem_ids, verify
 
@@ -84,9 +83,8 @@ def _load_params(text: str | None) -> dict:
     return doc
 
 
-def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients | None, int]:
-    """Objective selection: returns (coefficients, value scale). An edgeless
-    input, whose objectives are all 0, gets None unless --coeffs gives them."""
+def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
+    """Objective selection: returns (coefficients, value scale)."""
     if args.objective == "weighted":
         if not args.coeffs:
             raise _UsageError("--objective weighted requires --coeffs")
@@ -97,11 +95,8 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients | None, int]:
             raise _UsageError(
                 f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc})'
             ) from None
-    if not h.edge_types:
-        return None, 1
-    if args.objective == "lambda":
-        return Coefficients.ones(h.edge_types), 1
-    return Coefficients.lambda_prime_weights(h.edge_types), math.factorial(min(h.edge_types))
+    flavour = "lambda" if args.objective == "lambda" else "lambda'"
+    return flavour_coefficients(flavour, h.edge_types)
 
 
 def _cmd_compute(args) -> int:

@@ -6,6 +6,14 @@ the target hypotheses do not read, so a failed check means an infeasible
 parameter window and raises rather than resampling. ``tpzz-free`` samples
 until it finds a clique-free graph, with a bounded retry budget. Generation
 is a pure function of (family, parameters, seed).
+
+Parameters are read by ``theorems._read_params``, as the theorems read
+them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
+is a positive rational, and ``null`` means the default. ``t6a`` and ``t7a``
+plant a clique of order t carrying every 2- and r-edge on it; their
+``mode`` sets the other r-edges on [n]: ``random-r-level`` (the default)
+keeps each with probability ``extra_density`` (0.3), ``complete-r-level``
+keeps them all, and any other mode raises ``GenerationError``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .compression import left_compress_fixpoint
 from .hypergraph import Edge, Hypergraph, validate
 from .theorems import (
     TheoremId,
+    _read_params,
     check_hypotheses,
     pair_edge_window,
     strict_three_window,
@@ -69,6 +78,16 @@ def _complete_edges(vertices: Iterable[int], r: int) -> list[Edge]:
     return [tuple(c) for c in itertools.combinations(sorted(vertices), r)]
 
 
+def _extra_r_edges(rng: random.Random, r: int, n: int, planted: set, mode: str, density: float):
+    """The r-edges on [n] outside the planted clique that ``mode`` keeps."""
+    rest = [e for e in _complete_edges(range(1, n + 1), r) if e not in planted]
+    if mode == "complete-r-level":
+        return rest
+    if mode != "random-r-level":
+        raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
+    return [e for e in rest if rng.random() < density]
+
+
 def _gen_t6a(rng: random.Random, t: int, r: int, n: int, mode: str, extra_density: float) -> Hypergraph:
     if n < t:
         raise GenerationError(f"need n >= t, got n={n}, t={t}")
@@ -77,12 +96,7 @@ def _gen_t6a(rng: random.Random, t: int, r: int, n: int, mode: str, extra_densit
     edges: list[Edge] = _complete_edges(range(1, t + 1), 2)
     planted = set(_complete_edges(range(1, t + 1), r))
     edges.extend(sorted(planted))
-    if mode == "complete-r-level":
-        edges.extend(e for e in _complete_edges(range(1, n + 1), r) if e not in planted)
-    else:
-        for e in _complete_edges(range(1, n + 1), r):
-            if e not in planted and rng.random() < extra_density:
-                edges.append(e)
+    edges.extend(_extra_r_edges(rng, r, n, planted, mode, extra_density))
     return validate(n, edges)
 
 
@@ -97,16 +111,12 @@ def _gen_t7a(rng: random.Random, t: int, r: int, n: int, m: int, mode: str, extr
     edges: list[Edge] = _complete_edges(range(1, t + 1), 2)
     # extras attach vertex t+1 to at most t-2 clique vertices, so no larger
     # pairwise-complete set can appear
-    extras = m - lo
-    for v in sorted(rng.sample(range(1, t + 1), extras)):
+    for v in sorted(rng.sample(range(1, t + 1), m - lo)):
         edges.append((v, t + 1))
     planted = set(_complete_edges(range(1, t + 1), r))
     edges.extend(sorted(planted))
-    if mode == "random-r-level":
-        for e in _complete_edges(range(1, n + 1), r):
-            if e not in planted and rng.random() < extra_density:
-                edges.append(e)
-    return validate(max(n, t + 1) if extras else n, edges)
+    edges.extend(_extra_r_edges(rng, r, n, planted, mode, extra_density))
+    return validate(n, edges)
 
 
 def _gen_ptz(rng: random.Random, t: int, r: int, m: int) -> Hypergraph:
@@ -144,32 +154,31 @@ def _gen_tpzz_free(rng: random.Random, t: int, m: int, n: int) -> Hypergraph:
 
 def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hypergraph:
     """Build one instance of a named family; deterministic in (family, params, seed)."""
-    p = dict(params or {})
+    p = _read_params(params)
     rng = random.Random(seed)
-    t = int(p.get("t", 4))
-    r = int(p.get("r", 3))
+    t, r = p.get("t", 4), p.get("r", 3)
     mode = p.get("mode", "random-r-level")
     extra_density = float(p.get("extra_density", 0.3))
 
     if family == "t6a":
-        n = int(p.get("n", t + 2))
-        target, tparams = TheoremId.TWO_R_T6a, {"t": t, "r": r, "alpha_r": p.get("alpha_r", 1)}
+        n = p.get("n", t + 2)
+        target, tparams = TheoremId.TWO_R_T6a, {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         h = _gen_t6a(rng, t, r, n, mode, extra_density)
     elif family == "t7a":
-        m = int(p.get("m", pair_edge_window(t)[1]))
-        n = int(p.get("n", t + 1))
-        target, tparams = TheoremId.TWO_R_EDGES_T7a, {"t": t, "r": r, "alpha_r": p.get("alpha_r", 1)}
+        m = p.get("m", pair_edge_window(t)[1])
+        n = p.get("n", t + 1)
+        target, tparams = TheoremId.TWO_R_EDGES_T7a, {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         h = _gen_t7a(rng, t, r, n, m, mode, extra_density)
     elif family == "ptz":
-        m = int(p.get("m", uniform_edge_window(t, r)[0]))
+        m = p.get("m", uniform_edge_window(t, r)[0])
         target, tparams = TheoremId.PTZ, {"t": t, "r": r}
         h = _gen_ptz(rng, t, r, m)
     elif family == "tpzz-free":
-        m = int(p.get("m", strict_three_window(t)[0]))
-        n = int(p.get("n", t + 2))
+        m = p.get("m", strict_three_window(t)[0])
+        n = p.get("n", t + 2)
         return _gen_tpzz_free(rng, t, m, n)  # clique-freeness is its own check
     elif family == "random-lc":
-        n = int(p.get("n", 6))
+        n = p.get("n", 6)
         types = tuple(p.get("types", (2, 3)))
         density = p.get("density", 0.5)
         return left_compress_fixpoint(gen_random(n, types, density, rng.randrange(2**63)))
@@ -178,7 +187,7 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
 
     if not check_hypotheses(target, h, tparams).ok:
         raise GenerationError(
-            f"family {family!r} with params {p} failed its hypothesis check; "
+            f"family {family!r} with params {dict(params or {})} failed its hypothesis check; "
             "the window is infeasible"
         )
     return h

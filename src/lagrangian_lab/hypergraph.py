@@ -207,12 +207,6 @@ def from_json(text: str) -> Hypergraph:
     return validate(doc["n"], doc["edges"])
 
 
-def to_text(h: Hypergraph) -> str:
-    lines = [str(h.n)]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges())
-    return "\n".join(lines) + "\n"
-
-
 def from_text(text: str) -> Hypergraph:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -242,6 +236,5 @@ def load(path: str | Path) -> Hypergraph:
     return loads(Path(path).read_text())
 
 
-def dump(h: Hypergraph, path: str | Path, fmt: str = "json") -> None:
-    text = to_json(h) if fmt == "json" else to_text(h)
-    Path(path).write_text(text if text.endswith("\n") else text + "\n")
+def dump(h: Hypergraph, path: str | Path) -> None:
+    Path(path).write_text(to_json(h) + "\n")

@@ -2,12 +2,15 @@
 
 One evaluator, :class:`Objective`, computes the weighted program ``L`` and
 its gradient on a batch of points: the base-cardinality level has
-coefficient 1 and each higher level r a positive coefficient alpha_r. The
-uniform-level monomial sum is the case alpha_r = 1, and the non-uniform
-Lagrangian ``lambda'`` (every level r weighted by r!) is r0! times L with
-alpha_r = r!/r0!, r0 the smallest edge type. The factorial-weighted sum
-written out independently is a test oracle, so the identity is
-cross-checked in the tests rather than assumed.
+coefficient 1 and each higher level r a positive coefficient alpha_r.
+
+:func:`flavour_coefficients` is the one map from an objective flavour to
+``L``: it returns the coefficients and the scale with flavour = scale * L.
+The Lagrangian ``lambda`` (the monomial sum) is the case alpha_r = 1, and
+the non-uniform Lagrangian ``lambda'`` (every level r weighted by r!) is r0!
+times L with alpha_r = r!/r0!, r0 the smallest level, or 1 when there are
+no levels. The factorial-weighted sum written out independently is a test
+oracle, so the identity is cross-checked in the tests rather than assumed.
 
 Float evaluations accept any real vector of length n. An exact mode over
 rationals, which requires a point of the simplex, backs the closed-form
@@ -20,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,50 +87,55 @@ class Coefficients:
         return cls.make(ts[0], {r: 1 for r in ts[1:]})
 
     @classmethod
-    def lambda_prime_weights(cls, types: Iterable[int]) -> "Coefficients":
-        """Weights r!/r0! so that r0! * L reproduces the non-uniform Lagrangian."""
-        ts = sorted(set(types))
-        if not ts:
-            raise ValueError("edge-type set must be nonempty")
-        r0 = ts[0]
-        base = math.factorial(r0)
-        return cls.make(r0, {r: math.factorial(r) // base for r in ts[1:]})
-
-    def to_json(self) -> str:
-        def enc(a: Number):
-            if isinstance(a, Fraction):
-                return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else a.numerator
-            return a
-
-        return json.dumps({"r0": self.r0, "alpha": {str(r): enc(a) for r, a in self.alpha}})
-
-    @classmethod
     def from_json(cls, text: str) -> "Coefficients":
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``; a malformed
         document raises ``ValueError``. An integral float ``r0`` such as 3.0
         is taken as an int; a boolean or fractional one is rejected."""
         doc = json.loads(text)
         try:
-            alpha = {int(r): parse_number(a) for r, a in doc.get("alpha", {}).items()}
-            r0 = doc["r0"]
-        except (KeyError, AttributeError, TypeError, ZeroDivisionError) as exc:
+            alpha = {int(r): _read_positive(f"alpha_{r}", a) for r, a in doc.get("alpha", {}).items()}
+            r0 = _read_int("r0", doc["r0"])
+        except (KeyError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
-        if isinstance(r0, float) and r0.is_integer():
-            r0 = int(r0)
-        if isinstance(r0, bool) or not isinstance(r0, int):
-            raise ValueError(f"r0 must be an integer, got {r0!r}")
         return cls.make(r0, alpha)
 
 
-def parse_number(value) -> Number:
-    """Accept ints, floats, and "p/q" strings (exact rationals)."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, float):
-        return value
-    raise ValueError(f"cannot interpret coefficient {value!r}")
+def flavour_coefficients(
+    flavour: str, levels: Iterable[int], alpha: Mapping[int, Number] | None = None
+) -> tuple[Coefficients, int]:
+    """(coefficients, scale) of a flavour on the given levels: ``lambda``
+    has alpha_r = 1, ``lambda'`` alpha_r = r!/r0! and scale r0!, and ``L``
+    takes alpha_r from ``alpha`` for the levels above r0."""
+    ts = sorted(set(levels))
+    r0 = ts[0] if ts else 1
+    if flavour == "lambda'":
+        fact = math.factorial
+        return Coefficients.make(r0, {r: fact(r) // fact(r0) for r in ts[1:]}), fact(r0)
+    if flavour == "lambda":
+        return Coefficients.make(r0, {r: 1 for r in ts[1:]}), 1
+    if flavour == "L":
+        return Coefficients.make(r0, {r: a for r, a in (alpha or {}).items() if r > r0}), 1
+    raise ValueError(f"unknown objective flavour {flavour!r}")
+
+
+def _read_int(key: str, value) -> int:
+    """An int, or an integral float as an int; never a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _read_positive(key: str, value) -> Fraction:
+    """An int, float, ``Fraction`` or "p/q" string above 0, as a ``Fraction``."""
+    try:
+        a = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        a = None
+    if a is None or a <= 0:
+        raise ValueError(f"{key} must be a positive number, got {value!r}")
+    return a
 
 
 # ---------------------------------------------------------------------------

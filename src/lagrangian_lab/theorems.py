@@ -20,6 +20,15 @@ In a type pattern an int is a fixed level, ``"r"`` the rank (parameter ``r``,
 else the instance's largest level above 2), ``"k?"`` a level k kept when the
 instance has it, and ``"3+"`` every instance level above 2: the checks of
 such an open pattern run over the instance's own levels.
+
+``_read_params`` is the one reader of theorem and family parameters (the
+generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints: an
+integral float is taken, a bool, string or fractional float is not, and
+``t`` must be positive. Every ``alpha_*`` value and every entry of the
+``alpha`` map is a positive ``Fraction`` (an int, float, ``Fraction`` or
+"p/q" string). A ``null`` value counts as absent; anything else raises
+``ValueError``. ``objective.flavour_coefficients`` writes each flavour as
+scale * L.
 """
 
 from __future__ import annotations
@@ -28,13 +37,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Integral
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
 from .hypergraph import Hypergraph, vertex_support
-from .objective import Coefficients, eval_exact, parse_number, rational_uniform
+from .objective import _read_int, _read_positive, eval_exact, flavour_coefficients, rational_uniform
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
@@ -183,32 +191,19 @@ def complete_value_exact(
     return total
 
 
-def _scaled_alpha(flavour: str, levels: tuple[int, ...], alpha: Mapping) -> tuple[dict, int]:
-    """The flavour written as scale * L: alpha_r of the levels above the lowest
-    one r0, and the scale (r0! for lambda', where alpha_r = r!/r0!; else 1)."""
-    r0 = min(levels, default=1)
-    if flavour == "lambda'":
-        fact = math.factorial
-        return {r: fact(r) // fact(r0) for r in levels[1:]}, fact(r0)
-    if flavour == "lambda":
-        return {r: 1 for r in levels[1:]}, 1
-    return {r: a for r, a in alpha.items() if r > r0}, 1
-
-
-def _exact(v) -> Fraction:
-    return Fraction(parse_number(v))
-
-
 def _read_params(params: Mapping | None) -> dict:
-    """Copy of the parameters with ``t`` (positive) and ``r``, when given, as ints."""
-    p = dict(params or {})
-    for key in ("t", "r"):
-        value = p.get(key)
-        if isinstance(value, float) and value.is_integer():
-            p[key] = value = int(value)
-        if value is not None and not isinstance(value, Integral):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    if p.get("t") is not None and p["t"] < 1:
+    """Copy of the parameters, read as the module docstring says."""
+    p = {k: v for k, v in dict(params or {}).items() if v is not None}
+    for key, value in p.items():
+        if key in ("t", "r", "n", "m"):
+            p[key] = _read_int(key, value)
+        elif key.startswith("alpha_"):
+            p[key] = _read_positive(key, value)
+    if "alpha" in p:
+        if not isinstance(p["alpha"], Mapping):
+            raise ValueError(f"alpha must map levels to coefficients, got {p['alpha']!r}")
+        p["alpha"] = {int(k): _read_positive(f"alpha[{k}]", v) for k, v in p["alpha"].items()}
+    if p.get("t", 1) < 1:
         raise ValueError(f"t must be a positive integer, got {p['t']!r}")
     return p
 
@@ -233,12 +228,11 @@ def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -
     the pattern names reads ``alpha_2``/``alpha_3``/``alpha_r`` and never the
     ``alpha`` map, the others read an open pattern's ``alpha`` map (kept
     whole), and unset ones are 1."""
-    open_ = "3+" in pattern
-    alpha = {int(k): _exact(v) for k, v in dict(p.get("alpha", {})).items()} if open_ else {}
+    alpha = dict(p.get("alpha", {})) if "3+" in pattern else {}
     for v in levels[1:]:
         key = "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
         if key is not None:
-            alpha[v] = _exact(p.get(key, 1))
+            alpha[v] = p.get(key, Fraction(1))
         else:
             alpha.setdefault(v, Fraction(1))
     return alpha
@@ -259,9 +253,9 @@ def closed_form_exact(theorem: TheoremId | str, params: Mapping) -> Fraction:
         if "r" in spec.pattern and (r is None or r < 3):
             raise ValueError(f"closed form for {tid.value} needs r >= 3, got {r}")
         levels = _resolve(spec.pattern, r, ())
-    alpha = _alpha(spec.pattern, p, levels, r) if spec.flavour == "L" else {}
-    alpha, scale = _scaled_alpha(spec.flavour, levels, alpha)
-    return scale * complete_value_exact(t, levels, alpha)
+    alpha = _alpha(spec.pattern, p, levels, r) if spec.flavour == "L" else None
+    coeffs, scale = flavour_coefficients(spec.flavour, levels, alpha)
+    return scale * complete_value_exact(t, levels, dict(coeffs.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +568,7 @@ def verify(
     """
     tid = TheoremId(theorem)
     spec = SPECS[tid]
-    p = dict(params or {})
+    p = _read_params(params)
     report = check_hypotheses(tid, h, p)
     derived = dict(report.derived)
     strictness_margin = float(p.get("strictness_margin", 1e-4))
@@ -583,7 +577,7 @@ def verify(
     try:
         cf_exact = closed_form_exact(tid, {**p, **derived})
         cf = float(cf_exact)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         cf_exact, cf = None, math.nan
     verdict = partial(
         TheoremVerdict,
@@ -601,16 +595,11 @@ def verify(
         unset = dict.fromkeys(outputs + ("margin", "solver"))
         return verdict(**unset, applicable=False, passed=False, m=derived.get("m"), notes=tuple(notes))
 
-    if h.edge_types:
-        alpha, scale = _scaled_alpha(spec.flavour, h.edge_types, derived.get("alpha", {}))
-        coeffs = Coefficients.make(h.edge_types[0], alpha)
-        res = maximize(h, coeffs, cfg)
-        numerical = scale * res.value
-        if not res.converged:
-            notes.append("solver budget exhausted before convergence")
-    else:
-        coeffs, scale, res = None, 1, None
-        numerical = 0.0
+    coeffs, scale = flavour_coefficients(spec.flavour, h.edge_types, derived.get("alpha"))
+    res = maximize(h, coeffs, cfg)
+    numerical = scale * res.value
+    if not res.converged:
+        notes.append("solver budget exhausted before convergence")
 
     uniform_exact: Fraction | None = None
     margin = cf - numerical
@@ -619,22 +608,19 @@ def verify(
         notes.append(f"strict branch: measured gap {margin:.6g} (margin floor {strictness_margin:g})")
     else:
         clique = derived.get("clique")
-        if clique and coeffs is not None:
+        if clique:
             uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
-        elif clique:
-            uniform_exact = Fraction(0)
-        exact_match = uniform_exact is not None and uniform_exact == cf_exact
-        passed = abs(numerical - cf) <= tol and exact_match
+        passed = abs(numerical - cf) <= tol and uniform_exact == cf_exact
 
     return verdict(
         applicable=True,
         numerical=numerical,
         uniform_on_clique=None if uniform_exact is None else float(uniform_exact),
         uniform_on_clique_exact=uniform_exact,
-        kkt_residual=res.kkt_residual if res is not None else 0.0,
+        kkt_residual=res.kkt_residual,
         passed=passed,
         margin=margin,
-        m=derived.get("m", h.num_edges(max(h.edge_types)) if h.edge_types else 0),
+        m=derived.get("m", h.num_edges(max(h.edge_types, default=0))),
         solver=res,
         notes=tuple(notes),
     )

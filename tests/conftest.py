@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -204,3 +205,22 @@ def level(h, r):
 def closed_form(theorem, params):
     """``closed_form_exact`` as a float."""
     return float(closed_form_exact(theorem, params))
+
+
+def to_text(h):
+    """The plain-text form ``from_text`` reads: n, then one edge per line."""
+    lines = [str(h.n)]
+    lines.extend(" ".join(str(v) for v in e) for e in h.edges())
+    return "\n".join(lines) + "\n"
+
+
+def coeffs_to_json(coeffs):
+    """The ``Coefficients.from_json`` document of ``coeffs``; a Fraction
+    with denominator 1 is written as an int, any other as "p/q"."""
+
+    def enc(a):
+        if isinstance(a, Fraction):
+            return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else a.numerator
+        return a
+
+    return json.dumps({"r0": coeffs.r0, "alpha": {str(r): enc(a) for r, a in coeffs.alpha}})

@@ -20,6 +20,7 @@ from lagrangian_lab import (
     complete,
     compress_hypergraph,
     eval_L,
+    flavour_coefficients,
     gen_planted,
     gen_random,
     grid_oracle,
@@ -101,7 +102,7 @@ def test_criterion_02_one_two_graphs():
                     edges.append([i, j])
         h = validate(n, edges)
         t, _ = brute_force_max_complete(h, (1, 2))
-        res = maximize(h, Coefficients.lambda_prime_weights((1, 2)), _cfg(rng.randrange(10**6)))
+        res = maximize(h, flavour_coefficients("lambda'", (1, 2))[0], _cfg(rng.randrange(10**6)))
         value = math.factorial(1) * res.value
         err = abs(value - (2 - 1 / t))
         worst = max(worst, err)

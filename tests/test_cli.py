@@ -207,6 +207,14 @@ class TestVerify:
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
         assert run(args) == 1
 
+    def test_unreadable_coefficient_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        dump(gen_planted("t6a", {"t": 4}, seed=1), path)
+        args = ["verify", "--theorem", "TWO_R_T6a", "--input", str(path)]
+        assert run(args + ["--params", '{"t": 4, "alpha_r": "1/0"}']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha_r must be a positive number") and "Traceback" not in err
+
 
 class TestGenerate:
     def test_roundtrip_hash_stable(self, tmp_path, capsys):
@@ -231,6 +239,18 @@ class TestGenerate:
 
     def test_infeasible_window(self, capsys):
         assert run(["generate", "--family", "t7a", "--params", '{"t": 4, "m": 99}']) == 1
+
+    @pytest.mark.parametrize("t", ["4.7", '"4"', "true"])
+    def test_non_integer_order_exits_one(self, capsys, t):
+        assert run(["generate", "--family", "t6a", "--params", f'{{"t": {t}}}']) == 1
+        assert capsys.readouterr().err.startswith("error: t must be an integer")
+
+    def test_null_order_is_the_default(self, capsys):
+        outputs = []
+        for params in ('{"t": null}', '{"t": 4}'):
+            assert run(["generate", "--family", "t6a", "--params", params]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestSweep:

@@ -50,6 +50,25 @@ class TestPlantedFamilies:
         assert h.num_edges(3) == 20  # all triples of [6]
         assert check_hypotheses("TWO_R_T6a", h, {"alpha_r": 1}).ok
 
+    def test_t7a_complete_mode(self):
+        h = gen_planted("t7a", {"t": 4, "m": 8, "r": 3, "mode": "complete-r-level"}, seed=1)
+        assert h.n == 5 and h.num_edges(3) == 10  # all triples of [5]
+        assert check_hypotheses("TWO_R_EDGES_T7a", h, {"t": 4, "alpha_r": 1}).ok
+
+    @pytest.mark.parametrize("family", ["t6a", "t7a"])
+    def test_unknown_mode(self, family):
+        with pytest.raises(GenerationError, match="unknown mode 'bogus'"):
+            gen_planted(family, {"t": 4, "mode": "bogus"}, seed=1)
+
+    @pytest.mark.parametrize("family,key", [("t6a", "n"), ("t7a", "m"), ("ptz", "m"), ("t6a", "t")])
+    def test_integer_parameters(self, family, key):
+        base = gen_planted(family, {"t": 4}, seed=1)
+        value = {"n": base.n, "m": base.num_edges(2 if family == "t7a" else 3), "t": 4}[key]
+        assert gen_planted(family, {"t": 4, key: float(value)}, seed=1) == base
+        for bad in (value + 0.5, str(value), True):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                gen_planted(family, {"t": 4, key: bad}, seed=1)
+
     def test_t7a_example(self):
         h = gen_planted("t7a", {"t": 4, "m": 8, "r": 3}, seed=1)
         assert h.num_edges(2) == 8

@@ -20,12 +20,11 @@ from lagrangian_lab import (
     maximize,
     relabel,
     to_json,
-    to_text,
     validate,
     vertex_support,
 )
 
-from conftest import is_complete_on, level
+from conftest import is_complete_on, level, to_text
 
 
 class TestValidate:

@@ -14,6 +14,7 @@ from lagrangian_lab import (
     complete,
     eval_exact,
     eval_L,
+    flavour_coefficients,
     gen_random,
     gradient,
     rational_uniform,
@@ -27,6 +28,7 @@ from lagrangian_lab.objective import Objective
 from conftest import (
     TYPE_FAMILIES,
     check_feasible,
+    coeffs_to_json,
     eval_lambda_prime,
     fd_gradient,
     lambda_prime_exact,
@@ -61,7 +63,8 @@ class TestCoefficients:
             Coefficients.make(2, {1: 1})
 
     @pytest.mark.parametrize(
-        "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}'])
+        "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}',
+                '{"r0": 2, "alpha": {"3": true}}'])
     def test_malformed_json_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             Coefficients.from_json(doc)
@@ -78,14 +81,25 @@ class TestCoefficients:
         assert c.r0 == 2 and type(c.r0) is int and c == Coefficients.make(2, {3: 1})
 
     def test_lambda_prime_weights(self):
-        c = Coefficients.lambda_prime_weights((1, 2, 3))
+        c = flavour_coefficients("lambda'", (1, 2, 3))[0]
         assert c.r0 == 1 and c.coefficient(2) == 2 and c.coefficient(3) == 6
-        c2 = Coefficients.lambda_prime_weights((2, 3))
+        c2 = flavour_coefficients("lambda'", (2, 3))[0]
         assert c2.r0 == 2 and c2.coefficient(3) == 3
+
+    def test_flavour_coefficients(self):
+        assert flavour_coefficients("lambda", (1, 3)) == (Coefficients.make(1, {3: 1}), 1)
+        got = flavour_coefficients("lambda'", (2, 3, 4))
+        assert got == (Coefficients.make(2, {3: 3, 4: 12}), 2)
+        got = flavour_coefficients("L", (2, 3), {2: 5, 3: Fraction(1, 2), 4: 7})
+        assert got == (Coefficients.make(2, {3: Fraction(1, 2), 4: 7}), 1)
+        for flavour in ("lambda", "lambda'", "L"):
+            assert flavour_coefficients(flavour, ()) == (Coefficients.make(1), 1)
+        with pytest.raises(ValueError, match="unknown objective flavour"):
+            flavour_coefficients("mu", (2,))
 
     def test_json_roundtrip_with_rationals(self):
         c = Coefficients.make(2, {3: Fraction(1, 3), 4: 2})
-        back = Coefficients.from_json(c.to_json())
+        back = Coefficients.from_json(coeffs_to_json(c))
         assert back == c
         parsed = Coefficients.from_json('{"r0": 2, "alpha": {"3": "1/3"}}')
         assert parsed.coefficient(3) == Fraction(1, 3)
@@ -159,7 +173,7 @@ class TestLambdaPrime:
             return
         x = random_simplex_point(rng, 6)
         r0 = h.edge_types[0]
-        weights = Coefficients.lambda_prime_weights(h.edge_types)
+        weights = flavour_coefficients("lambda'", h.edge_types)[0]
         lhs = math.factorial(r0) * eval_L(h, weights, x)
         assert abs(lhs - eval_lambda_prime(h, x)) <= 1e-12
 
@@ -208,7 +222,7 @@ def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
     """A row's value and gradient do not depend on the batch around it or
     on how the batch is split into blocks."""
     h = random_instance(seed, n_max=8, families=TYPE_FAMILIES + ((3,), (2, 4)))
-    coeffs = Coefficients.lambda_prime_weights(h.edge_types)
+    coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
     x = np.random.default_rng(seed).dirichlet(np.ones(h.n), size=rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(objective_module, "_BLOCK_ELEMENTS", budget)

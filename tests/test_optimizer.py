@@ -14,6 +14,7 @@ from lagrangian_lab import (
     SolverConfig,
     complete,
     eval_L,
+    flavour_coefficients,
     gen_random,
     grid_oracle,
     kkt_residual,
@@ -72,7 +73,7 @@ class TestMaximize:
 
     def test_lambda_prime_one_two(self, fast_cfg):
         h = complete(3, (1, 2))
-        res = maximize(h, Coefficients.lambda_prime_weights((1, 2)), fast_cfg)
+        res = maximize(h, flavour_coefficients("lambda'", (1, 2))[0], fast_cfg)
         assert math.factorial(1) * res.value == pytest.approx(5 / 3, abs=1e-6)
 
     def test_value_matches_eval(self, fast_cfg):

@@ -37,6 +37,7 @@ from lagrangian_lab import (
     SolverConfig,
     complete,
     eval_L,
+    flavour_coefficients,
     gen_planted,
     gen_random,
     gradient,
@@ -51,6 +52,8 @@ from lagrangian_lab import (
     with_singletons,
 )
 from lagrangian_lab import optimizer
+
+from conftest import coeffs_to_json
 
 DATA = Path(__file__).parent / "data" / "solver_golden.json"
 EXITS = ("grad-tol", "stall", "budget", "repolish")
@@ -101,7 +104,7 @@ def _instance_cases() -> list[tuple]:
             if k % 3 == 0:
                 coeffs = Coefficients.ones(h.edge_types)
             elif k % 3 == 1:
-                coeffs = Coefficients.lambda_prime_weights(h.edge_types)
+                coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
             else:
                 ts = h.edge_types
                 coeffs = Coefficients.make(ts[0], {r: Fraction(2 * i + 3, i + 2) for i, r in enumerate(ts[1:])})
@@ -124,7 +127,7 @@ def _instance_cases() -> list[tuple]:
     cases.append(("grid-polish-23-n6", h, Coefficients.ones(h.edge_types), dict(starts=4, seed=0),
                   ("grid", 12, "grid")))
     h = gen_random(5, (1, 2, 3), 0.6, 45)
-    cases.append(("grid-polish-123-n5", h, Coefficients.lambda_prime_weights(h.edge_types),
+    cases.append(("grid-polish-123-n5", h, flavour_coefficients("lambda'", h.edge_types)[0],
                   dict(starts=4, seed=0), ("grid", 10, "grid")))
     h = gen_random(8, (2, 3), 0.5, 46)
     rng = np.random.default_rng(46)
@@ -277,7 +280,7 @@ def _regenerate() -> None:
     cases = []
     for name, h, coeffs, settings, call in _instance_cases():
         case = {"name": name, "n": h.n, "edges": [list(e) for e in h.edges()],
-                "coeffs": coeffs.to_json(), "cfg": settings, "call": call[0]}
+                "coeffs": coeffs_to_json(coeffs), "cfg": settings, "call": call[0]}
         with _config(settings) as cfg:
             if call[0] == "maximize":
                 starts = _maximize_starts(h, cfg) if h.edge_types else []

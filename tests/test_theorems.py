@@ -178,6 +178,31 @@ class TestCheckHypotheses:
         with pytest.raises(ValueError, match="t must be a positive integer"):
             closed_form_exact(theorem, {"t": t, "r": 3, "types": (1, 2, 3)})
 
+    @pytest.mark.parametrize("t", [True, 4.7, "4"])
+    def test_supplied_t_must_be_an_integer(self, t, fast_cfg):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            closed_form_exact("MS_T1", {"t": t})
+        with pytest.raises(ValueError, match="t must be an integer"):
+            verify("MS_T1", complete(4, (2,)), {"t": t}, fast_cfg)
+
+    @pytest.mark.parametrize("alpha_r", [-1, 0, "-1/2", "1/0", "x", float("nan"), True, [1]])
+    def test_alpha_must_be_positive(self, alpha_r):
+        p = {"t": 4, "r": 3, "alpha_r": alpha_r}
+        h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6}, seed=1)
+        with pytest.raises(ValueError, match="alpha_r must be a positive number"):
+            check_hypotheses("TWO_R_T6a", h, p)
+        with pytest.raises(ValueError, match="alpha_r must be a positive number"):
+            closed_form_exact("TWO_R_T6a", p)
+        with pytest.raises(ValueError, match="alpha_r must be a positive number"):
+            gen_planted("t6a", p, seed=1)
+
+    @pytest.mark.parametrize("alpha", [{"3": 0}, {"3": "1/0"}, [2]])
+    def test_alpha_map_entries_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            closed_form_exact("GENERAL_T9a", {"t": 5, "types": (2, 3), "alpha": alpha})
+        with pytest.raises(ValueError, match="alpha"):
+            check_hypotheses("GENERAL_T9a", complete(5, (2, 3)), {"alpha": alpha})
+
     def test_order_zero_clique_fails_the_window(self, fast_cfg):
         # A {3}-graph without singletons has no (1,3)-clique, so t = 0.
         h = validate(5, [[1, 2, 3], [1, 2, 4], [2, 3, 4]])
@@ -204,6 +229,12 @@ class TestVerify:
         assert verdict.passed
         assert verdict.numerical == pytest.approx(0.4375, abs=1e-6)
         assert verdict.kkt_residual <= 1e-5
+
+    def test_edgeless_instance(self, fast_cfg):
+        verdict = verify("MS_T1", validate(3, []), cfg=fast_cfg)
+        assert verdict.passed and verdict.t == 1 and verdict.m == 0
+        assert verdict.numerical == 0.0 and verdict.kkt_residual == 0.0
+        assert verdict.closed_form_exact == verdict.uniform_on_clique_exact == 0
 
     def test_not_applicable_short_circuit(self, fast_cfg):
         h = complete(4, (2, 3))
