@@ -100,6 +100,11 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
 
 
 def _cmd_compute(args) -> int:
+    if args.coeffs and args.objective != "weighted":
+        raise _UsageError("--coeffs needs --objective weighted")
+    if args.grid_d is not None and not args.grid:
+        raise _UsageError("--grid-d needs --grid")
+    grid_d = 24 if args.grid_d is None else args.grid_d
     h = load(args.input)
     # The flags are checked on an edgeless input too, so a bad flag fails on
     # every input alike.
@@ -107,11 +112,11 @@ def _cmd_compute(args) -> int:
     cfg = _solver_config(args)
     if not h.edge_types:
         if args.grid:
-            check_grid(h.n, args.grid_d)
+            check_grid(h.n, grid_d)
         value, result = 0.0, None
     else:
         # The grid runs first: a bad resolution or size fails before the solve.
-        grid = grid_oracle(h, coeffs, args.grid_d) if args.grid else None
+        grid = grid_oracle(h, coeffs, grid_d) if args.grid else None
         result = maximize(h, coeffs, cfg)
         value = scale * result.value
         if grid is not None:
@@ -302,7 +307,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--coeffs", help="coefficients JSON file for --objective weighted")
     p.add_argument("--grid", action="store_true", help="also run the grid oracle and keep the best")
-    p.add_argument("--grid-d", dest="grid_d", type=int, default=24, help="grid resolution")
+    p.add_argument("--grid-d", dest="grid_d", type=int, help="grid resolution (default 24)")
     p.add_argument("--json", action="store_true")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_compute)

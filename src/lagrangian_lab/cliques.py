@@ -5,12 +5,12 @@ is complete), so one depth-first search over vertices in increasing label
 order is exact; instances are desk-scale by design, so there is no
 approximate fallback.
 
-Vertex sets are integer bitmasks (bit v for vertex v). Each search builds one
-link table per level r >= 2 of T, mapping the mask of an (r-1)-set to the
-mask of the vertices that complete it to an r-edge; a level absent from the
-instance has an empty table. The search keeps, next to the complete set C,
-the candidate mask of vertices u above max(C) with C + {u} complete (at the
-root: every vertex, or the vertices with a singleton edge when 1 is in T).
+Vertex sets are integer bitmasks (bit v for vertex v). Every search on an
+instance reads the link tables the instance keeps (``Hypergraph.link_table``:
+per level r, the mask of each (r-1)-set maps to the mask of the vertices that
+complete it to an r-edge). The search keeps, next to the complete set C, the
+candidate mask of vertices u above max(C) with C + {u} complete (at the root:
+every vertex, or level 1's entry for the empty mask when 1 is in T).
 When v joins C, the new candidates are the old ones u above v such that
 T + {v, u} is an edge for every level r and every (r-2)-subset T of C: these
 are the only r-subsets of C + {v, u} not already known to be edges. A branch
@@ -35,30 +35,15 @@ class CliqueResult:
     is_unique_max: bool
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in vertices)
-
-
 class _Search:
     """The start mask and link tables of one (hypergraph, type set) pair."""
 
     def __init__(self, h: Hypergraph, types: Iterable[int]):
         ts = sorted(set(types))
-        if not ts:
-            raise ValueError("edge-type set must be nonempty")
-        singletons = (e[0] for e in h.level_edges(1))
-        self.start = _mask(singletons if ts[0] == 1 else range(1, h.n + 1))
-        self.links: list[tuple[int, dict[int, int]]] = []
-        for r in ts:
-            if r == 1:
-                continue
-            table: dict[int, int] = {}
-            for e in h.level_edges(r):
-                edge = _mask(e)
-                for v in e:
-                    bit = 1 << v
-                    table[edge ^ bit] = table.get(edge ^ bit, 0) | bit
-            self.links.append((r - 2, table))
+        if not ts or ts[0] < 1:
+            raise ValueError(f"edge types must be a nonempty set of positive ints, got {ts}")
+        self.start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
+        self.links = [(r - 2, h.link_table(r)) for r in ts if r > 1]
 
     def complete_sets(self, floor: int) -> Iterator[tuple[int, ...]]:
         """Complete sets of at least ``self.floor`` vertices, in lexicographic

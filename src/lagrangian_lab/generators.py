@@ -9,11 +9,14 @@ is a pure function of (family, parameters, seed).
 
 Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
-is a positive rational, and ``null`` means the default. ``t6a`` and ``t7a``
-plant a clique of order t carrying every 2- and r-edge on it; their
-``mode`` sets the other r-edges on [n]: ``random-r-level`` (the default)
-keeps each with probability ``extra_density`` (0.3), ``complete-r-level``
-keeps them all, and any other mode raises ``GenerationError``.
+is a positive rational, ``density`` and ``extra_density`` are numbers in
+[0, 1], ``types`` is a list of positive ints, and ``null`` means the
+default. ``t6a`` and ``t7a`` plant a clique of order t carrying every 2-
+and r-edge on it (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its
+2-level window); their ``mode`` sets the other r-edges on [n]:
+``random-r-level`` (the default) keeps each with probability
+``extra_density`` (0.3), ``complete-r-level`` keeps them all, and any other
+mode raises ``GenerationError``.
 """
 
 from __future__ import annotations
@@ -44,23 +47,19 @@ class GenerationError(ValueError):
     """Infeasible parameter window or sampling budget exhausted."""
 
 
-def gen_random(
-    n: int,
-    types: Iterable[int],
-    density: float | Mapping[int, float],
-    seed: int,
-) -> Hypergraph:
-    """Independent per-edge sampling: each potential r-edge kept with its
-    level's density. Density 1 reproduces the complete T-pattern."""
+def gen_random(n: int, types: Iterable[int], density: float, seed: int) -> Hypergraph:
+    """Independent per-edge sampling: each potential edge on a level of
+    ``types`` kept with probability ``density``. Density 1 reproduces the
+    complete T-pattern."""
     ts = sorted(set(types))
     if not ts:
         raise GenerationError("edge-type set must be nonempty")
+    p = float(density)
+    if not 0.0 <= p <= 1.0:
+        raise GenerationError(f"density must be in [0, 1], got {p}")
     rng = random.Random(seed)
     edges: list[Edge] = []
     for r in ts:
-        p = density[r] if isinstance(density, Mapping) else float(density)
-        if not 0.0 <= p <= 1.0:
-            raise GenerationError(f"density for level {r} must be in [0, 1], got {p}")
         for e in itertools.combinations(range(1, n + 1), r):
             if p >= 1.0 or (p > 0.0 and rng.random() < p):
                 edges.append(e)
@@ -78,34 +77,14 @@ def _complete_edges(vertices: Iterable[int], r: int) -> list[Edge]:
     return [tuple(c) for c in itertools.combinations(sorted(vertices), r)]
 
 
-def _extra_r_edges(rng: random.Random, r: int, n: int, planted: set, mode: str, density: float):
-    """The r-edges on [n] outside the planted clique that ``mode`` keeps."""
-    rest = [e for e in _complete_edges(range(1, n + 1), r) if e not in planted]
-    if mode == "complete-r-level":
-        return rest
-    if mode != "random-r-level":
-        raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
-    return [e for e in rest if rng.random() < density]
-
-
-def _gen_t6a(rng: random.Random, t: int, r: int, n: int, mode: str, extra_density: float) -> Hypergraph:
-    if n < t:
-        raise GenerationError(f"need n >= t, got n={n}, t={t}")
-    if t < r:
-        raise GenerationError(f"need t >= r so the planted clique carries {r}-edges")
-    edges: list[Edge] = _complete_edges(range(1, t + 1), 2)
-    planted = set(_complete_edges(range(1, t + 1), r))
-    edges.extend(sorted(planted))
-    edges.extend(_extra_r_edges(rng, r, n, planted, mode, extra_density))
-    return validate(n, edges)
-
-
 def _gen_t7a(rng: random.Random, t: int, r: int, n: int, m: int, mode: str, extra_density: float) -> Hypergraph:
     lo, hi = pair_edge_window(t)
     if not lo <= m <= hi:
         raise GenerationError(f"m={m} outside the 2-level window [{lo}, {hi}] for t={t}")
     if n < t + 1 and m > lo:
         raise GenerationError("extra 2-edges need an attachment vertex t+1; raise n")
+    if n < t:
+        raise GenerationError(f"need n >= t, got n={n}, t={t}")
     if t < r:
         raise GenerationError(f"need t >= r, got t={t}, r={r}")
     edges: list[Edge] = _complete_edges(range(1, t + 1), 2)
@@ -115,7 +94,12 @@ def _gen_t7a(rng: random.Random, t: int, r: int, n: int, m: int, mode: str, extr
         edges.append((v, t + 1))
     planted = set(_complete_edges(range(1, t + 1), r))
     edges.extend(sorted(planted))
-    edges.extend(_extra_r_edges(rng, r, n, planted, mode, extra_density))
+    rest = [e for e in _complete_edges(range(1, n + 1), r) if e not in planted]
+    if mode == "random-r-level":
+        rest = [e for e in rest if rng.random() < extra_density]
+    elif mode != "complete-r-level":
+        raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
+    edges.extend(rest)
     return validate(n, edges)
 
 
@@ -158,12 +142,12 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
     rng = random.Random(seed)
     t, r = p.get("t", 4), p.get("r", 3)
     mode = p.get("mode", "random-r-level")
-    extra_density = float(p.get("extra_density", 0.3))
+    extra_density = p.get("extra_density", 0.3)
 
     if family == "t6a":
         n = p.get("n", t + 2)
         target, tparams = TheoremId.TWO_R_T6a, {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
-        h = _gen_t6a(rng, t, r, n, mode, extra_density)
+        h = _gen_t7a(rng, t, r, n, pair_edge_window(t)[0], mode, extra_density)
     elif family == "t7a":
         m = p.get("m", pair_edge_window(t)[1])
         n = p.get("n", t + 1)
@@ -179,7 +163,7 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         return _gen_tpzz_free(rng, t, m, n)  # clique-freeness is its own check
     elif family == "random-lc":
         n = p.get("n", 6)
-        types = tuple(p.get("types", (2, 3)))
+        types = p.get("types", (2, 3))
         density = p.get("density", 0.5)
         return left_compress_fixpoint(gen_random(n, types, density, rng.randrange(2**63)))
     else:

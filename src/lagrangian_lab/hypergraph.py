@@ -5,10 +5,10 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
-An instance computes its hash, its per-level edge sets and its per-level
-index arrays once, on first use, and keeps them: membership tests and dict
-lookups then cost O(1) instead of rehashing every edge, and the objective
-reads the index arrays without rebuilding them.
+An instance computes its hash, its per-level edge sets, index arrays and
+clique link tables once, on first use, and keeps them: membership tests and
+dict lookups then cost O(1) instead of rehashing every edge, and the
+objective and every clique search read the same arrays and tables.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
@@ -81,6 +81,21 @@ class Hypergraph:
             arr.flags.writeable = False
             out[r] = arr
         return out
+
+    def link_table(self, r: int) -> dict[int, int]:
+        """Level r's link table, built on first use; callers must not mutate it. The mask
+        (bit v for vertex v) of each (r-1)-subset of an r-edge maps to that of its completions."""
+        if r not in self._link_tables:
+            table = self._link_tables[r] = {}
+            for e in self.level_edges(r):
+                edge = sum(bits := [1 << v for v in e])
+                for bit in bits:
+                    table[edge ^ bit] = table.get(edge ^ bit, 0) | bit
+        return self._link_tables[r]
+
+    @cached_property
+    def _link_tables(self) -> dict[int, dict[int, int]]:
+        return {}
 
     @cached_property
     def _hash(self) -> int:

@@ -26,7 +26,10 @@ generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints: an
 integral float is taken, a bool, string or fractional float is not, and
 ``t`` must be positive. Every ``alpha_*`` value and every entry of the
 ``alpha`` map is a positive ``Fraction`` (an int, float, ``Fraction`` or
-"p/q" string). A ``null`` value counts as absent; anything else raises
+"p/q" string). ``density`` and ``extra_density`` are real numbers in [0, 1]
+and ``strictness_margin`` a finite one >= 0, each read as a float (never a
+bool or a string); ``types`` is a nonempty list of positive ints, read as a
+tuple. A ``null`` value counts as absent; anything else raises
 ``ValueError``. ``objective.flavour_coefficients`` writes each flavour as
 scale * L.
 """
@@ -34,10 +37,12 @@ scale * L.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
+from numbers import Real
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
@@ -191,6 +196,13 @@ def complete_value_exact(
     return total
 
 
+def _read_real(key: str, value, hi: float, what: str) -> float:
+    """A real number in [0, hi], never a bool or a string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= hi:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return float(value)
+
+
 def _read_params(params: Mapping | None) -> dict:
     """Copy of the parameters, read as the module docstring says."""
     p = {k: v for k, v in dict(params or {}).items() if v is not None}
@@ -199,6 +211,15 @@ def _read_params(params: Mapping | None) -> dict:
             p[key] = _read_int(key, value)
         elif key.startswith("alpha_"):
             p[key] = _read_positive(key, value)
+        elif key in ("density", "extra_density"):
+            p[key] = _read_real(key, value, 1.0, "a number in [0, 1]")
+        elif key == "strictness_margin":
+            p[key] = _read_real(key, value, sys.float_info.max, "a finite number >= 0")
+        elif key == "types":
+            listed = isinstance(value, (list, tuple))
+            p[key] = tuple(_read_int(key, v) for v in value) if listed else ()
+            if not p[key] or min(p[key]) < 1:
+                raise ValueError(f"types must be a nonempty list of positive integers, got {value!r}")
     if "alpha" in p:
         if not isinstance(p["alpha"], Mapping):
             raise ValueError(f"alpha must map levels to coefficients, got {p['alpha']!r}")
@@ -571,7 +592,7 @@ def verify(
     p = _read_params(params)
     report = check_hypotheses(tid, h, p)
     derived = dict(report.derived)
-    strictness_margin = float(p.get("strictness_margin", 1e-4))
+    strictness_margin = p.get("strictness_margin", 1e-4)
     notes = [spec.note] if spec.note else []
 
     try:

@@ -112,6 +112,32 @@ class TestCompute:
     def test_tol_flag_removed(self, k5_file, capsys):
         assert run(["compute", k5_file, "--tol", "1e-6"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--coeffs", "c.json"], "--coeffs needs --objective weighted"),
+         (["--objective", "lambda-prime", "--coeffs", "c.json"], "--coeffs needs --objective weighted"),
+         (["--grid-d", "0"], "--grid-d needs --grid"),
+         (["--grid-d", "12"], "--grid-d needs --grid")],
+        ids=["coeffs", "coeffs-lambda-prime", "grid-d-0", "grid-d-12"],
+    )
+    def test_ignored_flags_exit_one(self, k5_file, capsys, flags, message):
+        assert run(["compute", k5_file] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_polished_grid_point_wins_under_a_tight_budget(self, tmp_path, capsys):
+        """With three iterations per ascent the grid's argmax is the nearest
+        start to the optimum, so its polished point replaces the solve."""
+        path = tmp_path / "h.json"
+        dump(validate(5, [[1, 4], [1, 5], [2, 4], [3, 4], [3, 5], [1, 2, 5], [1, 4, 5]]), path)
+        budget = ["--starts", "1", "--max-iters", "3", "--json"]
+        assert run(["compute", str(path)] + budget) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert run(["compute", str(path), "--grid", "--grid-d", "12"] + budget) == 0
+        gridded = json.loads(capsys.readouterr().out)
+        assert solved["method"] != "grid" and not solved["converged"]
+        assert gridded["method"] == "grid"
+        assert gridded["value"] > solved["value"] + 1e-4
+
 
 class TestClique:
     def test_json_shape(self, tmp_path, capsys):
@@ -121,6 +147,12 @@ class TestClique:
         doc = json.loads(capsys.readouterr().out)
         assert doc["order"] == 4
         assert doc["vertices"] == [1, 2, 3, 4]
+
+    def test_edgeless_input_needs_types(self, edgeless_file, capsys):
+        assert run(["clique", edgeless_file]) == 1
+        assert capsys.readouterr().err == "error: hypergraph has no edges; pass --types explicitly\n"
+        assert run(["clique", edgeless_file, "--types", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1
 
 
 class TestCompress:
@@ -136,6 +168,12 @@ class TestCompress:
         dump(validate(3, [[2, 3]]), path)
         assert run(["compress", str(path), "--fixpoint", "-o", str(out)]) == 0
         assert load(out).edges() == [(1, 2)]
+
+    def test_fixpoint_to_stdout(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        dump(validate(3, [[2, 3]]), path)
+        assert run(["compress", str(path), "--fixpoint"]) == 0
+        assert capsys.readouterr().out == '{"n": 3, "edges": [[1, 2]]}\n'
 
     def test_flags_required(self, tmp_path):
         path = tmp_path / "h.json"
@@ -203,6 +241,21 @@ class TestVerify:
         assert run(args) == 1
         assert "t must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", ["[1]", '"t"', "4"])
+    def test_params_must_be_an_object(self, one_two_file, capsys, params):
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--params", params]
+        assert run(args) == 1
+        assert capsys.readouterr().err == "error: --params must be a JSON object\n"
+
+    def test_bad_strictness_margin_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        dump(gen_planted("t6a", {"t": 4}, seed=1), path)
+        args = ["verify", "--theorem", "TWO_R_T6a", "--input", str(path)]
+        assert run(args + ["--params", '{"t": 4, "strictness_margin": [1]}']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: strictness_margin must be a finite number >= 0")
+        assert "Traceback" not in err
+
     def test_grid_d_flag_removed(self, one_two_file, capsys):
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
         assert run(args) == 1
@@ -244,6 +297,22 @@ class TestGenerate:
     def test_non_integer_order_exits_one(self, capsys, t):
         assert run(["generate", "--family", "t6a", "--params", f'{{"t": {t}}}']) == 1
         assert capsys.readouterr().err.startswith("error: t must be an integer")
+
+    @pytest.mark.parametrize(
+        "family,params,message",
+        [("t6a", '{"extra_density": [1]}', "extra_density must be a number in [0, 1]"),
+         ("t6a", '{"extra_density": 5}', "extra_density must be a number in [0, 1]"),
+         ("random-lc", '{"types": "ab"}', "types must be a nonempty list of positive integers"),
+         ("random-lc", '{"types": [0, 2]}', "types must be a nonempty list of positive integers"),
+         ("random-lc", '{"density": {"2": 0.5, "3": 0.5}}', "density must be a number in [0, 1]"),
+         ("random-lc", '{"density": 5}', "density must be a number in [0, 1]")],
+        ids=["extra-density-list", "extra-density-5", "types-string", "types-zero",
+             "density-map", "density-5"],
+    )
+    def test_bad_family_params_exit_one(self, capsys, family, params, message):
+        assert run(["generate", "--family", family, "--params", params]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got ") and "Traceback" not in err
 
     def test_null_order_is_the_default(self, capsys):
         outputs = []
@@ -324,6 +393,23 @@ class TestSweep:
                 ]
 
         assert strip(serial) == strip(par)
+
+
+class TestSweepSeedsAndFailures:
+    BASE = ["sweep", "--family", "ptz", "--params", '{"t": 4, "r": 3, "m": 6}', "--jobs", "1",
+            "--starts", "2"]
+
+    def test_comma_seed_list(self, capsys):
+        assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "3,1"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["seed"] for row in rows] == ["3", "1"]
+
+    def test_failed_rows_exit_two(self, capsys):
+        assert run(self.BASE + ["--theorem", "PTZ,NONUNIF_T3", "--seeds", "1..2"]) == 2
+        out, err = capsys.readouterr()
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["pass"] for row in rows] == ["True", "False", "True", "False"]
+        assert err == "2/4 sweep rows failed\n"
 
 
 def test_usage_error_exit_one():

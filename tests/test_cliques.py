@@ -1,16 +1,24 @@
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrangian_lab import (
+    Hypergraph,
+    SolverConfig,
+    cliques,
     complete,
     contains_complete,
+    gen_planted,
     gen_random,
     max_complete_subgraph,
     validate,
+    verify,
+    with_singletons,
 )
 
 from conftest import brute_force_max_complete
@@ -53,6 +61,13 @@ class TestMaxCompleteSubgraph:
     def test_empty_types_rejected(self):
         with pytest.raises(ValueError):
             max_complete_subgraph(complete(3, (2,)), ())
+
+    @pytest.mark.parametrize("types", [(0,), (0, 2), (-1, 3)])
+    def test_nonpositive_types_rejected(self, types):
+        with pytest.raises(ValueError, match="edge types must be a nonempty set of positive ints"):
+            max_complete_subgraph(complete(3, (2,)), types)
+        with pytest.raises(ValueError, match="edge types must be a nonempty set of positive ints"):
+            contains_complete(complete(3, (2,)), 9, types)
 
     def test_no_singletons_order_zero(self):
         h = validate(3, [[1, 2]])
@@ -156,3 +171,44 @@ def test_matches_subset_oracle(case):
     for t in range(h.n + 2):
         expected = t == 0 or (t <= h.n and bool(by_size[t]))
         assert contains_complete(h, t, types) == expected
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts, per (instance id, level), the link tables built: the reads of
+    a level's edges made by the clique code or by ``Hypergraph.link_table``."""
+    builds: Counter = Counter()
+    alive = []  # keeps every counted instance, so no id is reused
+    level_edges = Hypergraph.level_edges
+
+    def spy(self, r):
+        caller = sys._getframe(1).f_code
+        if caller.co_name == "link_table" or caller.co_filename == cliques.__file__:
+            builds[id(self), r] += 1
+            alive.append(self)
+        return level_edges(self, r)
+
+    monkeypatch.setattr(Hypergraph, "level_edges", spy)
+    return builds
+
+
+def test_link_tables_built_once_per_instance_and_level(table_builds):
+    # MIXED_T10c on a covered order-4 clique: two contains_complete and one
+    # max_complete_subgraph in the checker, one more for the warm start.
+    # The t6a instance is also searched by its generator's hypothesis check.
+    mixed = with_singletons(gen_planted("ptz", {"t": 4}, seed=5))
+    pair = gen_planted("t6a", {"t": 4}, seed=1)
+    for theorem, h in (("MIXED_T10c", mixed), ("TWO_R_T6a", pair)):
+        verdict = verify(theorem, h, {"t": 4}, SolverConfig(starts=2))
+        assert verdict.passed and verdict.solver is not None
+    assert set(table_builds.values()) == {1}
+    assert {(id(mixed), 1), (id(mixed), 3), (id(pair), 2), (id(pair), 3)} <= set(table_builds)
+
+
+def test_search_builds_only_its_own_levels(table_builds):
+    h = gen_random(7, (1, 2, 3), 0.7, seed=3)
+    contains_complete(h, 3, (3,))
+    assert table_builds == {(id(h), 3): 1}
+    max_complete_subgraph(h, (2, 3))
+    max_complete_subgraph(h, (1, 3))
+    assert table_builds == {(id(h), 1): 1, (id(h), 2): 1, (id(h), 3): 1}

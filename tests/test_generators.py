@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lagrangian_lab import (
@@ -9,6 +11,7 @@ from lagrangian_lab import (
     gen_random,
     is_left_compressed,
     max_complete_subgraph,
+    to_json,
     vertex_support,
     with_singletons,
 )
@@ -29,8 +32,11 @@ class TestGenRandom:
         assert h.num_edges(2) == 11 and h.num_edges(3) == 11
 
     def test_per_level_densities(self):
-        h = gen_random(5, (2, 3), {2: 1.0, 3: 0.0}, seed=1)
-        assert h.num_edges(2) == 10 and h.num_edges(3) == 0
+        """One density serves every level: a per-level map is refused."""
+        with pytest.raises(TypeError):
+            gen_random(5, (2, 3), {2: 1.0, 3: 0.0}, seed=1)
+        with pytest.raises(ValueError, match=r"density must be a number in \[0, 1\]"):
+            gen_planted("random-lc", {"types": (2, 3), "density": {2: 1.0, 3: 0.0}}, seed=1)
 
     def test_bad_density(self):
         with pytest.raises(GenerationError):
@@ -135,6 +141,36 @@ class TestPlantedFamilies:
         a = gen_planted(family, params, seed=31)
         b = gen_planted(family, params, seed=31)
         assert a == b
+
+
+# sha256 (first 16 hex digits) of the JSON lines of seeds 0..7, as
+# ``lagrangian generate`` prints them: a change to any builder's output or
+# to its use of the random stream shows here.
+OUTPUT_PINS = [
+    ("t6a", {"t": 4}, "29f1ec584a84a118"),
+    ("t6a", {"t": 5, "r": 4, "n": 8, "extra_density": 0.6}, "ccfa23b1b7e4d4f4"),
+    ("t6a", {"t": 3, "n": 5, "mode": "complete-r-level"}, "de8af600deae86b4"),
+    ("t7a", {"t": 4}, "c73e33593580d42d"),
+    ("t7a", {"t": 5, "m": 11, "n": 7}, "2792e393830febc8"),
+    ("t7a", {"t": 4, "m": 6, "n": 6, "mode": "complete-r-level"}, "739dd5dab76c4e60"),
+    ("ptz", {"t": 4}, "66638daf61c86dda"),
+    ("ptz", {"t": 5, "m": 12}, "9845eeeae6db14a0"),
+    ("tpzz-free", {"t": 4}, "24fa54c4055b8fe2"),
+    ("tpzz-free", {"t": 5, "n": 7}, "6fe87e0b9b71529a"),
+    ("random-lc", {}, "bd46836c87e72932"),
+    ("random-lc", {"n": 7, "types": [1, 2, 4], "density": 0.4}, "b5d7f80a74475d5e"),
+]
+
+
+@pytest.mark.parametrize("family,params,digest", OUTPUT_PINS)
+def test_output_pinned(family, params, digest):
+    text = "".join(to_json(gen_planted(family, params, seed)) + "\n" for seed in range(8))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_t6a_needs_n_at_least_t():
+    with pytest.raises(GenerationError, match="need n >= t, got n=3, t=4"):
+        gen_planted("t6a", {"t": 4, "n": 3}, seed=0)
 
 
 def test_with_singletons():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lagrangian_lab import (
+    SolverConfig,
     TheoremId,
     check_hypotheses,
     closed_form_exact,
@@ -16,6 +17,7 @@ from lagrangian_lab import (
     with_singletons,
 )
 from lagrangian_lab.theorems import (
+    _read_params,
     pair_edge_window,
     strict_three_window,
     threshold_general,
@@ -89,6 +91,39 @@ class TestClosedForms:
             closed_form("ONE_R_T4", {"t": 4, "r": 2})
         with pytest.raises(ValueError):
             closed_form("GENERAL_T9a", {"t": 4})
+
+
+class TestReadParams:
+    @pytest.mark.parametrize("key", ["density", "extra_density", "strictness_margin"])
+    @pytest.mark.parametrize("value", [0, 1, 0.25, Fraction(1, 2)])
+    def test_real_values_read_as_float(self, key, value):
+        got = _read_params({key: value})[key]
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("key", ["density", "extra_density"])
+    @pytest.mark.parametrize("value", [5, -0.1, math.nan, [1], {"2": 0.5}, "0.5", True])
+    def test_density_outside_unit_interval_rejected(self, key, value):
+        with pytest.raises(ValueError, match=rf"{key} must be a number in \[0, 1\]"):
+            _read_params({key: value})
+
+    @pytest.mark.parametrize("value", [-1e-9, math.inf, math.nan, [1], "0", False, 10**400])
+    def test_strictness_margin_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="strictness_margin must be a finite number >= 0"):
+            _read_params({"strictness_margin": value})
+        assert _read_params({"strictness_margin": 5})["strictness_margin"] == 5.0
+
+    def test_types_read_as_tuple_of_ints(self):
+        assert _read_params({"types": [3, 2.0]})["types"] == (3, 2)
+        assert _read_params({"types": (1, 3)})["types"] == (1, 3)
+
+    @pytest.mark.parametrize("value", ["ab", "23", [], [0, 2], [2, "3"], [True], 2, {"2": 1}])
+    def test_bad_types_rejected(self, value):
+        with pytest.raises(ValueError, match="types must be"):
+            _read_params({"types": value})
+
+    def test_closed_form_types_string_is_a_value_error(self):
+        with pytest.raises(ValueError, match="types must be a nonempty list"):
+            closed_form_exact("GENERAL_T9a", {"t": 4, "types": "23"})
 
 
 class TestLambdaPrimeClosed:
@@ -235,6 +270,12 @@ class TestVerify:
         assert verdict.passed and verdict.t == 1 and verdict.m == 0
         assert verdict.numerical == 0.0 and verdict.kkt_residual == 0.0
         assert verdict.closed_form_exact == verdict.uniform_on_clique_exact == 0
+
+    def test_budget_exhausted_note(self):
+        h = gen_planted("tpzz-free", {"t": 4, "m": 5, "n": 6}, seed=2)
+        verdict = verify("TPZZ", h, {"t": 4}, SolverConfig(starts=2, max_iters=1))
+        assert not verdict.solver.converged
+        assert "solver budget exhausted before convergence" in verdict.notes
 
     def test_not_applicable_short_circuit(self, fast_cfg):
         h = complete(4, (2, 3))
