@@ -50,7 +50,6 @@ from .optimizer import (
 from .theorems import (
     ConditionCheck,
     HypothesisReport,
-    TheoremId,
     TheoremVerdict,
     check_hypotheses,
     closed_form_exact,

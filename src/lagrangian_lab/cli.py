@@ -1,8 +1,10 @@
 """Command-line surface: compute, clique, compress, verify, generate, sweep.
 
 Exit codes: 0 for success (and passing verdicts), 2 when a verification ran
-fine but the check failed, 1 for usage or input errors. All numeric output
-uses 12-digit fixed precision. The seed is 0 unless --seed sets it.
+fine but the check failed, 1 for usage or input errors. verify and sweep
+compare with the closed form at the fixed tolerance 1e-6 and pass only on
+a converged solve. All numeric output uses 12-digit fixed precision. The
+seed is 0 unless --seed sets it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
 from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, check_grid, grid_oracle, maximize, polish
-from .theorems import TheoremId, theorem_ids, verify
+from .theorems import _spec, theorem_ids, verify
 
 _SWEEP_COLUMNS = [
     "family",
@@ -180,11 +182,11 @@ def _cmd_verify(args) -> int:
     h = load(args.input)
     params = _load_params(args.params)
     cfg = _solver_config(args)
-    verdict = verify(args.theorem, h, params, cfg, tol=args.tol)
+    verdict = verify(args.theorem, h, params, cfg)
     if args.json:
         print(json.dumps(verdict.to_dict()))
     else:
-        print(f"theorem {verdict.theorem.value}")
+        print(f"theorem {verdict.theorem}")
         print(f"hypotheses_ok {str(verdict.hypotheses_ok).lower()}")
         for cond in verdict.conditions:
             mark = "ok" if cond.ok else "FAIL"
@@ -215,18 +217,13 @@ def _cmd_generate(args) -> int:
 def _sweep_task(task: dict) -> dict:
     started = time.perf_counter()
     h = gen_planted(task["family"], task["params"], task["seed"])
-    verdict = verify(
-        task["theorem"],
-        h,
-        task["params"],
-        SolverConfig(starts=task["starts"], seed=task["seed"]),
-        tol=task["tol"],
-    )
+    cfg = SolverConfig(starts=task["starts"], seed=task["seed"])
+    verdict = verify(task["theorem"], h, task["params"], cfg)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return {
         "family": task["family"],
         "seed": task["seed"],
-        "theorem": verdict.theorem.value,
+        "theorem": verdict.theorem,
         "t": verdict.t if verdict.t is not None else "",
         "r": verdict.r if verdict.r is not None else "",
         "m": verdict.m if verdict.m is not None else "",
@@ -252,7 +249,7 @@ def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
     for name in theorems:
-        TheoremId(name)  # validate up front
+        _spec(name)  # validate up front
     tasks = [
         {
             "family": args.family,
@@ -260,7 +257,6 @@ def _cmd_sweep(args) -> int:
             "seed": seed,
             "theorem": name,
             "starts": args.starts if args.starts is not None else 16,
-            "tol": args.tol,
         }
         for seed in seeds
         for name in theorems
@@ -331,7 +327,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--params", help="JSON object (inline or a file path)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-6)
     add_solver_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -350,7 +345,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
     p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

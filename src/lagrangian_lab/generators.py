@@ -30,7 +30,6 @@ from .cliques import contains_complete
 from .compression import left_compress_fixpoint
 from .hypergraph import Edge, Hypergraph, validate
 from .theorems import (
-    TheoremId,
     _read_params,
     check_hypotheses,
     pair_edge_window,
@@ -146,16 +145,16 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
 
     if family == "t6a":
         n = p.get("n", t + 2)
-        target, tparams = TheoremId.TWO_R_T6a, {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
+        target, tparams = "TWO_R_T6a", {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         h = _gen_t7a(rng, t, r, n, pair_edge_window(t)[0], mode, extra_density)
     elif family == "t7a":
         m = p.get("m", pair_edge_window(t)[1])
         n = p.get("n", t + 1)
-        target, tparams = TheoremId.TWO_R_EDGES_T7a, {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
+        target, tparams = "TWO_R_EDGES_T7a", {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         h = _gen_t7a(rng, t, r, n, m, mode, extra_density)
     elif family == "ptz":
         m = p.get("m", uniform_edge_window(t, r)[0])
-        target, tparams = TheoremId.PTZ, {"t": t, "r": r}
+        target, tparams = "PTZ", {"t": t, "r": r}
         h = _gen_ptz(rng, t, r, m)
     elif family == "tpzz-free":
         m = p.get("m", strict_three_window(t)[0])

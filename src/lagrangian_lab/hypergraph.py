@@ -21,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +37,15 @@ _NO_EDGES: frozenset[Edge] = frozenset()
 
 class HypergraphError(ValueError):
     """Malformed hypergraph input: bad vertex, duplicate or empty edge."""
+
+
+def _read_int(key: str, value) -> int:
+    """An int, or an integral float as an int; never a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -138,14 +148,25 @@ def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
 def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Canonicalize raw edge lists into a Hypergraph.
 
-    Each edge is sorted; a repeated vertex inside an edge, a vertex outside
-    1..n, an empty edge, or two edges equal after sorting are errors rather
-    than silently merged.
+    ``n`` and every vertex are read by ``_read_int``, and each edge must be
+    a list or tuple. Each edge is sorted; a repeated vertex inside an edge, a
+    vertex outside 1..n, an empty edge, or two edges equal after sorting are
+    errors rather than silently merged.
     """
+    n = _read_int("n", n)
     if n < 1:
         raise HypergraphError(f"vertex count must be positive, got {n}")
     if n > MAX_VERTICES:
         raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
+    edges = list(edges)
+    # Int vertices in lists or tuples skip the reader: two type scans in C
+    # cost a fraction of a Python check per edge.
+    if not (set(map(type, edges)) <= {list, tuple}
+            and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
+        for raw in edges:
+            if not isinstance(raw, (list, tuple)):
+                raise HypergraphError(f"edge must be a list of vertices, got {raw!r}")
+        edges = [[_read_int("vertex", v) for v in raw] for raw in edges]
     per_level: dict[int, set[Edge]] = {}
     for raw in edges:
         e = tuple(sorted(raw))
@@ -217,7 +238,7 @@ def from_json(text: str) -> Hypergraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise HypergraphError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+    if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise HypergraphError('hypergraph JSON must be {"n": int, "edges": [[...], ...]}')
     return validate(doc["n"], doc["edges"])
 

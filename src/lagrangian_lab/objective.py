@@ -23,12 +23,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _read_int
 
 Number = float | int | Fraction
 
@@ -69,10 +68,6 @@ class Coefficients:
             if rr == r:
                 return a
         raise MissingCoefficientError(f"no coefficient for cardinality {r} (base r0={self.r0})")
-
-    def require_for(self, h: Hypergraph) -> None:
-        for r in h.edge_types:
-            self.coefficient(r)
 
     @classmethod
     def make(cls, r0: int, alpha: Mapping[int, Number] | None = None) -> "Coefficients":
@@ -116,15 +111,6 @@ def flavour_coefficients(
     if flavour == "L":
         return Coefficients.make(r0, {r: a for r, a in (alpha or {}).items() if r > r0}), 1
     raise ValueError(f"unknown objective flavour {flavour!r}")
-
-
-def _read_int(key: str, value) -> int:
-    """An int, or an integral float as an int; never a bool or a string."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _read_positive(key: str, value) -> Fraction:
@@ -196,7 +182,8 @@ class Objective:
     added with numpy's pairwise summation, and the levels are added in
     increasing order. Gradient component i accumulates, starting from 0,
     the contributions of the edges through i in the order level, position
-    of i within the edge, edge.
+    of i within the edge, edge. Construction raises
+    ``MissingCoefficientError`` for the first level without a coefficient.
     """
 
     def __init__(self, h: Hypergraph, coeffs: Coefficients):

@@ -242,7 +242,6 @@ def maximize(
     ties; this realizes the minimal-support solution convention.
     """
     cfg = cfg or SolverConfig()
-    coeffs.require_for(h)
     obj = Objective(h, coeffs)
     if not h.edge_types:
         x = np.zeros(h.n)
@@ -277,7 +276,6 @@ def polish(
 ) -> OptimizationResult:
     """Single ascent run from a given point (used to refine grid maxima)."""
     cfg = cfg or SolverConfig()
-    coeffs.require_for(h)
     obj = Objective(h, coeffs)
     if not h.edge_types:
         return _finalize(obj, np.asarray(x0, float), method, 0, True)
@@ -321,9 +319,8 @@ def grid_oracle(
     :func:`polish` from the returned argmax to close the gap. Among equal
     maxima the first point in enumeration order wins.
     """
-    coeffs.require_for(h)
-    check_grid(h.n, resolution)
     obj = Objective(h, coeffs)
+    check_grid(h.n, resolution)
     best_val, best_x = -math.inf, None
     for counts in _grid_blocks(h.n, resolution):
         pts = counts / resolution

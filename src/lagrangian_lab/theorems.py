@@ -8,13 +8,16 @@ c_r changes between results: 1 for ``lambda`` (monomial sum), alpha_r for
 ``L`` (1 on the base level) and r! for ``lambda'`` (r0! times L with
 alpha_r = r!/r0!).
 
-``SPECS`` holds one ``TheoremSpec`` row per theorem: the type pattern, the
-objective flavour, the ordered hypothesis checks (``_Checker`` methods) and
-whether a strict, clique-free branch applies. ``closed_form_exact`` resolves
-the pattern from the parameters and evaluates the sum; ``check_hypotheses``
-runs the checks; ``verify`` optimizes the objective and, in exact mode,
+``SPECS`` maps each theorem id to its ``TheoremSpec`` row and is the only
+list of theorems: the type pattern, the objective flavour, the ordered
+hypothesis checks (``_Checker`` methods) and whether a strict, clique-free
+branch applies. An id it does not hold raises ``ValueError``.
+``closed_form_exact`` resolves the pattern from the parameters and evaluates
+the sum; ``check_hypotheses`` runs the checks; ``verify`` optimizes the
+objective, which must come within ``_TOL`` (1e-6) of the closed form, and
 evaluates the uniform-on-clique weighting in rational arithmetic, where the
-identity must hold with zero tolerance.
+identity must hold with zero tolerance. A verdict passes only on a converged
+solve.
 
 In a type pattern an int is a fixed level, ``"r"`` the rank (parameter ``r``,
 else the instance's largest level above 2), ``"k?"`` a level k kept when the
@@ -39,43 +42,23 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from numbers import Real
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
-from .hypergraph import Hypergraph, vertex_support
-from .objective import _read_int, _read_positive, eval_exact, flavour_coefficients, rational_uniform
+from .hypergraph import Hypergraph, _read_int, vertex_support
+from .objective import _read_positive, eval_exact, flavour_coefficients, rational_uniform
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
-class TheoremId(str, Enum):
-    MS_T1 = "MS_T1"
-    NONUNIF_T3 = "NONUNIF_T3"
-    ONE_R_T4 = "ONE_R_T4"
-    ONE_TWO_THREE_T5 = "ONE_TWO_THREE_T5"
-    TWO_R_T6a = "TWO_R_T6a"
-    ONE_TWO_R_T6b = "ONE_TWO_R_T6b"
-    TWO_R_EDGES_T7a = "TWO_R_EDGES_T7a"
-    ONE_TWO_R_EDGES_T7b = "ONE_TWO_R_EDGES_T7b"
-    COR1a = "COR1a"
-    COR1b = "COR1b"
-    COR2a = "COR2a"
-    COR2b = "COR2b"
-    GENERAL_T9a = "GENERAL_T9a"
-    GENERAL_T9b = "GENERAL_T9b"
-    MIXED_T10a = "MIXED_T10a"
-    MIXED_T10b = "MIXED_T10b"
-    MIXED_T10c = "MIXED_T10c"
-    PZ = "PZ"
-    TPZZ = "TPZZ"
-    PTZ = "PTZ"
+# A verdict's equality tolerance: |numerical - closed form| <= _TOL.
+_TOL = 1e-6
 
 
 def theorem_ids() -> tuple[str, ...]:
-    return tuple(t.value for t in TheoremId)
+    return tuple(SPECS)
 
 
 @dataclass(frozen=True)
@@ -87,7 +70,7 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    theorem: TheoremId
+    theorem: str
     ok: bool
     conditions: tuple[ConditionCheck, ...]
     derived: dict
@@ -95,7 +78,7 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    theorem: TheoremId
+    theorem: str
     hypotheses_ok: bool
     conditions: tuple[ConditionCheck, ...]
     applicable: bool
@@ -105,7 +88,6 @@ class TheoremVerdict:
     uniform_on_clique: float | None
     uniform_on_clique_exact: Fraction | None
     kkt_residual: float | None
-    tolerance: float
     passed: bool
     margin: float | None
     t: int | None
@@ -119,7 +101,7 @@ class TheoremVerdict:
             return None if v is None else f"{v.numerator}/{v.denominator}"
 
         return {
-            "theorem": self.theorem.value,
+            "theorem": self.theorem,
             "hypotheses_ok": self.hypotheses_ok,
             "conditions": [
                 {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.conditions
@@ -131,7 +113,7 @@ class TheoremVerdict:
             "uniform_on_clique": self.uniform_on_clique,
             "uniform_on_clique_exact": frac(self.uniform_on_clique_exact),
             "kkt_residual": self.kkt_residual,
-            "tolerance": self.tolerance,
+            "tolerance": _TOL,
             "pass": self.passed,
             "margin": self.margin,
             "t": self.t,
@@ -259,20 +241,19 @@ def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -
     return alpha
 
 
-def closed_form_exact(theorem: TheoremId | str, params: Mapping) -> Fraction:
+def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
     """Exact closed-form optimum: sum of c_r * C(t,r) / t^r over the pattern."""
-    tid = TheoremId(theorem)
-    spec = SPECS[tid]
+    spec = _spec(theorem)
     p = _read_params(params)
     t, r = p.get("t"), p.get("r")
     if t is None:
-        raise ValueError(f"closed form for {tid.value} needs a positive t, got {t}")
+        raise ValueError(f"closed form for {theorem} needs a positive t, got {t}")
     levels = tuple(sorted(set(p.get("types", ())))) if spec.takes_types else ()
     if not levels:
         if any(isinstance(e, str) and e != "r" for e in spec.pattern):
-            raise ValueError(f"closed form for {tid.value} needs the edge-type list")
+            raise ValueError(f"closed form for {theorem} needs the edge-type list")
         if "r" in spec.pattern and (r is None or r < 3):
-            raise ValueError(f"closed form for {tid.value} needs r >= 3, got {r}")
+            raise ValueError(f"closed form for {theorem} needs r >= 3, got {r}")
         levels = _resolve(spec.pattern, r, ())
     alpha = _alpha(spec.pattern, p, levels, r) if spec.flavour == "L" else None
     coeffs, scale = flavour_coefficients(spec.flavour, levels, alpha)
@@ -530,42 +511,49 @@ _T10a = (_C.shape, _C.clique, _C.pair_clique, _C.top_span, _C.uniform_window)
 _T10b = (_C.shape, _C.singleton_cover, _C.clique, _C.pair_clique, _C.uniform_window)
 _T10c = (_C.shape, _C.singleton_cover, _C.strict_or_covered_clique)
 
-SPECS: dict[TheoremId, TheoremSpec] = {
-    TheoremId.MS_T1: TheoremSpec((2,), "lambda", (_C.shape_within, _C.clique)),
-    TheoremId.NONUNIF_T3: TheoremSpec((1, 2), "lambda'", (_C.shape, _C.clique, _C.min_order_two)),
-    TheoremId.ONE_R_T4: TheoremSpec((1, "r"), "L", _T4),
-    TheoremId.ONE_TWO_THREE_T5: TheoremSpec((1, 2, 3), "L", _T5),
-    TheoremId.TWO_R_T6a: TheoremSpec((2, "r"), "L", _TWO_R, note=_T6a_NOTE),
-    TheoremId.ONE_TWO_R_T6b: TheoremSpec((1, 2, "r"), "L", _TWO_R),
-    TheoremId.TWO_R_EDGES_T7a: TheoremSpec((2, "r"), "L", _TWO_R_EDGES),
-    TheoremId.ONE_TWO_R_EDGES_T7b: TheoremSpec((1, 2, "r"), "L", _T7b),
-    TheoremId.COR1a: TheoremSpec((2, "r"), "lambda'", _COR1),
-    TheoremId.COR1b: TheoremSpec((1, 2, "r"), "lambda'", _COR1),
-    TheoremId.COR2a: TheoremSpec((2, "r"), "lambda'", _COR2),
-    TheoremId.COR2b: TheoremSpec((1, 2, "r"), "lambda'", _COR2),
-    TheoremId.GENERAL_T9a: TheoremSpec((2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
-    TheoremId.GENERAL_T9b: TheoremSpec((1, 2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
-    TheoremId.MIXED_T10a: TheoremSpec(("1?", 2, "r"), "lambda'", _T10a, takes_types=True),
-    TheoremId.MIXED_T10b: TheoremSpec((1, "2?", 3), "lambda'", _T10b, takes_types=True),
-    TheoremId.MIXED_T10c: TheoremSpec((1, 3), "lambda'", _T10c, strict=True, takes_types=True),
-    TheoremId.PZ: TheoremSpec((3,), "lambda", (_C.shape, _C.contains_clique, _C.uniform_window)),
-    TheoremId.TPZZ: TheoremSpec((3,), "lambda", (_C.shape, _C.clique_free), strict=True),
-    TheoremId.PTZ: TheoremSpec(("r",), "lambda", _PTZ),
+SPECS: dict[str, TheoremSpec] = {
+    "MS_T1": TheoremSpec((2,), "lambda", (_C.shape_within, _C.clique)),
+    "NONUNIF_T3": TheoremSpec((1, 2), "lambda'", (_C.shape, _C.clique, _C.min_order_two)),
+    "ONE_R_T4": TheoremSpec((1, "r"), "L", _T4),
+    "ONE_TWO_THREE_T5": TheoremSpec((1, 2, 3), "L", _T5),
+    "TWO_R_T6a": TheoremSpec((2, "r"), "L", _TWO_R, note=_T6a_NOTE),
+    "ONE_TWO_R_T6b": TheoremSpec((1, 2, "r"), "L", _TWO_R),
+    "TWO_R_EDGES_T7a": TheoremSpec((2, "r"), "L", _TWO_R_EDGES),
+    "ONE_TWO_R_EDGES_T7b": TheoremSpec((1, 2, "r"), "L", _T7b),
+    "COR1a": TheoremSpec((2, "r"), "lambda'", _COR1),
+    "COR1b": TheoremSpec((1, 2, "r"), "lambda'", _COR1),
+    "COR2a": TheoremSpec((2, "r"), "lambda'", _COR2),
+    "COR2b": TheoremSpec((1, 2, "r"), "lambda'", _COR2),
+    "GENERAL_T9a": TheoremSpec((2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
+    "GENERAL_T9b": TheoremSpec((1, 2, "3+"), "L", _GENERAL, takes_types=True, note=_T9_NOTE),
+    "MIXED_T10a": TheoremSpec(("1?", 2, "r"), "lambda'", _T10a, takes_types=True),
+    "MIXED_T10b": TheoremSpec((1, "2?", 3), "lambda'", _T10b, takes_types=True),
+    "MIXED_T10c": TheoremSpec((1, 3), "lambda'", _T10c, strict=True, takes_types=True),
+    "PZ": TheoremSpec((3,), "lambda", (_C.shape, _C.contains_clique, _C.uniform_window)),
+    "TPZZ": TheoremSpec((3,), "lambda", (_C.shape, _C.clique_free), strict=True),
+    "PTZ": TheoremSpec(("r",), "lambda", _PTZ),
 }
 
 
+def _spec(theorem: str) -> TheoremSpec:
+    """The registered row of a theorem id; an unknown id raises ``ValueError``."""
+    try:
+        return SPECS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r}; choose from {', '.join(SPECS)}") from None
+
+
 def check_hypotheses(
-    theorem: TheoremId | str, h: Hypergraph, params: Mapping | None = None
+    theorem: str, h: Hypergraph, params: Mapping | None = None
 ) -> HypothesisReport:
     """Evaluate every hypothesis of a theorem on a concrete instance.
 
     Failed conditions are reported, never raised; ``derived`` carries the
     quantities the verifier needs (t, r, m, clique vertices, coefficients).
     """
-    tid = TheoremId(theorem)
-    c = _Checker(SPECS[tid], h, params)
+    c = _Checker(_spec(theorem), h, params)
     c.run()
-    return HypothesisReport(tid, all(cond.ok for cond in c.conds), tuple(c.conds), c.derived)
+    return HypothesisReport(theorem, all(cond.ok for cond in c.conds), tuple(c.conds), c.derived)
 
 
 # ---------------------------------------------------------------------------
@@ -574,40 +562,40 @@ def check_hypotheses(
 
 
 def verify(
-    theorem: TheoremId | str,
+    theorem: str,
     h: Hypergraph,
     params: Mapping | None = None,
     cfg: SolverConfig | None = None,
-    tol: float = 1e-6,
 ) -> TheoremVerdict:
     """Check hypotheses, optimize numerically, and compare both the solver
-    value and the exact uniform-on-clique value against the closed form.
+    value (within ``_TOL``) and the exact uniform-on-clique value against
+    the closed form.
 
     Strict-branch results (clique-free windows) instead require the solver
     value to sit below the closed form by at least the configured margin;
-    the measured gap is reported either way.
+    the measured gap is reported either way. Neither branch passes when the
+    solver ran out of budget: an unconverged value only bounds the maximum
+    from below.
     """
-    tid = TheoremId(theorem)
-    spec = SPECS[tid]
+    spec = _spec(theorem)
     p = _read_params(params)
-    report = check_hypotheses(tid, h, p)
+    report = check_hypotheses(theorem, h, p)
     derived = dict(report.derived)
     strictness_margin = p.get("strictness_margin", 1e-4)
     notes = [spec.note] if spec.note else []
 
     try:
-        cf_exact = closed_form_exact(tid, {**p, **derived})
+        cf_exact = closed_form_exact(theorem, {**p, **derived})
         cf = float(cf_exact)
     except ValueError:
         cf_exact, cf = None, math.nan
     verdict = partial(
         TheoremVerdict,
-        theorem=tid,
+        theorem=theorem,
         hypotheses_ok=report.ok,
         conditions=report.conditions,
         closed_form=cf,
         closed_form_exact=cf_exact,
-        tolerance=tol,
         t=derived.get("t"),
         r=derived.get("r"),
     )
@@ -625,13 +613,13 @@ def verify(
     uniform_exact: Fraction | None = None
     margin = cf - numerical
     if spec.strict and not derived.get("clique_present", False):
-        passed = margin >= strictness_margin
+        passed = res.converged and margin >= strictness_margin
         notes.append(f"strict branch: measured gap {margin:.6g} (margin floor {strictness_margin:g})")
     else:
         clique = derived.get("clique")
         if clique:
             uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
-        passed = abs(numerical - cf) <= tol and uniform_exact == cf_exact
+        passed = res.converged and abs(numerical - cf) <= _TOL and uniform_exact == cf_exact
 
     return verdict(
         applicable=True,

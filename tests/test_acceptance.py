@@ -125,7 +125,7 @@ def test_criterion_03_one_r_family():
             if max(c) > 5 and rng.random() < 0.3:
                 edges.append(list(c))
         h = validate(n, edges)
-        verdict = verify("ONE_R_T4", h, {"alpha_r": 6}, _cfg(seed), tol=1e-6)
+        verdict = verify("ONE_R_T4", h, {"alpha_r": 6}, _cfg(seed))
         ok &= verdict.passed and verdict.t == 5
         worst = max(worst, abs(verdict.numerical - 1.48))
     _criterion(3, "{1,r} closed form 1.48 and threshold 5", ok, f"worst err {worst:.2e}")
@@ -133,7 +133,7 @@ def test_criterion_03_one_r_family():
 
 def test_criterion_04_one_two_three_family():
     h = complete(3, (1, 2, 3))
-    verdict = verify("ONE_TWO_THREE_T5", h, {"alpha_2": 1, "alpha_3": 1}, _cfg(4), tol=1e-6)
+    verdict = verify("ONE_TWO_THREE_T5", h, {"alpha_2": 1, "alpha_3": 1}, _cfg(4))
     ok = verdict.passed
     ok &= verdict.uniform_on_clique_exact == Fraction(37, 27)
     ok &= verdict.closed_form_exact == Fraction(37, 27)
@@ -148,7 +148,7 @@ def test_criterion_05_two_r_sweep():
     for seed in range(1, 26):
         n = 5 + (seed % 3)  # n in {5, 6, 7}
         h = gen_planted("t6a", {"t": 4, "r": 3, "n": n}, seed=seed)
-        verdict = verify("TWO_R_T6a", h, {"alpha_r": 1}, _cfg(seed, starts=4), tol=1e-6)
+        verdict = verify("TWO_R_T6a", h, {"alpha_r": 1}, _cfg(seed, starts=4))
         if not verdict.passed:
             failures.append(seed)
     elapsed = time.perf_counter() - started
@@ -163,9 +163,7 @@ def test_criterion_06_edge_window_sweep():
         for m in range(lo, hi + 1):
             for seed in range(1, 6):
                 h = gen_planted("t7a", {"t": t, "m": m, "r": 3}, seed=seed)
-                verdict = verify(
-                    "TWO_R_EDGES_T7a", h, {"alpha_r": 1}, _cfg(seed, starts=4), tol=1e-6
-                )
+                verdict = verify("TWO_R_EDGES_T7a", h, {"alpha_r": 1}, _cfg(seed, starts=4))
                 if not verdict.passed:
                     failures.append((t, m, seed))
     _criterion(6, "2-level edge-window sweep t=4..6, full windows, 5 seeds", not failures,
@@ -182,7 +180,7 @@ def test_criterion_07_factorial_weight_values_and_wrappers():
         for seed in (1, 2):
             g = gen_planted("ptz", {"t": 4, "r": 3, "m": m}, seed=seed)
             h = with_singletons(g)
-            verdict = verify("MIXED_T10b", h, cfg=_cfg(seed), tol=1e-6)
+            verdict = verify("MIXED_T10b", h, cfg=_cfg(seed))
             ok &= verdict.passed
             worst = max(worst, abs(verdict.numerical - 1.375))
     _criterion(7, "9/8 and 11/8 exact; {1,3}-wrapped window instances", ok, f"worst err {worst:.2e}")
@@ -194,7 +192,7 @@ def test_criterion_08_strict_branch():
     for seed in range(1, 11):
         g = gen_planted("tpzz-free", {"t": 4, "m": 5, "n": 6}, seed=seed)
         h = with_singletons(g)
-        verdict = verify("MIXED_T10c", h, {"t": 4}, _cfg(seed), tol=1e-6)
+        verdict = verify("MIXED_T10c", h, {"t": 4}, _cfg(seed))
         ok &= verdict.passed
         ok &= verdict.margin is not None and verdict.margin > 0
         ok &= verdict.numerical <= 1.375 - verdict.margin + 1e-12

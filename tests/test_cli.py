@@ -113,6 +113,29 @@ class TestCompute:
         assert run(["compute", k5_file, "--tol", "1e-6"]) == 1
 
     @pytest.mark.parametrize(
+        "doc,message",
+        [('{"n": "5", "edges": [[1, 2]]}', "n must be an integer, got '5'"),
+         ('{"n": 5.5, "edges": [[1, 2]]}', "n must be an integer, got 5.5"),
+         ('{"n": 5, "edges": 3}', 'hypergraph JSON must be {"n": int, "edges": [[...], ...]}'),
+         ('{"n": 5, "edges": [3]}', "edge must be a list of vertices, got 3"),
+         ('{"n": 5, "edges": [["a", 2]]}', "vertex must be an integer, got 'a'"),
+         ('{"n": 5, "edges": [[true, 2]]}', "vertex must be an integer, got True")],
+        ids=["n-string", "n-fraction", "edges-int", "edge-int", "vertex-string", "vertex-bool"],
+    )
+    @pytest.mark.parametrize("command", ["compute", "clique"])
+    def test_malformed_hypergraph_exits_one(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "h.json"
+        path.write_text(doc)
+        assert run([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_vertices_are_ints(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text('{"n": 5.0, "edges": [[1.0, 2.0]]}')
+        assert run(["clique", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["vertices"] == [1, 2]
+
+    @pytest.mark.parametrize(
         "flags,message",
         [(["--coeffs", "c.json"], "--coeffs needs --objective weighted"),
          (["--objective", "lambda-prime", "--coeffs", "c.json"], "--coeffs needs --objective weighted"),
@@ -260,6 +283,11 @@ class TestVerify:
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
         assert run(args) == 1
 
+    def test_tol_flag_removed(self, one_two_file, capsys):
+        args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--tol", "1e-3"]
+        assert run(args) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --tol 1e-3\n"
+
     def test_unreadable_coefficient_exits_one(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         dump(gen_planted("t6a", {"t": 4}, seed=1), path)
@@ -403,6 +431,13 @@ class TestSweepSeedsAndFailures:
         assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "3,1"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [row["seed"] for row in rows] == ["3", "1"]
+
+    @pytest.mark.parametrize("flags", [["--theorem", "PTZ,NOPE"], ["--theorem", "PTZ", "--tol", "1e-3"]],
+                             ids=["unknown-theorem", "tol"])
+    def test_bad_input_exits_one_before_any_row(self, capsys, flags):
+        assert run(self.BASE + ["--seeds", "1"] + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_failed_rows_exit_two(self, capsys):
         assert run(self.BASE + ["--theorem", "PTZ,NONUNIF_T3", "--seeds", "1..2"]) == 2

@@ -17,6 +17,8 @@ from lagrangian_lab import (
     flavour_coefficients,
     gen_random,
     gradient,
+    grid_oracle,
+    maximize,
     rational_uniform,
     uniform_weights,
     validate,
@@ -104,11 +106,14 @@ class TestCoefficients:
         parsed = Coefficients.from_json('{"r0": 2, "alpha": {"3": "1/3"}}')
         assert parsed.coefficient(3) == Fraction(1, 3)
 
-    def test_require_for(self):
+    def test_levels_need_coefficients(self):
+        """A solve's one coverage check is building its ``Objective``; the
+        grid oracle builds it before checking the resolution."""
         h = complete(4, (2, 3))
-        Coefficients.make(2, {3: 1}).require_for(h)
-        with pytest.raises(MissingCoefficientError):
-            Coefficients.make(2, {}).require_for(h)
+        Objective(h, Coefficients.make(2, {3: 1}))
+        for call in (Objective, maximize, lambda h, c: grid_oracle(h, c, 0)):
+            with pytest.raises(MissingCoefficientError, match="cardinality 3"):
+                call(h, Coefficients.make(2, {}))
 
 
 class TestFeasibility:

@@ -1,5 +1,6 @@
 """The settable surface: a result depends on the instance, the theorem and
-its parameters, and the solver's ``starts``, ``max_iters`` and ``seed``."""
+its parameters, and the solver's ``starts``, ``max_iters`` and ``seed``; a
+verdict's tolerance is fixed."""
 
 import dataclasses
 import inspect
@@ -13,6 +14,7 @@ from lagrangian_lab import (
     load,
     loads,
     validate,
+    verify,
 )
 from lagrangian_lab.cli import run
 
@@ -20,6 +22,7 @@ from lagrangian_lab.cli import run
 def test_settable_surface(monkeypatch, capsys):
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["starts", "max_iters", "seed"]
     assert list(inspect.signature(kkt_residual).parameters) == ["h", "coeffs", "x"]
+    assert list(inspect.signature(verify).parameters) == ["theorem", "h", "params", "cfg"]
     for fn in (validate, complete, from_json, from_text, loads, load):
         kinds = {p.kind for p in inspect.signature(fn).parameters.values()}
         assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, fn.__name__

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,17 +6,18 @@ import pytest
 
 from lagrangian_lab import (
     SolverConfig,
-    TheoremId,
     check_hypotheses,
     closed_form_exact,
     complete,
     complete_value_exact,
     gen_planted,
     maximize,
+    theorem_ids,
     validate,
     verify,
     with_singletons,
 )
+from lagrangian_lab import theorems as theorems_module
 from lagrangian_lab.theorems import (
     _read_params,
     pair_edge_window,
@@ -274,8 +276,20 @@ class TestVerify:
     def test_budget_exhausted_note(self):
         h = gen_planted("tpzz-free", {"t": 4, "m": 5, "n": 6}, seed=2)
         verdict = verify("TPZZ", h, {"t": 4}, SolverConfig(starts=2, max_iters=1))
-        assert not verdict.solver.converged
+        assert not verdict.solver.converged and not verdict.passed
         assert "solver budget exhausted before convergence" in verdict.notes
+
+    def test_unconverged_equality_fails(self, fast_cfg, monkeypatch):
+        """The equality branch also needs a converged solve, even at the
+        closed form's value."""
+        solve = theorems_module.maximize
+        monkeypatch.setattr(theorems_module, "maximize",
+                            lambda *args: dataclasses.replace(solve(*args), converged=False))
+        h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6}, seed=2)
+        verdict = verify("TWO_R_T6a", h, {"alpha_r": 1}, cfg=fast_cfg)
+        assert abs(verdict.numerical - verdict.closed_form) <= 1e-6
+        assert verdict.uniform_on_clique_exact == verdict.closed_form_exact
+        assert not verdict.passed
 
     def test_not_applicable_short_circuit(self, fast_cfg):
         h = complete(4, (2, 3))
@@ -369,8 +383,10 @@ def test_mixed_t10a_instance(fast_cfg):
     assert verdict.m == 6
 
 
-def test_enum_is_closed():
-    assert len(TheoremId) == 20
-    assert TheoremId("MS_T1") is TheoremId.MS_T1
-    with pytest.raises(ValueError):
-        TheoremId("NOPE")
+def test_registry_is_closed():
+    assert len(theorem_ids()) == 20 and theorem_ids()[0] == "MS_T1"
+    h = complete(3, (2,))
+    for call in (lambda: check_hypotheses("NOPE", h), lambda: closed_form_exact("NOPE", {"t": 3}),
+                 lambda: verify("NOPE", h)):
+        with pytest.raises(ValueError, match="unknown theorem 'NOPE'"):
+            call()
