@@ -356,7 +356,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

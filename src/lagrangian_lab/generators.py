@@ -11,12 +11,15 @@ Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
 is a positive rational, ``density`` and ``extra_density`` are numbers in
 [0, 1], ``types`` is a list of positive ints, and ``null`` means the
-default. ``t6a`` and ``t7a`` plant a clique of order t carrying every 2-
-and r-edge on it (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its
-2-level window); their ``mode`` sets the other r-edges on [n]:
-``random-r-level`` (the default) keeps each with probability
-``extra_density`` (0.3), ``complete-r-level`` keeps them all, and any other
-mode raises ``GenerationError``.
+default. ``t6a``, ``t7a`` and ``ptz`` share one builder: it plants a
+clique on [t] and adds the m - lo extra edges of one window through vertex
+t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t] with extra 2-edges
+(``t6a`` is ``t7a`` with m at the floor C(t, 2) of its 2-level window);
+their ``mode`` sets the other r-edges on [n]: ``random-r-level`` (the
+default) keeps each with probability ``extra_density`` (0.3),
+``complete-r-level`` keeps them all, and any other mode raises
+``GenerationError``. ``ptz`` plants the r-edges on [t] with extra r-edges
+and n = t+1.
 """
 
 from __future__ import annotations
@@ -76,46 +79,25 @@ def _complete_edges(vertices: Iterable[int], r: int) -> list[Edge]:
     return [tuple(c) for c in itertools.combinations(sorted(vertices), r)]
 
 
-def _gen_t7a(rng: random.Random, t: int, r: int, n: int, m: int, mode: str, extra_density: float) -> Hypergraph:
-    lo, hi = pair_edge_window(t)
+def _plant(rng: random.Random, t: int, n: int, levels: tuple[int, ...], window: int,
+           bounds: tuple[int, int], m: int) -> list[Edge]:
+    """Every edge of ``levels`` on [t], plus m - lo edges of level ``window``
+    through vertex t+1, where [lo, hi] = ``bounds`` is the window of m.
+
+    hi - lo is below the C(t, window-1) places for an extra, so vertex t+1
+    never joins the clique."""
+    lo, hi = bounds
     if not lo <= m <= hi:
-        raise GenerationError(f"m={m} outside the 2-level window [{lo}, {hi}] for t={t}")
+        raise GenerationError(f"m={m} outside the {window}-level window [{lo}, {hi}] for t={t}")
     if n < t + 1 and m > lo:
-        raise GenerationError("extra 2-edges need an attachment vertex t+1; raise n")
+        raise GenerationError(f"extra {window}-edges need an attachment vertex t+1; raise n")
     if n < t:
         raise GenerationError(f"need n >= t, got n={n}, t={t}")
-    if t < r:
-        raise GenerationError(f"need t >= r, got t={t}, r={r}")
-    edges: list[Edge] = _complete_edges(range(1, t + 1), 2)
-    # extras attach vertex t+1 to at most t-2 clique vertices, so no larger
-    # pairwise-complete set can appear
-    for v in sorted(rng.sample(range(1, t + 1), m - lo)):
-        edges.append((v, t + 1))
-    planted = set(_complete_edges(range(1, t + 1), r))
-    edges.extend(sorted(planted))
-    rest = [e for e in _complete_edges(range(1, n + 1), r) if e not in planted]
-    if mode == "random-r-level":
-        rest = [e for e in rest if rng.random() < extra_density]
-    elif mode != "complete-r-level":
-        raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
-    edges.extend(rest)
-    return validate(n, edges)
-
-
-def _gen_ptz(rng: random.Random, t: int, r: int, m: int) -> Hypergraph:
-    lo, hi = uniform_edge_window(t, r)
-    if hi < lo:
-        raise GenerationError(f"edge window for t={t}, r={r} is empty")
-    if not lo <= m <= hi:
-        raise GenerationError(f"m={m} outside the r-level window [{lo}, {hi}] for t={t}, r={r}")
-    n = t + 1
-    edges: list[Edge] = _complete_edges(range(1, t + 1), r)
-    pool = [e for e in _complete_edges(range(1, n + 1), r) if n in e]
-    extras = m - lo
-    if extras > len(pool):
-        raise GenerationError(f"cannot place {extras} extra edges on vertex {n}")
-    edges.extend(sorted(rng.sample(pool, extras)))
-    return validate(n, edges)
+    if t < max(levels):
+        raise GenerationError(f"need t >= r, got t={t}, r={max(levels)}")
+    edges = [e for r in levels for e in _complete_edges(range(1, t + 1), r)]
+    pool = [c + (t + 1,) for c in itertools.combinations(range(1, t + 1), window - 1)]
+    return edges + sorted(rng.sample(pool, m - lo))
 
 
 def _gen_tpzz_free(rng: random.Random, t: int, m: int, n: int) -> Hypergraph:
@@ -143,19 +125,24 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
     mode = p.get("mode", "random-r-level")
     extra_density = p.get("extra_density", 0.3)
 
-    if family == "t6a":
-        n = p.get("n", t + 2)
-        target, tparams = "TWO_R_T6a", {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
-        h = _gen_t7a(rng, t, r, n, pair_edge_window(t)[0], mode, extra_density)
-    elif family == "t7a":
-        m = p.get("m", pair_edge_window(t)[1])
-        n = p.get("n", t + 1)
-        target, tparams = "TWO_R_EDGES_T7a", {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
-        h = _gen_t7a(rng, t, r, n, m, mode, extra_density)
+    if family in ("t6a", "t7a"):
+        lo, hi = pair_edge_window(t)
+        if family == "t6a":
+            target, m, n = "TWO_R_T6a", lo, p.get("n", t + 2)
+        else:
+            target, m, n = "TWO_R_EDGES_T7a", p.get("m", hi), p.get("n", t + 1)
+        tparams = {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
+        edges = _plant(rng, t, n, (2, r), 2, (lo, hi), m)
+        rest = [e for e in _complete_edges(range(1, n + 1), r) if e[-1] > t]
+        if mode == "random-r-level":
+            rest = [e for e in rest if rng.random() < extra_density]
+        elif mode != "complete-r-level":
+            raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
+        h = validate(n, edges + rest)
     elif family == "ptz":
-        m = p.get("m", uniform_edge_window(t, r)[0])
+        bounds = uniform_edge_window(t, r)
         target, tparams = "PTZ", {"t": t, "r": r}
-        h = _gen_ptz(rng, t, r, m)
+        h = validate(t + 1, _plant(rng, t, t + 1, (r,), r, bounds, p.get("m", bounds[0])))
     elif family == "tpzz-free":
         m = p.get("m", strict_three_window(t)[0])
         n = p.get("n", t + 2)

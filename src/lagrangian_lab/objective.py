@@ -130,14 +130,9 @@ def _read_positive(key: str, value) -> Fraction:
 
 
 def uniform_weights(n: int, support: Iterable[int] | None = None) -> np.ndarray:
-    """Uniform weighting on a vertex subset (the whole of [n] by default)."""
-    x = np.zeros(n)
-    idx = sorted(set(support)) if support is not None else list(range(1, n + 1))
-    if not idx:
-        raise ValueError("support must be nonempty")
-    for v in idx:
-        x[v - 1] = 1.0 / len(idx)
-    return x
+    """Uniform weighting on a vertex subset (the whole of [n] by default):
+    :func:`rational_uniform` as floats."""
+    return np.array(rational_uniform(n, support), dtype=float)
 
 
 def rational_uniform(n: int, support: Iterable[int] | None = None) -> tuple[Fraction, ...]:

@@ -13,18 +13,18 @@ All starts ascend in lockstep as one ``(B, n)`` batch: each iteration takes
 one batched gradient and KKT residual over the rows still running, and one
 batched line search that tries several halvings of every pending row per
 objective evaluation. A row leaves the batch when it converges, stalls or
-runs out of iterations; the tiny-support re-polish runs as a second batch.
-The batch only shares the per-call overhead: every row does exactly the
-arithmetic of an ascent from that start alone (the same projections, the
-same per-row sums and the same accepted steps), so its point, value,
-iteration count and stopping reason do not depend on the other rows.
+runs out of iterations. The batch only shares the per-call overhead: every
+row does exactly the arithmetic of an ascent from that start alone (the
+same projections, the same per-row sums and the same accepted steps), so
+its point, value, iteration count and stopping reason do not depend on the
+other rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +69,6 @@ class OptimizationResult:
     method: str
     iterations: int
     converged: bool
-    sorted_x: np.ndarray = field(default_factory=lambda: np.array([]))
     sort_permutation: tuple[int, ...] = ()
 
 
@@ -185,29 +184,6 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
     return x, val, iters, converged
 
 
-def _runs(obj: Objective, x0: np.ndarray, labels: Sequence[str], cfg: SolverConfig) -> list:
-    """Ascents from the rows of x0, each followed by its tiny-support
-    re-polish: weights stuck between the support epsilon and 1e-6 are
-    truncated and the ascent restarted from the cleaned point, as a second
-    batch; both candidates are kept for selection, the re-polish right
-    after its first run. Runs are (x, value, iterations, converged, label)."""
-    x, val, iters, conv = _ascend_batch(obj, x0, cfg)
-    tiny = (x > _SUPPORT_EPS) & (x < 1e-6)
-    again = np.nonzero(tiny.any(axis=1) & (x > 1e-6).any(axis=1))[0]
-    second = {}
-    if again.size:
-        x2 = np.where(tiny[again], 0.0, x[again])
-        x2, val2, iters2, conv2 = _ascend_batch(obj, x2 / x2.sum(axis=1)[:, None], cfg)
-        second = {int(i): (x2[k], val2[k], int(iters[i] + iters2[k]), bool(conv2[k]))
-                  for k, i in enumerate(again)}
-    runs = []
-    for i, label in enumerate(labels):
-        runs.append((x[i], val[i], int(iters[i]), bool(conv[i]), label))
-        if i in second:
-            runs.append(second[i] + (label,))
-    return runs
-
-
 def _support(x: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(x > _SUPPORT_EPS)[0])
 
@@ -227,7 +203,6 @@ def _finalize(
         method=label,
         iterations=iterations,
         converged=converged,
-        sorted_x=x[order],
         sort_permutation=perm,
     )
 
@@ -259,12 +234,10 @@ def maximize(
         starts.append(("multistart", rng.dirichlet(np.ones(h.n))))
 
     labels, points = zip(*starts)
-    runs = _runs(obj, np.array(points), labels, cfg)
-    best_val = max(r[1] for r in runs)
-    pool = [r for r in runs if r[1] >= best_val - _TOL_VALUE]
-    pool.sort(key=lambda r: (len(_support(r[0])), _support(r[0]), -r[1]))
-    x, _, iters, conv, label = pool[0]
-    return _finalize(obj, x, label, iters, conv)
+    x, val, iters, conv = _ascend_batch(obj, np.array(points), cfg)
+    pool = np.flatnonzero(val >= val.max() - _TOL_VALUE)
+    i = min(pool, key=lambda i: (len(_support(x[i])), _support(x[i]), -val[i]))
+    return _finalize(obj, x[i], labels[i], int(iters[i]), bool(conv[i]))
 
 
 def polish(
@@ -279,11 +252,8 @@ def polish(
     obj = Objective(h, coeffs)
     if not h.edge_types:
         return _finalize(obj, np.asarray(x0, float), method, 0, True)
-    x0 = np.asarray(x0, dtype=float).ravel()[None, :]
-    runs = _runs(obj, x0, [method], cfg)
-    runs.sort(key=lambda r: -r[1])
-    x, _, iters, conv, label = runs[0]
-    return _finalize(obj, x, label, iters, conv)
+    x, _, iters, conv = _ascend_batch(obj, np.asarray(x0, dtype=float).ravel()[None, :], cfg)
+    return _finalize(obj, x[0], method, int(iters[0]), bool(conv[0]))
 
 
 # Grid points per block: the most count rows ``grid_oracle`` holds at once.

@@ -216,7 +216,7 @@ def test_criterion_09_compression_monotone_at_solutions():
         res = maximize(h, coeffs, _cfg(rng.randrange(10**6), starts=4))
         mapping = {v: k + 1 for k, v in enumerate(res.sort_permutation)}
         hs = relabel(h, mapping)
-        xs = res.sorted_x
+        xs = res.x[np.array(res.sort_permutation) - 1]
         before = eval_L(hs, coeffs, xs)
         for _ in range(5):
             i = rng.randint(1, n - 1)

@@ -447,6 +447,23 @@ class TestSweepSeedsAndFailures:
         assert err == "2/4 sweep rows failed\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["compute", "{dir}"],
+    ["compute", "{k5}", "--objective", "weighted", "--coeffs", "{dir}"],
+    ["clique", "{dir}"],
+    ["verify", "--theorem", "MS_T1", "--input", "{dir}"],
+    ["generate", "--family", "t6a", "-o", "{dir}"],
+    ["compress", "{k5}", "--fixpoint", "-o", "{dir}"],
+    ["sweep", "--family", "ptz", "--theorem", "PTZ", "--seeds", "1", "--jobs", "1", "--starts", "2",
+     "--out", "{dir}"],
+], ids=["compute", "coeffs", "clique", "verify", "generate", "compress", "sweep"])
+def test_directory_path_exits_one(tmp_path, k5_file, capsys, args):
+    """A directory where a file is read or written is an input error."""
+    argv = [a.format(dir=tmp_path, k5=k5_file) for a in args]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_one():
     assert run(["compute"]) == 1
     assert run(["not-a-command"]) == 1

@@ -145,7 +145,8 @@ class TestPlantedFamilies:
 
 # sha256 (first 16 hex digits) of the JSON lines of seeds 0..7, as
 # ``lagrangian generate`` prints them: a change to any builder's output or
-# to its use of the random stream shows here.
+# to its use of the random stream shows here. New rows go at the end, so
+# the test id of each existing row stays the same.
 OUTPUT_PINS = [
     ("t6a", {"t": 4}, "29f1ec584a84a118"),
     ("t6a", {"t": 5, "r": 4, "n": 8, "extra_density": 0.6}, "ccfa23b1b7e4d4f4"),
@@ -159,6 +160,7 @@ OUTPUT_PINS = [
     ("tpzz-free", {"t": 5, "n": 7}, "6fe87e0b9b71529a"),
     ("random-lc", {}, "bd46836c87e72932"),
     ("random-lc", {"n": 7, "types": [1, 2, 4], "density": 0.4}, "b5d7f80a74475d5e"),
+    ("ptz", {"t": 6, "r": 4, "m": 16}, "9d361cab37026559"),
 ]
 
 

@@ -15,6 +15,7 @@ from lagrangian_lab import (
     complete,
     eval_L,
     flavour_coefficients,
+    gen_planted,
     gen_random,
     grid_oracle,
     kkt_residual,
@@ -108,9 +109,8 @@ class TestMaximize:
         h = validate(4, [[3, 4]])
         res = maximize(h, Coefficients.ones((2,)), fast_cfg)
         assert sorted(res.sort_permutation) == [1, 2, 3, 4]
-        assert np.all(np.diff(res.sorted_x) <= 1e-15)
-        perm = np.array(res.sort_permutation) - 1
-        assert np.allclose(res.x[perm], res.sorted_x)
+        sorted_x = res.x[np.array(res.sort_permutation) - 1]
+        assert np.all(np.diff(sorted_x) <= 1e-15)
 
     def test_feasibility_of_result(self, fast_cfg):
         h = gen_random(7, (1, 2, 3), 0.5, seed=21)
@@ -276,6 +276,28 @@ def test_one_objective_per_solve(solve, monkeypatch, fast_cfg):
     monkeypatch.undo()
     assert res.value == eval_L(h, coeffs, res.x)
     assert res.kkt_residual == kkt_residual(h, coeffs, res.x)
+
+
+@pytest.mark.parametrize("solve", ["maximize", "polish"])
+def test_one_ascent_batch_per_solve(solve, monkeypatch, fast_cfg):
+    """Each start is one run of one batched ascent, also where runs end with
+    stray weights below 1e-6, as on this planted PTZ instance."""
+    batches = []
+    ascend = optimizer._ascend_batch
+
+    def spy(obj, x0, cfg):
+        batches.append(len(x0))
+        return ascend(obj, x0, cfg)
+
+    monkeypatch.setattr(optimizer, "_ascend_batch", spy)
+    h = gen_planted("ptz", {"t": 4, "r": 3, "m": 7}, seed=9)
+    if solve == "maximize":
+        res = maximize(h, Coefficients.ones((3,)), fast_cfg)
+        assert batches == [1 + h.n + fast_cfg.starts]  # clique, prefixes, random
+    else:
+        res = polish(h, Coefficients.ones((3,)), uniform_weights(h.n), fast_cfg)
+        assert batches == [1]
+    assert res.value == pytest.approx(1 / 16, abs=1e-12)
 
 
 def test_solver_config_validation():
