@@ -13,13 +13,13 @@ is a positive rational, ``density`` and ``extra_density`` are numbers in
 [0, 1], ``types`` is a list of positive ints, and ``null`` means the
 default. ``t6a``, ``t7a`` and ``ptz`` share one builder: it plants a
 clique on [t] and adds the m - lo extra edges of one window through vertex
-t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t] with extra 2-edges
-(``t6a`` is ``t7a`` with m at the floor C(t, 2) of its 2-level window);
-their ``mode`` sets the other r-edges on [n]: ``random-r-level`` (the
-default) keeps each with probability ``extra_density`` (0.3),
-``complete-r-level`` keeps them all, and any other mode raises
-``GenerationError``. ``ptz`` plants the r-edges on [t] with extra r-edges
-and n = t+1.
+t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t], r >= 3, with
+extra 2-edges (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its
+2-level window); their ``mode`` sets the other r-edges on [n]:
+``random-r-level`` (the default) keeps each with probability
+``extra_density`` (0.3), ``complete-r-level`` keeps them all, and any other
+mode raises ``GenerationError``. ``ptz`` plants the r-edges on [t] with
+extra r-edges and n = t+1.
 """
 
 from __future__ import annotations
@@ -126,6 +126,9 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
     extra_density = p.get("extra_density", 0.3)
 
     if family in ("t6a", "t7a"):
+        if r < 3:
+            # The 2-level is planted on its own; r = 2 would plant it twice.
+            raise GenerationError(f"family {family!r} needs r >= 3, got r={r}")
         lo, hi = pair_edge_window(t)
         if family == "t6a":
             target, m, n = "TWO_R_T6a", lo, p.get("n", t + 2)

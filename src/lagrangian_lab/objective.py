@@ -1,7 +1,7 @@
 """Weighted polynomial objectives of a hypergraph over the standard simplex.
 
-One evaluator, :class:`Objective`, computes the weighted program ``L`` and
-its gradient on a batch of points: the base-cardinality level has
+One evaluator, :class:`Objective`, computes the weighted program ``L``, its
+gradient and its Hessian on a batch of points: the base-cardinality level has
 coefficient 1 and each higher level r a positive coefficient alpha_r.
 
 :func:`flavour_coefficients` is the one map from an objective flavour to
@@ -19,9 +19,11 @@ identity checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -177,7 +179,8 @@ class Objective:
     added with numpy's pairwise summation, and the levels are added in
     increasing order. Gradient component i accumulates, starting from 0,
     the contributions of the edges through i in the order level, position
-    of i within the edge, edge. Construction raises
+    of i within the edge, edge; Hessian entries accumulate the same way
+    (see :meth:`hessians`). Construction raises
     ``MissingCoefficientError`` for the first level without a coefficient.
     """
 
@@ -192,23 +195,34 @@ class Objective:
             [idx.T.ravel() for _, idx in levels] or [np.empty(0, dtype=np.intp)])
         self._block = max(1, _BLOCK_ELEMENTS // max(1, self._targets.size))
 
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """The flat Hessian entry i*n + j of every edge's position pair
+        p < q, in the order per level, per pair, per edge."""
+        out, k = [np.empty(0, dtype=np.intp)], 0
+        for _, r, e in self._levels:
+            col = [self._targets[k + j * e:k + (j + 1) * e] for j in range(r)]
+            out += [col[p] * self.n + col[q] for p, q in itertools.combinations(range(r), 2)]
+            k += r * e
+        return np.concatenate(out)
+
     def _rows(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(f"points must have shape (B, {self.n}), got {arr.shape}")
         return arr
 
-    def _blocks(self, arr: np.ndarray):
-        """Row blocks of ``arr``, each with the weight at every edge
-        position: a (rows, positions) array in ``_targets`` order."""
-        for lo in range(0, arr.shape[0], self._block):
-            yield lo, np.take(arr[lo:lo + self._block], self._targets, axis=1)
+    def _blocks(self, arr: np.ndarray, block: int):
+        """Blocks of ``block`` rows of ``arr``, each with the weight at every
+        edge position: a (rows, positions) array in ``_targets`` order."""
+        for lo in range(0, arr.shape[0], block):
+            yield lo, np.take(arr[lo:lo + block], self._targets, axis=1)
 
     def values(self, x) -> np.ndarray:
         """L at every row of ``x``."""
         arr = self._rows(x)
         out = np.zeros(arr.shape[0])
-        for lo, w in self._blocks(arr):
+        for lo, w in self._blocks(arr, self._block):
             total = out[lo:lo + len(w)]
             k = 0
             for a, r, e in self._levels:
@@ -227,7 +241,7 @@ class Objective:
         arr = self._rows(x)
         rows, n = arr.shape
         out = np.empty((rows, n))
-        for lo, w in self._blocks(arr):
+        for lo, w in self._blocks(arr, self._block):
             b = w.shape[0]
             contrib = np.empty_like(w)
             k = 0
@@ -251,6 +265,42 @@ class Objective:
             flat = self._targets if b == 1 else (np.arange(b) * n)[:, None] + self._targets
             g = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=b * n)
             out[lo:lo + b] = g.reshape(b, n)
+        return out
+
+    def hessians(self, x) -> np.ndarray:
+        """Hessian of L at every row of ``x``, a ``(B, n, n)`` array: entry
+        (i, j) sums, over the edges through both i and j, the coefficient
+        times the product of the other vertex weights; the diagonal is 0.
+
+        Each edge's position pairs p < q, in the order level, pair, edge,
+        give one contribution (the other weights multiplied left to right)
+        to entry (i, j) with i < j; the lower triangle is its transpose.
+        """
+        arr = self._rows(x)
+        rows, n = arr.shape
+        out = np.empty((rows, n, n))
+        block = max(1, _BLOCK_ELEMENTS // max(self._targets.size, self._pairs.size, n * n))
+        for lo, w in self._blocks(arr, block):
+            b = w.shape[0]
+            contrib = np.empty((b, self._pairs.size))
+            k = c = 0
+            for a, r, e in self._levels:
+                cols = [w[:, k + j * e:k + (j + 1) * e] for j in range(r)]
+                for p, q in itertools.combinations(range(r), 2):
+                    others = None
+                    for j in range(r):
+                        if j != p and j != q:
+                            others = cols[j] if others is None else others * cols[j]
+                    if others is None:
+                        contrib[:, c:c + e] = a
+                    else:
+                        np.multiply(others, a, out=contrib[:, c:c + e])
+                    c += e
+                k += r * e
+            flat = (np.arange(b) * (n * n))[:, None] + self._pairs
+            upper = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=b * n * n)
+            upper = upper.reshape(b, n, n)
+            out[lo:lo + b] = upper + upper.transpose(0, 2, 1)
         return out
 
 

@@ -1,23 +1,37 @@
 """Maximization of the weighted objective over the standard simplex.
 
-Projected-gradient ascent with backtracking line search, run from three
-start families: uniform on the maximum complete subgraph (so the reported
-value never falls below the clique bound), uniform prefixes of every
-length, and Dirichlet(1) random points. A rational-grid exhaustive search
-provides an independent certified lower bound for cross-validation; it
-turns the grid's compositions into numpy count arrays one block of rows at
-a time, in ``itertools.combinations`` order, and evaluates each block as
-one batch.
+Projected-gradient ascent with backtracking line search and a face-Newton
+finish, run from three start families: uniform on the maximum complete
+subgraph (so the reported value never falls below the clique bound),
+uniform prefixes of every length, and Dirichlet(1) random points. A
+rational-grid exhaustive search provides an independent certified lower
+bound for cross-validation; it turns the grid's compositions into numpy
+count arrays one block of rows at a time, in ``itertools.combinations``
+order, and evaluates each block as one batch.
 
 All starts ascend in lockstep as one ``(B, n)`` batch: each iteration takes
-one batched gradient and KKT residual over the rows still running, and one
+one batched gradient and KKT residual over the rows still running. A row
+leaves the batch when it converges, stalls or runs out of iterations.
+
+At a maximizer every support vertex has the same partial derivative, the
+first-order condition the Motzkin-Straus-type results are read from. Once
+a row's support (its weights above ``_SUPPORT_EPS``) is the same as at its
+previous iteration, the row tries one Newton step towards that condition
+on its face: it solves the bordered system ``[H_SS -1; 1^T 0] [d; lam] =
+[-g_S; 0]`` with the exact Hessian (a singular system, as on a face with a
+direction of constant value, takes its minimum-norm least-squares step).
+The step is accepted only if every
+support weight stays above ``_SUPPORT_EPS``, the value does not drop
+(beyond ``_NEWTON_ULPS`` units of rounding) and the KKT residual strictly
+falls. Otherwise the row takes its projected-gradient step, found by one
 batched line search that tries several halvings of every pending row per
-objective evaluation. A row leaves the batch when it converges, stalls or
-runs out of iterations. The batch only shares the per-call overhead: every
-row does exactly the arithmetic of an ascent from that start alone (the
-same projections, the same per-row sums and the same accepted steps), so
-its point, value, iteration count and stopping reason do not depend on the
-other rows.
+objective evaluation, and waits ``_NEWTON_WAIT`` iterations before it
+tries Newton again.
+
+The batch only shares the per-call overhead: every row does exactly the
+arithmetic of an ascent from that start alone (the same projections,
+Newton systems, per-row sums and accepted steps), so its point, value,
+iteration count and stopping reason do not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -155,26 +169,99 @@ def _line_search(obj: Objective, x, val, step, rows, g) -> np.ndarray:
     return stalled
 
 
+# A row whose Newton step is rejected waits _NEWTON_WAIT iterations before
+# it tries again. A Newton step may lower the value by rounding only: at most
+# _NEWTON_ULPS units in the last place.
+_NEWTON_WAIT = 2
+_NEWTON_ULPS = 4
+
+
+def _newton(obj: Objective, x, val, res, g, rows) -> np.ndarray:
+    """One Newton step on the support face for ``rows`` of x at once.
+
+    Row i solves the bordered KKT system ``[H_SS -1; 1^T 0] [d; lam] =
+    [-g_S; 0]`` on its support S (weights above ``_SUPPORT_EPS``), with
+    identity rows off S so that d = 0 there, and moves to the projection of
+    x + d if that keeps the support S, does not lower the value beyond
+    rounding, and strictly lowers the KKT residual; x and val of those rows
+    are updated in place. Returns the accepted mask over ``rows``.
+    """
+    xs = x[rows]
+    m, n = xs.shape
+    sup = xs > _SUPPORT_EPS
+    kkt = np.zeros((m, n + 1, n + 1))
+    kkt[:, :n, :n] = np.where(sup[:, :, None] & sup[:, None, :], obj.hessians(xs), 0.0)
+    kkt[:, range(n), range(n)] += ~sup
+    kkt[:, :n, n], kkt[:, n, :n] = -1.0 * sup, sup
+    rhs = np.append(np.where(sup, -g, 0.0), np.zeros((m, 1)), axis=1)[:, :, None]
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        # Solve row by row (the same LAPACK call per row); a singular system,
+        # such as a face with a direction of constant value, takes its
+        # minimum-norm least-squares step.
+        sol = np.empty_like(rhs)
+        for i in range(m):
+            try:
+                sol[i] = np.linalg.solve(kkt[i], rhs[i])
+            except np.linalg.LinAlgError:
+                sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
+    y = np.where(sup, xs + sol[:, :n, 0], xs)
+    # A step that keeps the face is finite and has every weight at most 1.
+    accepted = (((y > _SUPPORT_EPS) == sup) & (y <= 1.0)).all(axis=1)
+    y = _project_rows(y[accepted])
+    vy, gy = obj.values(y), obj.gradients(y)
+    old = val[rows[accepted]]
+    keep = (((y > _SUPPORT_EPS) == sup[accepted]).all(axis=1)
+            & (vy >= old - _NEWTON_ULPS * np.spacing(old))
+            & (_residuals(y, gy) < res[accepted]))
+    accepted[accepted] = keep
+    done = rows[accepted]
+    x[done], val[done] = y[keep], vy[keep]
+    return accepted
+
+
 def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
-    """Projected-gradient ascent of every row of x0 in lockstep.
+    """Projected-gradient ascent of every row of x0 in lockstep, with a
+    face-Newton finish.
 
     Each iteration takes one batched gradient and residual over the rows
-    still running, then one batched line search. A row stops when its
-    residual is within ``_TOL_GRAD`` or no step above ``_MIN_STEP`` ascends
-    (both count as converged), or when ``max_iters`` runs out. Returns
-    points, values, iterations and converged flags, one per row.
+    still running. A row whose support is the same as at its previous
+    iteration first tries one Newton step on that face (``_newton``); the
+    other rows, and those whose step is rejected, take one batched line
+    search, and a rejected row waits ``_NEWTON_WAIT`` iterations before its
+    next try. A row stops when its residual is within ``_TOL_GRAD`` or no
+    step above ``_MIN_STEP`` ascends (both count as converged), or when
+    ``max_iters`` runs out. Returns points, values, iterations and
+    converged flags, one per row.
     """
     x = _project_rows(x0)
+    rows, n = x.shape
     val = obj.values(x)
-    step = np.ones(len(x))
-    iters = np.full(len(x), cfg.max_iters)
-    converged = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    step = np.ones(rows)
+    iters = np.full(rows, cfg.max_iters)
+    converged = np.zeros(rows, dtype=bool)
+    # Per row: the support at its previous iteration, and the first
+    # iteration at which it may try Newton.
+    face = np.zeros((rows, n), dtype=bool)
+    newton_from = np.ones(rows, dtype=int)
+    active = np.arange(rows)
     for it in range(1, cfg.max_iters + 1):
         xa = x[active]
         g = obj.gradients(xa)
-        small = _residuals(xa, g) <= _TOL_GRAD
-        stalled = _line_search(obj, x, val, step, active[~small], g[~small])
+        res = _residuals(xa, g)
+        small = res <= _TOL_GRAD
+        sup = xa > _SUPPORT_EPS
+        same = (sup == face[active]).all(axis=1)
+        face[active] = sup
+        tries = ~small & same & (sup.sum(axis=1) > 1) & (newton_from[active] <= it)
+        newton = np.zeros(len(active), dtype=bool)
+        if tries.any():
+            ok = _newton(obj, x, val, res[tries], g[tries], active[tries])
+            newton[tries] = ok
+            newton_from[active[tries][~ok]] = it + 1 + _NEWTON_WAIT
+        pgd = ~small & ~newton
+        stalled = _line_search(obj, x, val, step, active[pgd], g[pgd])
         stopped = np.concatenate([active[small], stalled])
         iters[stopped] = it
         converged[stopped] = True
@@ -210,7 +297,7 @@ def _finalize(
 def maximize(
     h: Hypergraph, coeffs: Coefficients, cfg: SolverConfig | None = None
 ) -> OptimizationResult:
-    """Best projected-gradient result over clique, prefix and random starts.
+    """Best ascent result over clique, prefix and random starts.
 
     Among runs whose values tie within ``_TOL_VALUE`` the smallest support
     wins, with the lexicographically smallest support set breaking remaining

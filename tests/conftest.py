@@ -137,6 +137,21 @@ def lambda_prime_complete(t, types):
     )
 
 
+def hessian_exact(h, coeffs, x):
+    """Exact Hessian of L at any point, as a list of ``Fraction`` rows:
+    entry (i, j) sums, over the edges through both i and j, the coefficient
+    times the product of the edge's other weights."""
+    xs = [Fraction(v) for v in x]
+    out = [[Fraction(0)] * h.n for _ in range(h.n)]
+    for r, es in h.levels:
+        a = Fraction(coeffs.coefficient(r))
+        for e in es:
+            for i, j in itertools.permutations(e, 2):
+                out[i - 1][j - 1] += a * math.prod(
+                    (xs[v - 1] for v in e if v not in (i, j)), start=Fraction(1))
+    return out
+
+
 class PairQuantities(NamedTuple):
     """Weighted link values for a vertex pair (i, j).
 

@@ -175,6 +175,13 @@ def test_t6a_needs_n_at_least_t():
         gen_planted("t6a", {"t": 4, "n": 3}, seed=0)
 
 
+@pytest.mark.parametrize("family", ["t6a", "t7a"])
+def test_pair_families_need_r_at_least_3(family):
+    # At r = 2 the r-level is the 2-level, which the builder already plants.
+    with pytest.raises(GenerationError, match=f"family '{family}' needs r >= 3, got r=2"):
+        gen_planted(family, {"t": 4, "r": 2}, seed=0)
+
+
 def test_with_singletons():
     g = gen_planted("ptz", {"t": 4, "r": 3, "m": 5}, seed=1)
     h = with_singletons(g)

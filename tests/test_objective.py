@@ -33,6 +33,7 @@ from conftest import (
     coeffs_to_json,
     eval_lambda_prime,
     fd_gradient,
+    hessian_exact,
     lambda_prime_exact,
     level,
     pair_quantities,
@@ -224,18 +225,43 @@ class TestGradient:
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), budget=st.sampled_from([1, 40, 1 << 16]))
 def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
-    """A row's value and gradient do not depend on the batch around it or
-    on how the batch is split into blocks."""
+    """A row's value, gradient and Hessian do not depend on the batch around
+    it or on how the batch is split into blocks."""
     h = random_instance(seed, n_max=8, families=TYPE_FAMILIES + ((3,), (2, 4)))
     coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
     x = np.random.default_rng(seed).dirichlet(np.ones(h.n), size=rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(objective_module, "_BLOCK_ELEMENTS", budget)
         obj = Objective(h, coeffs)
-        values, grads = obj.values(x), obj.gradients(x)
+        values, grads, hessians = obj.values(x), obj.gradients(x), obj.hessians(x)
+    one = Objective(h, coeffs)
     for i in range(rows):
         assert values[i] == eval_L(h, coeffs, x[i])
         assert np.array_equal(grads[i], gradient(h, coeffs, x[i]))
+        assert np.array_equal(hessians[i], one.hessians(x[i:i + 1])[0])
+
+
+class TestHessian:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_exact_oracle(self, seed):
+        h = random_instance(seed, n_max=7, families=TYPE_FAMILIES + ((3,), (2, 4)))
+        coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
+        x = np.random.default_rng(seed).dirichlet(np.ones(h.n))
+        got = Objective(h, coeffs).hessians(x[None, :])[0]
+        want = np.array([[float(v) for v in row] for row in hessian_exact(h, coeffs, x)])
+        assert np.array_equal(got, got.T)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_triangle_uniform(self):
+        # L = x1 x2 + x1 x3 + x2 x3: every off-diagonal entry is 1.
+        h = complete(3, (2,))
+        got = Objective(h, Coefficients.ones((2,))).hessians(uniform_weights(3)[None, :])[0]
+        assert np.array_equal(got, 1.0 - np.eye(3))
+
+    def test_edgeless(self):
+        got = Objective(validate(3, []), Coefficients.make(2)).hessians(np.full((2, 3), 1 / 3))
+        assert np.array_equal(got, np.zeros((2, 3, 3)))
 
 
 class TestPairQuantities:

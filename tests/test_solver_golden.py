@@ -7,14 +7,17 @@ and ``kkt_residual``. It also pins ``grid_oracle`` on the cases that polish
 from a grid point. Integers, tuples and strings compare exactly; floats
 compare to 1e-12 relative and 1e-15 absolute.
 
-The cases cover every exit of an ascent. ``exercises`` records, per case,
-which of them a one-start-at-a-time reference run (``_reference_exits``,
-written from the public objective, gradient and projection) took: ``grad-tol``
+The cases cover every exit of an ascent and both outcomes of a Newton step.
+``exercises`` records, per case, which of them a one-start-at-a-time
+reference run (``_reference_exits``, written from the public objective,
+gradient and projection and the exact Hessian oracle) took: ``grad-tol``
 (KKT residual within ``tol_grad``), ``stall`` (no ascending step above the
-minimum step) and ``budget`` (``max_iters`` ran out). A case's stored
-``cfg`` may also set ``tol_grad`` or ``support_epsilon``; the harness
-applies those by patching the solver's constants ``_TOL_GRAD`` and
-``_SUPPORT_EPS`` for that case.
+minimum step), ``budget`` (``max_iters`` ran out), ``newton`` (a face-Newton
+step was accepted) and ``newton-fallback`` (a Newton step was rejected: it
+left the face, lowered the value or did not lower the residual, so
+projected gradient resumed). A case's stored ``cfg``
+may also set ``tol_grad``; the harness applies it by patching the solver's
+constant ``_TOL_GRAD`` for that case.
 Regenerate the data file (only when a change
 of behaviour is intended) with::
 
@@ -53,10 +56,10 @@ from lagrangian_lab import (
 )
 from lagrangian_lab import optimizer
 
-from conftest import coeffs_to_json
+from conftest import coeffs_to_json, hessian_exact
 
 DATA = Path(__file__).parent / "data" / "solver_golden.json"
-EXITS = ("grad-tol", "stall", "budget")
+EXITS = ("grad-tol", "stall", "budget", "newton", "newton-fallback")
 REL, ABS = 1e-12, 1e-15
 
 
@@ -135,7 +138,7 @@ def _instance_cases() -> list[tuple]:
                   dict(starts=4, seed=0), ("polish", list(rng.dirichlet(np.ones(8))), "multistart")))
     h = gen_random(7, (2, 3), 0.6, 3)
     cases.append(("budget-23-n7", h, Coefficients.ones(h.edge_types),
-                  dict(starts=8, seed=5, max_iters=40), ("maximize",)))
+                  dict(starts=8, seed=5, max_iters=4), ("maximize",)))
     cases.append(("budget-polish-23-n7", h, Coefficients.ones(h.edge_types),
                   dict(starts=8, seed=5, max_iters=5), ("polish", uniform_weights(7), "warmstart")))
     for name, types, n, seed in (("many-starts-2-n7", (2,), 7, 49), ("dense-3-n9", (3,), 9, 50),
@@ -146,41 +149,66 @@ def _instance_cases() -> list[tuple]:
     h = gen_random(6, (2, 3), 0.6, 47)
     cases.append(("stall-23-n6", h, Coefficients.ones(h.edge_types),
                   dict(starts=4, seed=6, tol_grad=1e-300, max_iters=4000), ("maximize",)))
-    # Under tol_grad=1e-6 the winning start stops after one iteration; the
-    # default tol_grad lets it run on for 30. The stored support_epsilon=1e-4
-    # leaves this record as it is under the default.
-    h = gen_random(6, (2,), 0.6, 345)
-    cases.append(("loose-support-eps-2-n6", h, Coefficients.ones(h.edge_types),
-                  dict(starts=5, seed=8, support_epsilon=1e-4, tol_grad=1e-6), ("maximize",)))
+    # Under tol_grad=1e-6 the winning start stops after 2 iterations; the
+    # default tol_grad takes it to 8.
+    h = gen_random(6, (2, 3), 0.6, 312)
+    cases.append(("loose-tol-grad-23-n6", h, Coefficients.ones(h.edge_types),
+                  dict(starts=5, seed=8, tol_grad=1e-6), ("maximize",)))
     return cases
 
 
 @contextmanager
 def _config(settings: dict):
-    """The case's ``SolverConfig``, with its ``tol_grad`` and ``support_epsilon``
-    (the solver's defaults when absent) patched in for the duration."""
+    """The case's ``SolverConfig``, with its ``tol_grad`` (the solver's
+    default when absent) patched in for the duration."""
     settings = dict(settings)
-    with mock.patch.multiple(
-        optimizer,
-        _TOL_GRAD=settings.pop("tol_grad", optimizer._TOL_GRAD),
-        _SUPPORT_EPS=settings.pop("support_epsilon", optimizer._SUPPORT_EPS),
-    ):
+    with mock.patch.object(optimizer, "_TOL_GRAD", settings.pop("tol_grad", optimizer._TOL_GRAD)):
         yield SolverConfig(**settings)
 
 
 def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
-    """How each start's ascent ends in a plain one-start-at-a-time loop."""
+    """How each start's ascent ends, and whether it took or rejected a
+    Newton step, in a plain one-start-at-a-time loop."""
     exits: set[str] = set()
+    eps = optimizer._SUPPORT_EPS
+
+    def newton_point(x, g, sup):
+        s = np.flatnonzero(sup)
+        hess = np.array(hessian_exact(h, coeffs, x), dtype=float)[np.ix_(s, s)]
+        ones = np.ones((len(s), 1))
+        kkt = np.block([[hess, -ones], [ones.T, np.zeros((1, 1))]])
+        rhs = np.append(-g[s], 0.0)
+        try:
+            d = np.linalg.solve(kkt, rhs)[:-1]
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+        y = x.copy()
+        y[s] += d
+        return project_to_simplex(y) if ((y > eps) == sup).all() and (y <= 1).all() else None
 
     def ascend(x):
         x = project_to_simplex(x)
         val = eval_L(h, coeffs, x)
-        step = 1.0
-        for _ in range(cfg.max_iters):
+        step, face, newton_from = 1.0, None, 1
+        for it in range(1, cfg.max_iters + 1):
             g = gradient(h, coeffs, x)
-            if kkt_residual(h, coeffs, x) <= optimizer._TOL_GRAD:
+            res = kkt_residual(h, coeffs, x)
+            if res <= optimizer._TOL_GRAD:
                 exits.add("grad-tol")
                 return
+            sup = x > eps
+            same, face = face is not None and np.array_equal(sup, face), sup
+            if same and sup.sum() > 1 and it >= newton_from:
+                y = newton_point(x, g, sup)
+                slack = optimizer._NEWTON_ULPS * np.spacing(val)
+                if (y is not None and np.array_equal(y > eps, sup)
+                        and eval_L(h, coeffs, y) >= val - slack
+                        and kkt_residual(h, coeffs, y) < res):
+                    exits.add("newton")
+                    x, val = y, eval_L(h, coeffs, y)
+                    continue
+                exits.add("newton-fallback")
+                newton_from = it + 1 + optimizer._NEWTON_WAIT
             s = step
             while s > optimizer._MIN_STEP:
                 y = project_to_simplex(x + s * g)
