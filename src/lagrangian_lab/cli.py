@@ -163,19 +163,21 @@ def _cmd_clique(args) -> int:
     return 0
 
 
+def _write(h: Hypergraph, output: str | None) -> int:
+    if output:
+        dump(h, output)
+    else:
+        print(to_json(h))
+    return 0
+
+
 def _cmd_compress(args) -> int:
     h = load(args.input)
     if args.check:
         flag = is_left_compressed(h)
         print(json.dumps({"left_compressed": flag}) if args.json else str(flag).lower())
         return 0
-    compressed = left_compress_fixpoint(h)
-    text = to_json(compressed)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _write(left_compress_fixpoint(h), args.output)
 
 
 def _cmd_verify(args) -> int:
@@ -206,12 +208,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     params = _load_params(args.params)
-    h = gen_planted(args.family, params, args.seed)
-    if args.output:
-        dump(h, args.output)
-    else:
-        print(to_json(h))
-    return 0
+    return _write(gen_planted(args.family, params, args.seed), args.output)
 
 
 def _sweep_task(task: dict) -> dict:

@@ -1,11 +1,20 @@
 """Left-compression of hypergraph edge families.
 
-Compressing an edge toward a smaller vertex (replace j by i, i < j, when i
-is absent and j present) never changes edge cardinalities, and the family
-operator moves an edge only when its image is not already present, so
-per-level edge counts are conserved. The fixpoint applies the
-lexicographically first pair that moves an edge, until none does; it
-terminates because the vertex-label sum strictly drops on every such step.
+S_ij (i < j) replaces j by i in each edge holding j but not i whose image is
+not already in its level, so level sizes are kept; F is (a, b)-stable when
+S_ab moves none of its edges. Lemma: if F is stable for every pair before
+(i, j) in lexicographic order, S_ij(F) is stable for every pair up to (i, j).
+For f in S_ij(F) holding b but not a (so a < j), g = f - b + a is in S_ij(F):
+- b = j: moved edges lack j, so f is in F and stayed; g is in F (a = i, or
+  (a, j)-stability) and lacks j, so it stays.
+- b = i, a < i: (a, i)-stability of f, or (a, j)-stability of its preimage,
+  puts g in F; g lacks j, or its image f - j + a is in F, so g stays.
+- a = i, b < j: f lacks i, so is in F; (i, b)-stability puts g in F; g holds i.
+- {a, b} disjoint from {i, j}: use (a, b)-stability on f and on f - j + i.
+So one lexicographic pass of every S_ij gives the fixpoint of applying the
+first pair that moves an edge until none does: that loop's pairs increase,
+and each pair it skips is a no-op. Levels stay sets of int bitmasks (bit v
+for vertex v, as in ``Hypergraph.link_table``) until one graph is built.
 """
 
 from __future__ import annotations
@@ -24,51 +33,43 @@ def compress_edge(e: Edge, i: int, j: int) -> Edge:
     return tuple(e)
 
 
+def _masks(h: Hypergraph) -> dict[int, set[int]]:
+    return {r: {sum(1 << v for v in e) for e in es} for r, es in h.levels}
+
+
+def _graph(n: int, levels: dict[int, set[int]]) -> Hypergraph:
+    return _build(n, {r: [tuple(v for v in range(1, n + 1) if e >> v & 1) for e in s]
+                      for r, s in levels.items()})
+
+
+def _compress(levels: dict[int, set[int]], pairs) -> dict[int, set[int]]:
+    """Apply S_ij to every level for each (i, j) of ``pairs`` in turn, in place."""
+    for i, j in pairs:
+        bj, m = 1 << j, 1 << i | 1 << j
+        for r, s in levels.items():
+            if moved := {e for e in s if e & m == bj and e ^ m not in s}:
+                levels[r] = s - moved | {e ^ m for e in moved}
+    return levels
+
+
 def compress_hypergraph(h: Hypergraph, i: int, j: int) -> Hypergraph:
-    """Apply the (i <- j) compression to every level of ``h``.
-
-    An edge moves to its image unless the image already exists in its level,
-    in which case it stays; the per-level edge count is preserved.
-    """
-    if i >= j:
-        raise ValueError(f"compression requires i < j, got i={i}, j={j}")
-    if j > h.n or i < 1:
-        raise ValueError(f"compression pair ({i},{j}) out of range 1..{h.n}")
-    per_level: dict[int, list[Edge]] = {}
-    for r, es in h.levels:
-        existing = h.edge_set(r)
-        new_edges = []
-        for e in es:
-            img = compress_edge(e, i, j)
-            new_edges.append(e if (img != e and img in existing) else img)
-        per_level[r] = new_edges
-    return _build(h.n, per_level)
-
-
-def _movable_pair(h: Hypergraph) -> tuple[int, int] | None:
-    """The lexicographically first pair (i, j), i < j, for which some edge
-    containing j but not i has an image missing from its level; None when
-    no pair moves an edge."""
-    for i, j in itertools.combinations(range(1, h.n + 1), 2):
-        for r in h.edge_types:
-            es = h.edge_set(r)
-            if any(j in e and i not in e and compress_edge(e, i, j) not in es for e in es):
-                return i, j
-    return None
+    """Apply the (i <- j) compression to every level of ``h``; level sizes are kept."""
+    if not 1 <= i < j <= h.n:
+        raise ValueError(f"compression pair ({i},{j}) needs 1 <= i < j <= {h.n}")
+    return _graph(h.n, _compress(_masks(h), [(i, j)]))
 
 
 def is_left_compressed(h: Hypergraph) -> bool:
-    """True iff every edge containing j but not i (i < j) maps to an existing edge."""
-    return _movable_pair(h) is None
+    """True iff every edge containing j but not i (i < j) maps to an existing edge,
+    that is iff the pass moves nothing: a move lowers a label sum that never rises."""
+    levels = _masks(h)
+    return _compress(dict(levels), itertools.combinations(range(1, h.n + 1), 2)) == levels
 
 
 def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
-    """Apply the lexicographically first pair that moves an edge, until none does.
+    """Apply S_ij once for each pair i < j in lexicographic order.
 
-    The deterministic order makes outputs reproducible, and only steps that
-    move an edge build a graph. Terminates because the label-sum potential
-    is a strictly decreasing nonnegative integer across effective steps.
+    By the module's lemma the result is stable for every pair and is the
+    restarting loop's fixpoint; label sums never rise on the way.
     """
-    while (pair := _movable_pair(h)) is not None:
-        h = compress_hypergraph(h, *pair)
-    return h
+    return _graph(h.n, _compress(_masks(h), itertools.combinations(range(1, h.n + 1), 2)))

@@ -350,10 +350,12 @@ _GRID_ROWS = 200_000
 def _grid_blocks(n: int, total: int):
     """All compositions of ``total`` into n nonnegative parts, as (rows, n)
     count arrays in ``itertools.combinations`` order of the n - 1 cuts."""
-    cuts = itertools.combinations(range(total + n - 1), n - 1)
-    while block := list(itertools.islice(cuts, _GRID_ROWS)):
-        c = np.array(block, dtype=np.intp)
-        yield np.diff(c, prepend=-1, append=total + n - 1, axis=1) - 1
+    cuts = itertools.chain.from_iterable(itertools.combinations(range(total + n - 1), n - 1))
+    count = math.comb(total + n - 1, n - 1)
+    for start in range(0, count, _GRID_ROWS):
+        rows = min(_GRID_ROWS, count - start)
+        c = np.fromiter(itertools.islice(cuts, rows * (n - 1)), np.intp, rows * (n - 1))
+        yield np.diff(c.reshape(rows, n - 1), prepend=-1, append=total + n - 1, axis=1) - 1
 
 
 def check_grid(n: int, resolution: int) -> None:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrangian_lab import compression
+from lagrangian_lab.hypergraph import _build
 from lagrangian_lab import (
     Coefficients,
     compress_edge,
@@ -88,13 +89,22 @@ instances = st.builds(
 )
 
 
+def _tuple_step(h, i, j):
+    """The (i <- j) compression of ``h`` from ``compress_edge`` alone; None
+    when it moves no edge."""
+    edges = []
+    for r, es in h.levels:
+        existing = h.edge_set(r)
+        edges.extend(img if (img := compress_edge(e, i, j)) not in existing else e for e in es)
+    return None if edges == h.edges() else validate(h.n, edges)
+
+
 def _reference_fixpoint(h):
-    """Try pairs in lexicographic order through ``compress_hypergraph`` and
-    restart from (1, 2) after every step that changes the graph."""
+    """Try pairs in lexicographic order and restart from (1, 2) after every
+    step that changes the graph."""
     while True:
         for i, j in itertools.combinations(range(1, h.n + 1), 2):
-            nxt = compress_hypergraph(h, i, j)
-            if nxt != h:
+            if (nxt := _tuple_step(h, i, j)) is not None:
                 h = nxt
                 break
         else:
@@ -154,20 +164,37 @@ class TestFixpoint:
     def test_matches_restarting_pair_sweep(self, h):
         assert left_compress_fixpoint(h) == _reference_fixpoint(h)
 
-    def test_builds_only_graphs_that_move_an_edge(self, monkeypatch):
-        steps = []
+    @settings(max_examples=4, deadline=None)
+    @given(h=st.builds(
+        gen_random,
+        n=st.integers(10, 12),
+        types=st.sampled_from(((2, 3, 4), (1, 2, 3), (3, 4))),
+        density=st.floats(0.3, 0.7),
+        seed=st.integers(0, 10_000),
+    ))
+    def test_matches_restarting_pair_sweep_at_churn_size(self, h):
+        assert left_compress_fixpoint(h) == _reference_fixpoint(h)
 
-        def spy(h, i, j):
-            out = compress_hypergraph(h, i, j)
-            steps.append((h, out))
-            return out
+    def test_seeded_n24(self):
+        h = gen_random(24, (2, 3), 0.5, 1)
+        fp = left_compress_fixpoint(h)
+        assert _brute_force_left_compressed(fp)
+        assert not _brute_force_left_compressed(h)
+        assert [fp.num_edges(r) for r in (2, 3)] == [h.num_edges(r) for r in (2, 3)]
+        assert compression_potential(fp) < compression_potential(h)
 
-        monkeypatch.setattr(compression, "compress_hypergraph", spy)
+    def test_builds_one_graph_per_fixpoint(self, monkeypatch):
+        built = []
+
+        def spy(n, per_level):
+            built.append(n)
+            return _build(n, per_level)
+
+        monkeypatch.setattr(compression, "_build", spy)
         for seed, types in enumerate(_TYPE_SETS):
             h = gen_random(8, types, 0.5, seed)
-            assert left_compress_fixpoint(h) == _reference_fixpoint(h)
-        assert steps
-        assert all(out != h for h, out in steps)
+            left_compress_fixpoint(h)
+            assert len(built) == seed + 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -154,6 +154,12 @@ class TestGridOracle:
         assert val == pytest.approx(0.25)
         assert np.allclose(x, [0.5, 0.5])
 
+    def test_one_vertex(self):
+        # No cuts at n=1: the grid is the one point x = (1,).
+        val, x = grid_oracle(validate(1, [[1]]), Coefficients.ones((1,)), 5)
+        assert val == 1.0
+        assert np.array_equal(x, [1.0])
+
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_uniform_point_on_grid(self, t):
         h = complete(t, (2,))
