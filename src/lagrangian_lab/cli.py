@@ -145,9 +145,17 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _parse_types(text: str) -> list[int]:
+    """The --types value: comma-separated positive ints."""
+    tokens = text.split(",")
+    if not all(tok.strip().isdecimal() and int(tok) > 0 for tok in tokens):
+        raise argparse.ArgumentTypeError(f"must be comma-separated positive ints, got {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _cmd_clique(args) -> int:
     h = load(args.input)
-    types = [int(tok) for tok in args.types.split(",")] if args.types else list(h.edge_types)
+    types = list(h.edge_types) if args.types is None else args.types
     if not types:
         raise _UsageError("hypergraph has no edges; pass --types explicitly")
     res = max_complete_subgraph(h, types)
@@ -307,7 +315,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("clique", help="maximum complete T-subgraph")
     p.add_argument("input")
-    p.add_argument("--types", help="comma-separated cardinalities, e.g. 2,3")
+    p.add_argument("--types", type=_parse_types, help="comma-separated cardinalities, e.g. 2,3")
     p.set_defaults(func=_cmd_clique)
 
     p = sub.add_parser("compress", help="left-compression predicate or fixpoint")

@@ -17,12 +17,16 @@ are the only r-subsets of C + {v, u} not already known to be edges. A branch
 is cut as soon as |C| plus the number of candidates cannot reach the size
 sought. Visiting candidates in increasing label order enumerates complete
 sets in lexicographic order, which fixes the tie-break among maximum sets.
+One search also settles uniqueness: after a new best the floor is |best|, so
+a later set of that size is found, and after such a tie it is |best| + 1. A
+floor of at most k cuts no k-set, so best stays the first maximum set; a
+k-prefix of a longer set is a tie only until that set is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .hypergraph import Hypergraph
@@ -71,12 +75,13 @@ def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
     """Largest vertex set complete for ``types``, lexicographically smallest on ties."""
     search = _Search(h, types)
     best: tuple[int, ...] = ()
+    unique = True
     for found in search.complete_sets(1):
-        best = found
-        search.floor = len(found) + 1
-    order = len(best)
-    unique = order == 0 or len(list(islice(search.complete_sets(order), 2))) == 1
-    return CliqueResult(best, order, unique)
+        unique = len(found) > len(best)
+        if unique:
+            best = found
+        search.floor = len(best) + (not unique)
+    return CliqueResult(best, len(best), unique)
 
 
 def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:

@@ -8,7 +8,8 @@ vertices are allowed: n may exceed the number of covered vertices.
 An instance computes its hash, its per-level edge sets, index arrays and
 clique link tables once, on first use, and keeps them: membership tests and
 dict lookups then cost O(1) instead of rehashing every edge, and the
-objective and every clique search read the same arrays and tables.
+objective and every clique search read the same arrays and tables. Link
+tables are built in numpy from ``edge_array``: sorted keys, one OR per key.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
@@ -87,7 +88,8 @@ class Hypergraph:
     def _edge_arrays(self) -> dict[int, np.ndarray]:
         out = {}
         for r, es in self.levels:
-            arr = np.asarray(es, dtype=np.intp) - 1
+            flat = np.fromiter(itertools.chain.from_iterable(es), np.intp, len(es) * r)
+            arr = flat.reshape(-1, r) - 1
             arr.flags.writeable = False
             out[r] = arr
         return out
@@ -96,11 +98,14 @@ class Hypergraph:
         """Level r's link table, built on first use; callers must not mutate it. The mask
         (bit v for vertex v) of each (r-1)-subset of an r-edge maps to that of its completions."""
         if r not in self._link_tables:
-            table = self._link_tables[r] = {}
-            for e in self.level_edges(r):
-                edge = sum(bits := [1 << v for v in e])
-                for bit in bits:
-                    table[edge ^ bit] = table.get(edge ^ bit, 0) | bit
+            bits = np.left_shift(np.int64(2), self.edge_array(r))
+            keys = (bits.sum(1)[:, None] ^ bits).ravel()
+            order = np.argsort(keys)
+            keys, bits = keys[order], bits.ravel()[order]
+            # The first index of each run of equal keys; none for an absent level.
+            starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+            ors = np.bitwise_or.reduceat(bits, starts) if keys.size else keys
+            self._link_tables[r] = dict(zip(keys[starts].tolist(), ors.tolist()))
         return self._link_tables[r]
 
     @cached_property

@@ -50,6 +50,18 @@ def brute_force_max_complete(h, types):
     return 0, best
 
 
+def reference_link_table(h, r):
+    """Level r's link table by a loop over the edges: the mask (bit v for
+    vertex v) of each (r-1)-subset of an r-edge maps to the mask of the
+    vertices that complete it to an r-edge."""
+    table = {}
+    for e in h.level_edges(r):
+        edge = sum(bits := [1 << v for v in e])
+        for bit in bits:
+            table[edge ^ bit] = table.get(edge ^ bit, 0) | bit
+    return table
+
+
 def support_pair_cover(h, result):
     """Whether every pair of support vertices lies jointly inside some edge."""
     covered = {p for e in h.edges() for p in itertools.combinations(e, 2)}

@@ -177,6 +177,20 @@ class TestClique:
         assert run(["clique", edgeless_file, "--types", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 1
 
+    @pytest.mark.parametrize("types", ["", "a", "2,,3", "2,", "0", "2,-3", "2.5"])
+    def test_bad_types_exit_one(self, edgeless_file, one_two_file, capsys, types):
+        # An empty value is rejected, not read as "use the file's edge types".
+        for path in (edgeless_file, one_two_file):
+            assert run(["clique", path, "--types", types]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: argument --types: must be comma-separated positive ints, got {types!r}\n")
+
+    def test_types_with_spaces(self, one_two_file, capsys):
+        assert run(["clique", one_two_file, "--types", " 1, 2"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 3
+
 
 class TestCompress:
     def test_check(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagrangian_lab import (
+    CliqueResult,
     Hypergraph,
     SolverConfig,
     cliques,
@@ -57,6 +58,19 @@ class TestMaxCompleteSubgraph:
 
     def test_uniqueness_flag(self):
         assert max_complete_subgraph(complete(3, (2,)), (2,)).is_unique_max
+
+    @pytest.mark.parametrize("h, types, vertices, unique", [
+        # (1, 2) is met before the K4's prefix (2, 3), which is no tie: (2, 3, 4) follows.
+        (validate(5, [[1, 2], *itertools.combinations(range(2, 6), 2)]), (2,), (2, 3, 4, 5), True),
+        # The tie (5, 6, 7) is found after (3, 4, 5) became best.
+        (validate(7, [[1, 2], *itertools.combinations((3, 4, 5), 2),
+                      *itertools.combinations((5, 6, 7), 2)]), (2,), (3, 4, 5), False),
+        (gen_planted("random-lc", {"n": 24}, seed=1), (2, 3), tuple(range(1, 11)), False),
+        (gen_random(24, (2, 3, 4), 0.9, 1), (2, 3, 4), (2, 5, 8, 12, 14, 18, 23, 24), True),
+    ], ids=["prefix-not-a-tie", "tie-after-reset", "random-lc-24", "random-24-dense"])
+    def test_ties_found_in_one_search(self, h, types, vertices, unique):
+        res = max_complete_subgraph(h, types)
+        assert res == CliqueResult(vertices, len(vertices), unique)
 
     def test_empty_types_rejected(self):
         with pytest.raises(ValueError):
@@ -176,19 +190,22 @@ def test_matches_subset_oracle(case):
 @pytest.fixture
 def table_builds(monkeypatch):
     """Counts, per (instance id, level), the link tables built: the reads of
-    a level's edges made by the clique code or by ``Hypergraph.link_table``."""
+    a level's edges, as tuples or as an array, made by the clique code or by
+    ``Hypergraph.link_table``."""
     builds: Counter = Counter()
     alive = []  # keeps every counted instance, so no id is reused
-    level_edges = Hypergraph.level_edges
 
-    def spy(self, r):
-        caller = sys._getframe(1).f_code
-        if caller.co_name == "link_table" or caller.co_filename == cliques.__file__:
-            builds[id(self), r] += 1
-            alive.append(self)
-        return level_edges(self, r)
+    def spy_on(read):
+        def spy(self, r):
+            caller = sys._getframe(1).f_code
+            if caller.co_name == "link_table" or caller.co_filename == cliques.__file__:
+                builds[id(self), r] += 1
+                alive.append(self)
+            return read(self, r)
+        return spy
 
-    monkeypatch.setattr(Hypergraph, "level_edges", spy)
+    for name in ("level_edges", "edge_array"):
+        monkeypatch.setattr(Hypergraph, name, spy_on(getattr(Hypergraph, name)))
     return builds
 
 

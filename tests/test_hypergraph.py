@@ -24,7 +24,7 @@ from lagrangian_lab import (
     vertex_support,
 )
 
-from conftest import is_complete_on, level, to_text
+from conftest import is_complete_on, level, reference_link_table, to_text
 
 
 class TestValidate:
@@ -246,3 +246,25 @@ class TestHashAndIndexes:
         assert h.edge_array(2).tolist() == [[0, 1]]
         assert h.edge_array(1).shape == (0, 1)
         assert not h.edge_array(2).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        *(gen_random(n, types, density, seed)
+          for seed, (n, types, density) in enumerate([
+              (24, (2, 3), 0.5), (24, (1, 2, 3), 0.7), (24, (2, 3), 0.05), (9, (1, 4, 6), 0.6),
+              (12, (2, 5), 0.9), (6, (1, 2, 3, 4, 5, 6), 1.0), (7, (3,), 0.4), (1, (1,), 1.0)])),
+        validate(5, []),
+        complete(24, (2,)),
+    ],
+    ids=repr,
+)
+def test_link_table_matches_loop_reference(h):
+    # Levels the instance lacks, 1..6 included, give an empty table.
+    for r in range(1, 7):
+        table = h.link_table(r)
+        assert table == reference_link_table(h, r)
+        assert (table == {}) == (r not in h.edge_types)
+        assert all(type(k) is int and type(v) is int for k, v in table.items())
+        assert h.link_table(r) is table
