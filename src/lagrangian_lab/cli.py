@@ -243,10 +243,15 @@ def _sweep_task(task: dict) -> dict:
 
 
 def _parse_seed_range(spec: str) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(tok) for tok in spec.split(",")]
+    """The --seeds value: a range a..b or a comma list of non-negative ints."""
+    tokens = spec.split("..", 1) if ".." in spec else spec.split(",")
+    if not all(tok.strip().isdecimal() for tok in tokens):
+        raise _UsageError(f"--seeds must be a..b or comma-separated non-negative ints, got {spec!r}")
+    seeds = [int(tok) for tok in tokens]
+    seeds = list(range(seeds[0], seeds[1] + 1)) if ".." in spec else seeds
+    if not seeds:
+        raise _UsageError(f"--seeds range {spec!r} is empty")
+    return seeds
 
 
 def _cmd_sweep(args) -> int:

@@ -2,7 +2,7 @@
 
 S_ij (i < j) replaces j by i in each edge holding j but not i whose image is
 not already in its level, so level sizes are kept; F is (a, b)-stable when
-S_ab moves none of its edges. Lemma: if F is stable for every pair before
+S_ab moves none of its edges. Pass lemma: if F is stable for every pair before
 (i, j) in lexicographic order, S_ij(F) is stable for every pair up to (i, j).
 For f in S_ij(F) holding b but not a (so a < j), g = f - b + a is in S_ij(F):
 - b = j: moved edges lack j, so f is in F and stayed; g is in F (a = i, or
@@ -13,8 +13,16 @@ For f in S_ij(F) holding b but not a (so a < j), g = f - b + a is in S_ij(F):
 - {a, b} disjoint from {i, j}: use (a, b)-stability on f and on f - j + i.
 So one lexicographic pass of every S_ij gives the fixpoint of applying the
 first pair that moves an edge until none does: that loop's pairs increase,
-and each pair it skips is a no-op. Levels stay sets of int bitmasks (bit v
-for vertex v, as in ``Hypergraph.link_table``) until one graph is built.
+and each pair it skips is a no-op. S_ij maps each level into itself, so the
+pass runs one level at a time. Levels stay sets of int bitmasks (bit v for
+vertex v, as in ``Hypergraph.link_table``) until one graph is built.
+
+Unit-shift lemma: F is (i, j)-stable for every i < j iff it is
+(v - 1, v)-stable for every v >= 2. By induction on j - i, take e in F with
+j in e and i not in e. If j - 1 is not in e, e' = e - j + (j - 1) is in F by
+the unit shift, and (i, j - 1)-stability of e' puts e - j + i in F. If
+j - 1 is in e, (i, j - 1)-stability puts f = e - (j - 1) + i in F, and the
+unit shift j -> j - 1 of f is e - j + i.
 """
 
 from __future__ import annotations
@@ -37,18 +45,27 @@ def _masks(h: Hypergraph) -> dict[int, set[int]]:
     return {r: {sum(1 << v for v in e) for e in es} for r, es in h.levels}
 
 
+def _vertices(e: int) -> Edge:
+    """The increasing vertex tuple of an edge mask, read by set bits, lowest first."""
+    vs = []
+    while e:
+        vs.append((e & -e).bit_length() - 1)
+        e &= e - 1
+    return tuple(vs)
+
+
 def _graph(n: int, levels: dict[int, set[int]]) -> Hypergraph:
-    return _build(n, {r: [tuple(v for v in range(1, n + 1) if e >> v & 1) for e in s]
-                      for r, s in levels.items()})
+    return _build(n, {r: [_vertices(e) for e in s] for r, s in levels.items()})
 
 
 def _compress(levels: dict[int, set[int]], pairs) -> dict[int, set[int]]:
-    """Apply S_ij to every level for each (i, j) of ``pairs`` in turn, in place."""
-    for i, j in pairs:
-        bj, m = 1 << j, 1 << i | 1 << j
-        for r, s in levels.items():
+    """Apply S_ij for each (i, j) of ``pairs`` in turn, one level at a time, in place."""
+    steps = [(1 << j, 1 << i | 1 << j) for i, j in pairs]
+    for s in levels.values():
+        for bj, m in steps:
             if moved := {e for e in s if e & m == bj and e ^ m not in s}:
-                levels[r] = s - moved | {e ^ m for e in moved}
+                s -= moved  # images are never in s, so this is s - moved | images
+                s |= {e ^ m for e in moved}
     return levels
 
 
@@ -60,16 +77,23 @@ def compress_hypergraph(h: Hypergraph, i: int, j: int) -> Hypergraph:
 
 
 def is_left_compressed(h: Hypergraph) -> bool:
-    """True iff every edge containing j but not i (i < j) maps to an existing edge,
-    that is iff the pass moves nothing: a move lowers a label sum that never rises."""
-    levels = _masks(h)
-    return _compress(dict(levels), itertools.combinations(range(1, h.n + 1), 2)) == levels
+    """True iff no S_ij (i < j) moves an edge. Checks the unit shifts S_{v-1,v}
+    only, which suffices by the module's unit-shift lemma: at most r lookups per r-edge."""
+    for s in _masks(h).values():
+        for e in s:
+            free = e & ~(e << 1) & ~3  # vertices v >= 2 of e with v - 1 not in e
+            while free:
+                b = free & -free
+                if e ^ b ^ (b >> 1) not in s:
+                    return False
+                free ^= b
+    return True
 
 
 def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
     """Apply S_ij once for each pair i < j in lexicographic order.
 
-    By the module's lemma the result is stable for every pair and is the
+    By the module's pass lemma the result is stable for every pair and is the
     restarting loop's fixpoint; label sums never rise on the way.
     """
     return _graph(h.n, _compress(_masks(h), itertools.combinations(range(1, h.n + 1), 2)))

@@ -453,6 +453,13 @@ class TestSweepSeedsAndFailures:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "a..3", "5..3", ""],
+                             ids=["empty-token", "non-int", "empty-range", "empty"])
+    def test_bad_seeds_exit_one_with_one_error_line(self, capsys, seeds):
+        assert run(self.BASE + ["--theorem", "PTZ", "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_failed_rows_exit_two(self, capsys):
         assert run(self.BASE + ["--theorem", "PTZ,NONUNIF_T3", "--seeds", "1..2"]) == 2
         out, err = capsys.readouterr()

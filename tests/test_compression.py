@@ -136,6 +136,48 @@ class TestIsLeftCompressed:
         assert is_left_compressed(h) == _brute_force_left_compressed(h)
 
 
+def _shift_one_edge_right(h, data):
+    """``h`` with one edge moved one step right (v -> v + 1) into a free slot of
+    its level; None when no edge can move."""
+    moves = [(e, img) for r, es in h.levels for e in es for v in e
+             if v < h.n and v + 1 not in e
+             and (img := tuple(sorted(set(e) - {v} | {v + 1}))) not in h.edge_set(r)]
+    if not moves:
+        return None
+    e, img = data.draw(st.sampled_from(moves))
+    return validate(h.n, [img if x == e else x for x in h.edges()])
+
+
+class TestUnitShiftLemma:
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.builds(
+        gen_random,
+        n=st.integers(2, 10),
+        types=st.sampled_from(_TYPE_SETS),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    ), data=st.data())
+    def test_near_compressed(self, h, data):
+        """One right shift of a fixpoint edge leaves its unit shift's image
+        missing, so the unit-shift check and the oracle both reject it."""
+        fp = left_compress_fixpoint(h)
+        assert is_left_compressed(fp) and _brute_force_left_compressed(fp)
+        if (near := _shift_one_edge_right(fp, data)) is not None:
+            assert not is_left_compressed(near)
+            assert not _brute_force_left_compressed(near)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.builds(
+        gen_random,
+        n=st.integers(1, 24),
+        types=st.sampled_from(_TYPE_SETS),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    ))
+    def test_masks_round_trip(self, h):
+        assert compression._graph(h.n, compression._masks(h)) == h
+
+
 class TestFixpoint:
     def test_single_edge(self):
         assert left_compress_fixpoint(validate(3, [[2, 3]])).edges() == [(1, 2)]
