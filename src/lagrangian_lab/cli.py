@@ -3,8 +3,11 @@
 Exit codes: 0 for success (and passing verdicts), 2 when a verification ran
 fine but the check failed, 1 for usage or input errors. verify and sweep
 compare with the closed form at the fixed tolerance 1e-6 and pass only on
-a converged solve. All numeric output uses 12-digit fixed precision. The
-seed is 0 unless --seed sets it.
+a converged solve. All numeric output uses 12-digit fixed precision.
+compute and verify seed the solver with --seed (default 0) and use 64
+random starts unless --starts sets them; generate builds with --seed
+(default 0). sweep has no --seed: it seeds each solve with that instance's
+seed and uses 16 starts unless --starts sets them.
 """
 
 from __future__ import annotations
@@ -255,6 +258,8 @@ def _parse_seed_range(spec: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 0:
+        raise _UsageError(f"--jobs must be 0 (all cores) or a positive count, got {args.jobs}")
     params = _load_params(args.params)
     seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
@@ -271,8 +276,8 @@ def _cmd_sweep(args) -> int:
         for seed in seeds
         for name in theorems
     ]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
@@ -353,7 +358,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", required=True, help="range a..b or comma list")
     p.add_argument("--params", help="JSON object (inline or a file path)")
     p.add_argument("--out", help="CSV path (stdout when omitted)")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes, at most one per task (default or 0: cores)")
     p.add_argument("--starts", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -15,11 +15,10 @@ default. ``t6a``, ``t7a`` and ``ptz`` share one builder: it plants a
 clique on [t] and adds the m - lo extra edges of one window through vertex
 t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t], r >= 3, with
 extra 2-edges (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its
-2-level window); their ``mode`` sets the other r-edges on [n]:
-``random-r-level`` (the default) keeps each with probability
-``extra_density`` (0.3), ``complete-r-level`` keeps them all, and any other
-mode raises ``GenerationError``. ``ptz`` plants the r-edges on [t] with
-extra r-edges and n = t+1.
+2-level window), and keep each other r-edge on [n] with probability
+``extra_density`` (0.3). ``ptz`` plants the r-edges on [t] with extra
+r-edges and n = t+1. Every builder checks its vertex count and levels
+against the soft limits before it lists any edge.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .cliques import contains_complete
 from .compression import left_compress_fixpoint
-from .hypergraph import Edge, Hypergraph, validate
+from .hypergraph import Edge, Hypergraph, _check_limits, validate
 from .theorems import (
     _read_params,
     check_hypotheses,
@@ -59,6 +58,7 @@ def gen_random(n: int, types: Iterable[int], density: float, seed: int) -> Hyper
     p = float(density)
     if not 0.0 <= p <= 1.0:
         raise GenerationError(f"density must be in [0, 1], got {p}")
+    _check_limits(n, ts)
     rng = random.Random(seed)
     edges: list[Edge] = []
     for r in ts:
@@ -122,41 +122,39 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
     p = _read_params(params)
     rng = random.Random(seed)
     t, r = p.get("t", 4), p.get("r", 3)
-    mode = p.get("mode", "random-r-level")
-    extra_density = p.get("extra_density", 0.3)
+    if family not in FAMILIES:
+        raise GenerationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    n, levels = {
+        "t6a": (p.get("n", t + 2), (2, r)),
+        "t7a": (p.get("n", t + 1), (2, r)),
+        "ptz": (t + 1, (r,)),
+        "tpzz-free": (p.get("n", t + 2), (3,)),
+        "random-lc": (p.get("n", 6), p.get("types", (2, 3))),
+    }[family]
+    _check_limits(n, levels)
 
     if family in ("t6a", "t7a"):
         if r < 3:
             # The 2-level is planted on its own; r = 2 would plant it twice.
             raise GenerationError(f"family {family!r} needs r >= 3, got r={r}")
         lo, hi = pair_edge_window(t)
-        if family == "t6a":
-            target, m, n = "TWO_R_T6a", lo, p.get("n", t + 2)
-        else:
-            target, m, n = "TWO_R_EDGES_T7a", p.get("m", hi), p.get("n", t + 1)
+        target, m = ("TWO_R_T6a", lo) if family == "t6a" else ("TWO_R_EDGES_T7a", p.get("m", hi))
         tparams = {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         edges = _plant(rng, t, n, (2, r), 2, (lo, hi), m)
-        rest = [e for e in _complete_edges(range(1, n + 1), r) if e[-1] > t]
-        if mode == "random-r-level":
-            rest = [e for e in rest if rng.random() < extra_density]
-        elif mode != "complete-r-level":
-            raise GenerationError(f"unknown mode {mode!r}; choose random-r-level or complete-r-level")
+        extra_density = p.get("extra_density", 0.3)
+        rest = [e for e in _complete_edges(range(1, n + 1), r)
+                if e[-1] > t and rng.random() < extra_density]
         h = validate(n, edges + rest)
     elif family == "ptz":
         bounds = uniform_edge_window(t, r)
         target, tparams = "PTZ", {"t": t, "r": r}
-        h = validate(t + 1, _plant(rng, t, t + 1, (r,), r, bounds, p.get("m", bounds[0])))
+        h = validate(n, _plant(rng, t, n, (r,), r, bounds, p.get("m", bounds[0])))
     elif family == "tpzz-free":
         m = p.get("m", strict_three_window(t)[0])
-        n = p.get("n", t + 2)
         return _gen_tpzz_free(rng, t, m, n)  # clique-freeness is its own check
-    elif family == "random-lc":
-        n = p.get("n", 6)
-        types = p.get("types", (2, 3))
-        density = p.get("density", 0.5)
-        return left_compress_fixpoint(gen_random(n, types, density, rng.randrange(2**63)))
     else:
-        raise GenerationError(f"unknown family {family!r}; choose from {FAMILIES}")
+        density = p.get("density", 0.5)
+        return left_compress_fixpoint(gen_random(n, levels, density, rng.randrange(2**63)))
 
     if not check_hypotheses(target, h, tparams).ok:
         raise GenerationError(

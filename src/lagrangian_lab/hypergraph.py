@@ -150,6 +150,16 @@ def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
     return Hypergraph(n=n, levels=levels)
 
 
+def _check_limits(n: int, types: Iterable[int] = ()) -> None:
+    """Raise ``HypergraphError`` if n or a level in ``types`` exceeds its
+    soft limit; builders call it before they list any edge."""
+    if n > MAX_VERTICES:
+        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
+    for r in types:
+        if r > MAX_CARDINALITY:
+            raise HypergraphError(f"edge type {r} exceeds the soft limit {MAX_CARDINALITY}")
+
+
 def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Canonicalize raw edge lists into a Hypergraph.
 
@@ -161,8 +171,7 @@ def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     n = _read_int("n", n)
     if n < 1:
         raise HypergraphError(f"vertex count must be positive, got {n}")
-    if n > MAX_VERTICES:
-        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
+    _check_limits(n)
     edges = list(edges)
     # Int vertices in lists or tuples skip the reader: two type scans in C
     # cost a fraction of a Python check per edge.
@@ -201,10 +210,7 @@ def complete(n: int, types: Iterable[int]) -> Hypergraph:
         raise HypergraphError(f"edge type {ts[0]} must be >= 1")
     if ts[-1] > n:
         raise HypergraphError(f"max edge type {ts[-1]} exceeds n={n}")
-    if n > MAX_VERTICES:
-        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
-    if ts[-1] > MAX_CARDINALITY:
-        raise HypergraphError(f"edge type {ts[-1]} exceeds the soft limit {MAX_CARDINALITY}")
+    _check_limits(n, ts)
     per_level = {
         r: [tuple(c) for c in itertools.combinations(range(1, n + 1), r)] for r in ts
     }

@@ -1,8 +1,18 @@
 """Weighted polynomial objectives of a hypergraph over the standard simplex.
 
-One evaluator, :class:`Objective`, computes the weighted program ``L``, its
-gradient and its Hessian on a batch of points: the base-cardinality level has
-coefficient 1 and each higher level r a positive coefficient alpha_r.
+One evaluator, :class:`Objective`, computes the weighted program
+L(x) = sum_r alpha_r sum_{e in E_r} prod_{i in e} x_i, its gradient and its
+Hessian on a batch of points: the base-cardinality level has coefficient 1
+and each higher level r a positive coefficient alpha_r. All three add up
+k-terms, the edge products with k = 0, 1 or 2 positions left out, and one
+kernel yields them in one order: per level (r increasing), per k-subset S
+of edge positions (lexicographic), per edge, the coefficient and the
+product of the weights outside S, multiplied left to right. A value sums
+each level's products pairwise (numpy's summation), scales the sum by the
+coefficient and adds the levels in turn. An entry of the gradient (k = 1)
+or of the Hessian's upper triangle (k = 2, mirrored below a zero diagonal)
+starts from 0 and adds, in term order, the coefficient times each product
+whose left-out positions hold its indices.
 
 :func:`flavour_coefficients` is the one map from an objective flavour to
 ``L``: it returns the coefficients and the scale with flavour = scale * L.
@@ -23,7 +33,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -165,23 +174,20 @@ def check_rational_feasible(x: Sequence[Fraction], n: int | None = None) -> tupl
 # ---------------------------------------------------------------------------
 
 
-# Bound on the elements of one block's (rows x edges x r) temporaries; a
-# larger batch is evaluated block by block.
+# Bound on the elements of one block's (rows x terms) temporaries; a larger
+# batch is evaluated block by block.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 class Objective:
     """L of one hypergraph and coefficient set, on a ``(B, n)`` batch of points.
 
-    The level index arrays and coefficients are read once. Every row gets
-    exactly the arithmetic of a one-point evaluation: each edge's product
-    multiplies its vertex weights left to right, a level's products are
-    added with numpy's pairwise summation, and the levels are added in
-    increasing order. Gradient component i accumulates, starting from 0,
-    the contributions of the edges through i in the order level, position
-    of i within the edge, edge; Hessian entries accumulate the same way
-    (see :meth:`hessians`). Construction raises
-    ``MissingCoefficientError`` for the first level without a coefficient.
+    The level index arrays and coefficients are read once, and one kernel,
+    :meth:`_terms`, yields every product that :meth:`values`,
+    :meth:`gradients` and :meth:`hessians` add up. Every row gets exactly
+    the arithmetic of a one-point evaluation, in the order the module
+    docstring gives. Construction raises ``MissingCoefficientError`` for the
+    first level without a coefficient.
     """
 
     def __init__(self, h: Hypergraph, coeffs: Coefficients):
@@ -189,22 +195,11 @@ class Objective:
         levels = [(float(coeffs.coefficient(r)), h.edge_array(r)) for r in h.edge_types]
         # (coefficient, r, edge count) per level, and every edge position's
         # vertex in the order per level, per position, per edge: one gather
-        # reads all weights, and it is also the gradient's scatter order.
+        # reads all weights, and it is also the k = 1 terms' scatter index.
         self._levels = [(a, idx.shape[1], idx.shape[0]) for a, idx in levels]
         self._targets = np.concatenate(
             [idx.T.ravel() for _, idx in levels] or [np.empty(0, dtype=np.intp)])
-        self._block = max(1, _BLOCK_ELEMENTS // max(1, self._targets.size))
-
-    @cached_property
-    def _pairs(self) -> np.ndarray:
-        """The flat Hessian entry i*n + j of every edge's position pair
-        p < q, in the order per level, per pair, per edge."""
-        out, k = [np.empty(0, dtype=np.intp)], 0
-        for _, r, e in self._levels:
-            col = [self._targets[k + j * e:k + (j + 1) * e] for j in range(r)]
-            out += [col[p] * self.n + col[q] for p, q in itertools.combinations(range(r), 2)]
-            k += r * e
-        return np.concatenate(out)
+        self._plans, self._flat = {}, {1: self._targets}
 
     def _rows(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -212,117 +207,98 @@ class Objective:
             raise ValueError(f"points must have shape (B, {self.n}), got {arr.shape}")
         return arr
 
-    def _blocks(self, arr: np.ndarray, block: int):
-        """Blocks of ``block`` rows of ``arr``, each with the weight at every
-        edge position: a (rows, positions) array in ``_targets`` order."""
+    def _blocks(self, arr: np.ndarray, width: int):
+        """Blocks of rows of ``arr`` whose temporaries of ``width`` elements
+        per row fit the budget, each with the weight at every edge position:
+        a (rows, positions) array in ``_targets`` order."""
+        block = max(1, _BLOCK_ELEMENTS // max(self._targets.size, width))
         for lo in range(0, arr.shape[0], block):
             yield lo, np.take(arr[lo:lo + block], self._targets, axis=1)
+
+    def _plan(self, k: int) -> list:
+        """The k-terms in term order, one entry per level and k-subset S of
+        edge positions: the coefficient, the edge count, and the column
+        slices of the positions outside S and of those in S."""
+        if k not in self._plans:
+            plan, lo = [], 0
+            for a, r, e in self._levels:
+                cols = [slice(lo + j * e, lo + (j + 1) * e) for j in range(r)]
+                plan += [(a, e, [c for j, c in enumerate(cols) if j not in s], [cols[j] for j in s])
+                         for s in itertools.combinations(range(r), k)]
+                lo += r * e
+            self._plans[k] = plan
+        return self._plans[k]
+
+    def _terms(self, w: np.ndarray, k: int):
+        """The k-terms of the rows of ``w``, one (coefficient, products)
+        pair at a time: each edge's product of its weights outside S,
+        multiplied left to right (1 when S is the whole edge)."""
+        for a, e, cols, _ in self._plan(k):
+            prod = w[:, cols[0]] if cols else np.ones((len(w), e))
+            for c in cols[1:]:
+                prod = prod * w[:, c]
+            yield a, prod
+
+    def _scatter_index(self, k: int, rows: int, width: int) -> np.ndarray:
+        """Where the ``width`` k-terms of each of ``rows`` rows land among
+        their n**k partials: row i adds i * n**k to the flat index of the
+        vertices at S. The index for the most rows yet serves fewer as a
+        prefix."""
+        flat = self._flat.get(k)
+        if flat is None:
+            flat = self._flat[k] = np.concatenate([np.empty(0, dtype=np.intp)] + [
+                np.ravel_multi_index([self._targets[c] for c in at], (self.n,) * k)
+                for _, _, _, at in self._plan(k)])
+        if flat.size < rows * width:
+            flat = self._flat[k] = ((np.arange(rows) * self.n ** k)[:, None] + flat[:width]).ravel()
+        return flat[:rows * width]
+
+    def _partials(self, x, k: int) -> np.ndarray:
+        """The coefficient times each k-term of every row of ``x``, added
+        into the n**k partials in term order by one flat scatter."""
+        arr = self._rows(x)
+        width, size = sum(e for _, e, _, _ in self._plan(k)), self.n ** k
+        out = np.empty((arr.shape[0], size))
+        for lo, w in self._blocks(arr, max(width, size)):
+            b = len(w)
+            contrib, c = np.empty((b, width)), 0
+            for a, prod in self._terms(w, k):
+                np.multiply(prod, a, out=contrib[:, c:c + prod.shape[1]])
+                c += prod.shape[1]
+            # bincount adds its input in order, so each entry gets its terms in term order.
+            out[lo:lo + b] = np.bincount(self._scatter_index(k, b, width), weights=contrib.ravel(),
+                                         minlength=b * size).reshape(b, size)
+        return out
 
     def values(self, x) -> np.ndarray:
         """L at every row of ``x``."""
         arr = self._rows(x)
         out = np.zeros(arr.shape[0])
-        for lo, w in self._blocks(arr, self._block):
+        for lo, w in self._blocks(arr, 1):
             total = out[lo:lo + len(w)]
-            k = 0
-            for a, r, e in self._levels:
-                prod = w[:, k:k + e]
-                for j in range(1, r):
-                    prod = prod * w[:, k + j * e:k + (j + 1) * e]
-                # Each row's products lie contiguous and are summed pairwise.
+            for a, prod in self._terms(w, 0):
                 total += a * prod.sum(axis=1)
-                k += r * e
         return out
 
     def gradients(self, x) -> np.ndarray:
-        """Gradient of L at every row of ``x``: component i sums, over the
-        edges through i, the coefficient times the product of the other
-        vertex weights."""
-        arr = self._rows(x)
-        rows, n = arr.shape
-        out = np.empty((rows, n))
-        for lo, w in self._blocks(arr, self._block):
-            b = w.shape[0]
-            contrib = np.empty_like(w)
-            k = 0
-            for a, r, e in self._levels:
-                cols = [w[:, k + j * e:k + (j + 1) * e] for j in range(r)]
-                prefix = None
-                for p in range(r):
-                    # The other weights of each edge, multiplied left to right.
-                    others = prefix
-                    for c in cols[p + 1:]:
-                        others = c if others is None else others * c
-                    if others is None:
-                        contrib[:, k:k + e] = a
-                    else:
-                        np.multiply(others, a, out=contrib[:, k:k + e])
-                    k += e
-                    if p + 1 < r:
-                        prefix = cols[p] if prefix is None else prefix * cols[p]
-            # One flat scatter; bincount adds in input order, so each
-            # component sees its contributions in the documented order.
-            flat = self._targets if b == 1 else (np.arange(b) * n)[:, None] + self._targets
-            g = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=b * n)
-            out[lo:lo + b] = g.reshape(b, n)
-        return out
+        """Gradient of L at every row of ``x``."""
+        return self._partials(x, 1)
 
     def hessians(self, x) -> np.ndarray:
-        """Hessian of L at every row of ``x``, a ``(B, n, n)`` array: entry
-        (i, j) sums, over the edges through both i and j, the coefficient
-        times the product of the other vertex weights; the diagonal is 0.
-
-        Each edge's position pairs p < q, in the order level, pair, edge,
-        give one contribution (the other weights multiplied left to right)
-        to entry (i, j) with i < j; the lower triangle is its transpose.
-        """
-        arr = self._rows(x)
-        rows, n = arr.shape
-        out = np.empty((rows, n, n))
-        block = max(1, _BLOCK_ELEMENTS // max(self._targets.size, self._pairs.size, n * n))
-        for lo, w in self._blocks(arr, block):
-            b = w.shape[0]
-            contrib = np.empty((b, self._pairs.size))
-            k = c = 0
-            for a, r, e in self._levels:
-                cols = [w[:, k + j * e:k + (j + 1) * e] for j in range(r)]
-                for p, q in itertools.combinations(range(r), 2):
-                    others = None
-                    for j in range(r):
-                        if j != p and j != q:
-                            others = cols[j] if others is None else others * cols[j]
-                    if others is None:
-                        contrib[:, c:c + e] = a
-                    else:
-                        np.multiply(others, a, out=contrib[:, c:c + e])
-                    c += e
-                k += r * e
-            flat = (np.arange(b) * (n * n))[:, None] + self._pairs
-            upper = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=b * n * n)
-            upper = upper.reshape(b, n, n)
-            out[lo:lo + b] = upper + upper.transpose(0, 2, 1)
-        return out
+        """Hessian of L at every row of ``x``, a ``(B, n, n)`` array; the
+        k = 2 terms fill the upper triangle and the diagonal is 0."""
+        upper = self._partials(x, 2).reshape(-1, self.n, self.n)
+        return upper + upper.transpose(0, 2, 1)
 
 
 def eval_L(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
-    """Weighted monomial sum over all edges at the point x.
-
-    Summation within a level uses numpy's pairwise reduction, which keeps
-    rounding well inside the acceptance tolerances even for large levels.
-    """
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size != h.n:
-        raise ValueError(f"weight vector has length {arr.size}, expected {h.n}")
-    return float(Objective(h, coeffs).values(arr[None, :])[0])
+    """L at the point x, a vector of length n."""
+    return float(Objective(h, coeffs).values(np.asarray(x, dtype=float)[None])[0])
 
 
 def gradient(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> np.ndarray:
-    """Partial derivatives of L: component i sums, over edges through i,
-    the coefficient times the product of the other vertex weights."""
-    arr = np.asarray(x, dtype=float).ravel()
-    if arr.size != h.n:
-        raise ValueError(f"weight vector has length {arr.size}, expected {h.n}")
-    return Objective(h, coeffs).gradients(arr[None, :])[0]
+    """The gradient of L at the point x, a vector of length n."""
+    return Objective(h, coeffs).gradients(np.asarray(x, dtype=float)[None])[0]
 
 
 def eval_exact(

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from lagrangian_lab import complete, dump, gen_planted, load, to_json, validate, with_singletons
-from lagrangian_lab import cli
+from lagrangian_lab import cli, generators
 from lagrangian_lab.cli import run
 
 
@@ -356,6 +357,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}, got ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("family,params", [("random-lc", '{"n": 100000}'), ("t6a", '{"t": 100000}')])
+    def test_oversized_exits_one_before_listing_edges(self, monkeypatch, capsys, family, params):
+        def combinations(*args):
+            raise AssertionError("an edge enumeration ran before the soft-limit check")
+        monkeypatch.setattr(generators, "itertools", SimpleNamespace(combinations=combinations))
+        assert run(["generate", "--family", family, "--params", params]) == 1
+        assert capsys.readouterr().err.startswith("error: n=100")
+
     def test_null_order_is_the_default(self, capsys):
         outputs = []
         for params in ('{"t": null}', '{"t": 4}'):
@@ -483,6 +492,50 @@ def test_directory_path_exits_one(tmp_path, k5_file, capsys, args):
     argv = [a.format(dir=tmp_path, k5=k5_file) for a in args]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSweepWorkers:
+    """``--jobs`` sizes the pool, which a stand-in records; it maps in this
+    process, so no worker is started."""
+
+    BASE = ["sweep", "--family", "ptz", "--theorem", "PTZ", "--params", '{"t": 4, "r": 3, "m": 6}',
+            "--starts", "2"]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        return made
+
+    @pytest.mark.parametrize("jobs,seeds,workers", [
+        ("64", "1,2", [2]), ("0", "1,2,3", [3]), ("2", "1,2,3", [2]), ("1", "1,2,3", []),
+        ("64", "1", []),
+    ])
+    def test_no_more_workers_than_tasks(self, pools, capsys, jobs, seeds, workers):
+        assert run(self.BASE + ["--seeds", seeds, "--jobs", jobs]) == 0
+        assert pools == workers
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["seed"] for row in rows] == seeds.split(",")
+
+    def test_negative_jobs_exit_one(self, pools, capsys):
+        assert run(self.BASE + ["--seeds", "1..2", "--jobs", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert pools == [] and out == "" and err.startswith("error: --jobs must be ")
 
 
 def test_usage_error_exit_one():

@@ -1,9 +1,11 @@
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from lagrangian_lab import (
     GenerationError,
+    HypergraphError,
     check_hypotheses,
     complete,
     contains_complete,
@@ -43,6 +45,41 @@ class TestGenRandom:
             gen_random(4, (2,), 1.5, seed=0)
 
 
+def _forbid_enumeration(monkeypatch):
+    """Make the builders' edge enumeration raise if it is reached."""
+    def combinations(*args):
+        raise AssertionError("an edge enumeration ran before the soft-limit check")
+    monkeypatch.setattr(generators, "itertools", SimpleNamespace(combinations=combinations))
+
+
+class TestSoftLimitsFirst:
+    """n and every level are checked against the soft limits before any edge
+    is listed, so an oversized request fails at once."""
+
+    @pytest.mark.parametrize("n,types,message", [
+        (300, (2, 3), "n=300 exceeds the soft limit 24"),
+        (8, (2, 7), "edge type 7 exceeds the soft limit 6"),
+    ])
+    def test_gen_random(self, monkeypatch, n, types, message):
+        _forbid_enumeration(monkeypatch)
+        with pytest.raises(HypergraphError, match=message):
+            gen_random(n, types, 0.5, seed=0)
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("random-lc", {"n": 100000}, "n=100000 exceeds the soft limit 24"),
+        ("random-lc", {"n": 8, "types": [2, 7]}, "edge type 7 exceeds the soft limit 6"),
+        ("t6a", {"t": 100000}, "n=100002 exceeds the soft limit 24"),
+        ("t7a", {"t": 100000}, "n=100001 exceeds the soft limit 24"),
+        ("ptz", {"t": 100000}, "n=100001 exceeds the soft limit 24"),
+        ("tpzz-free", {"t": 100000}, "n=100002 exceeds the soft limit 24"),
+        ("t6a", {"t": 8, "r": 7, "n": 9}, "edge type 7 exceeds the soft limit 6"),
+    ])
+    def test_planted(self, monkeypatch, family, params, message):
+        _forbid_enumeration(monkeypatch)
+        with pytest.raises(HypergraphError, match=message):
+            gen_planted(family, params, seed=0)
+
+
 class TestPlantedFamilies:
     def test_t6a_example(self):
         h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6}, seed=1)
@@ -52,19 +89,14 @@ class TestPlantedFamilies:
         assert check_hypotheses("TWO_R_T6a", h, {"alpha_r": 1}).ok
 
     def test_t6a_complete_mode(self):
-        h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6, "mode": "complete-r-level"}, seed=1)
+        h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6, "extra_density": 1}, seed=1)
         assert h.num_edges(3) == 20  # all triples of [6]
         assert check_hypotheses("TWO_R_T6a", h, {"alpha_r": 1}).ok
 
     def test_t7a_complete_mode(self):
-        h = gen_planted("t7a", {"t": 4, "m": 8, "r": 3, "mode": "complete-r-level"}, seed=1)
+        h = gen_planted("t7a", {"t": 4, "m": 8, "r": 3, "extra_density": 1}, seed=1)
         assert h.n == 5 and h.num_edges(3) == 10  # all triples of [5]
         assert check_hypotheses("TWO_R_EDGES_T7a", h, {"t": 4, "alpha_r": 1}).ok
-
-    @pytest.mark.parametrize("family", ["t6a", "t7a"])
-    def test_unknown_mode(self, family):
-        with pytest.raises(GenerationError, match="unknown mode 'bogus'"):
-            gen_planted(family, {"t": 4, "mode": "bogus"}, seed=1)
 
     @pytest.mark.parametrize("family,key", [("t6a", "n"), ("t7a", "m"), ("ptz", "m"), ("t6a", "t")])
     def test_integer_parameters(self, family, key):
@@ -150,10 +182,10 @@ class TestPlantedFamilies:
 OUTPUT_PINS = [
     ("t6a", {"t": 4}, "29f1ec584a84a118"),
     ("t6a", {"t": 5, "r": 4, "n": 8, "extra_density": 0.6}, "ccfa23b1b7e4d4f4"),
-    ("t6a", {"t": 3, "n": 5, "mode": "complete-r-level"}, "de8af600deae86b4"),
+    ("t6a", {"t": 3, "n": 5, "extra_density": 1}, "de8af600deae86b4"),
     ("t7a", {"t": 4}, "c73e33593580d42d"),
     ("t7a", {"t": 5, "m": 11, "n": 7}, "2792e393830febc8"),
-    ("t7a", {"t": 4, "m": 6, "n": 6, "mode": "complete-r-level"}, "739dd5dab76c4e60"),
+    ("t7a", {"t": 4, "m": 6, "n": 6, "extra_density": 1}, "739dd5dab76c4e60"),
     ("ptz", {"t": 4}, "66638daf61c86dda"),
     ("ptz", {"t": 5, "m": 12}, "9845eeeae6db14a0"),
     ("tpzz-free", {"t": 4}, "24fa54c4055b8fe2"),

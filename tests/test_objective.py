@@ -221,6 +221,20 @@ class TestGradient:
             lhs = float(np.dot(x, gradient(lvl, c, x)))
             assert lhs == pytest.approx(r * eval_L(lvl, c, x), abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_euler_relation_hessian_per_level(self, seed):
+        """Each degree-r level's gradient is homogeneous of degree r - 1:
+        H(x) x = (r - 1) grad L(x)."""
+        rng = random.Random(seed)
+        h = gen_random(6, (1, 2, 3, 4), 0.5, seed)
+        x = random_simplex_point(rng, 6)
+        for r in h.edge_types:
+            lvl = level(h, r)
+            c = Coefficients.make(r, {})
+            lhs = Objective(lvl, c).hessians(x[None, :])[0] @ x
+            assert np.allclose(lhs, (r - 1) * gradient(lvl, c, x), rtol=0, atol=1e-12)
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), budget=st.sampled_from([1, 40, 1 << 16]))
@@ -239,6 +253,22 @@ def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
         assert values[i] == eval_L(h, coeffs, x[i])
         assert np.array_equal(grads[i], gradient(h, coeffs, x[i]))
         assert np.array_equal(hessians[i], one.hessians(x[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("method", ["values", "gradients", "hessians"])
+@pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,)], ids=["n-1", "n+1", "vector"])
+def test_batch_shape_checked(method, shape):
+    obj = Objective(complete(4, (2, 3)), Coefficients.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"points must have shape \(B, 4\)"):
+        getattr(obj, method)(np.full(shape, 0.25))
+
+
+@pytest.mark.parametrize("fn", [eval_L, gradient])
+@pytest.mark.parametrize("x", [[0.5, 0.5], [0.2] * 5, 0.25, [[0.25] * 4]],
+                         ids=["n-1", "n+1", "scalar", "batch"])
+def test_one_point_shape_checked(fn, x):
+    with pytest.raises(ValueError, match=r"points must have shape \(B, 4\)"):
+        fn(complete(4, (2,)), Coefficients.ones((2,)), x)
 
 
 class TestHessian:
