@@ -183,6 +183,8 @@ def _write(h: Hypergraph, output: str | None) -> int:
 
 
 def _cmd_compress(args) -> int:
+    if args.check and args.output:
+        raise _UsageError("-o/--output needs --fixpoint")
     h = load(args.input)
     if args.check:
         flag = is_left_compressed(h)
@@ -277,20 +279,19 @@ def _cmd_sweep(args) -> int:
         for name in theorems
     ]
     jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-
-    out = Path(args.out) if args.out else None
-    sink = out.open("w", newline="") if out else sys.stdout
+    # The output opens before any task runs, so a bad --out costs no solve.
+    sink = Path(args.out).open("w", newline="") if args.out else sys.stdout
     try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_sweep_task, tasks))
+        else:
+            rows = [_sweep_task(t) for t in tasks]
         writer = csv.DictWriter(sink, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     finally:
-        if out:
+        if args.out:
             sink.close()
     failed = sum(1 for row in rows if not row["pass"])
     if failed:

@@ -213,6 +213,13 @@ class TestCompress:
         assert run(["compress", str(path), "--fixpoint"]) == 0
         assert capsys.readouterr().out == '{"n": 3, "edges": [[1, 2]]}\n'
 
+    def test_check_with_output_exits_one(self, tmp_path, capsys):
+        path, out = tmp_path / "h.json", tmp_path / "out.json"
+        dump(validate(3, [[2, 3]]), path)
+        assert run(["compress", str(path), "--check", "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: -o/--output needs --fixpoint\n")
+        assert not out.exists()
+
     def test_flags_required(self, tmp_path):
         path = tmp_path / "h.json"
         dump(validate(3, [[2, 3]]), path)
@@ -285,14 +292,14 @@ class TestVerify:
         assert run(args) == 1
         assert capsys.readouterr().err == "error: --params must be a JSON object\n"
 
-    def test_bad_strictness_margin_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["x", "0"])
+    def test_bad_alpha_key_exits_one(self, tmp_path, capsys, key):
         path = tmp_path / "g.json"
-        dump(gen_planted("t6a", {"t": 4}, seed=1), path)
-        args = ["verify", "--theorem", "TWO_R_T6a", "--input", str(path)]
-        assert run(args + ["--params", '{"t": 4, "strictness_margin": [1]}']) == 1
+        dump(complete(5, (2, 3)), path)
+        params = json.dumps({"alpha": {key: 1}})
+        assert run(["verify", "--theorem", "GENERAL_T9a", "--input", str(path), "--params", params]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: strictness_margin must be a finite number >= 0")
-        assert "Traceback" not in err
+        assert err == f"error: alpha keys must be positive integer levels, got {key!r}\n"
 
     def test_grid_d_flag_removed(self, one_two_file, capsys):
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
@@ -468,6 +475,15 @@ class TestSweepSeedsAndFailures:
         assert run(self.BASE + ["--theorem", "PTZ", "--seeds", seeds]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_opened_before_any_task(self, tmp_path, monkeypatch, capsys):
+        def never(task):
+            raise AssertionError("a task ran before --out was opened")
+
+        monkeypatch.setattr(cli, "_sweep_task", never)
+        out = tmp_path / "missing" / "x.csv"
+        assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1..6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_rows_exit_two(self, capsys):
         assert run(self.BASE + ["--theorem", "PTZ,NONUNIF_T3", "--seeds", "1..2"]) == 2

@@ -86,6 +86,19 @@ class TestClosedForms:
         expected = Fraction(4, 10) + Fraction(10, 125) + Fraction(5, 625)
         assert got == expected
 
+    def test_levels_outside_the_pattern_are_never_summed(self):
+        # MIXED_T10c is about {1,3}-graphs and GENERAL_T9a about {2,3+}-graphs.
+        t10c = closed_form_exact("MIXED_T10c", {"t": 4, "types": [2, 5]})
+        assert t10c == closed_form_exact("MIXED_T10c", {"t": 4}) == Fraction(11, 8)
+        t9a = closed_form_exact("GENERAL_T9a", {"t": 4, "types": [1, 2, 3]})
+        assert t9a == closed_form_exact("GENERAL_T9a", {"t": 4, "types": [2, 3]}) == Fraction(7, 16)
+
+    @pytest.mark.parametrize("types", [(1, 2, 4), (2, 4), (2, 3, 4)])
+    def test_rank_read_from_types(self, types):
+        got = closed_form_exact("MIXED_T10a", {"t": 5, "types": types})
+        assert got == closed_form_exact("MIXED_T10a", {"t": 5, "r": 4, "types": types})
+        assert got == lambda_prime_complete(5, [v for v in types if v != 3])
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             closed_form("MS_T1", {})
@@ -96,7 +109,7 @@ class TestClosedForms:
 
 
 class TestReadParams:
-    @pytest.mark.parametrize("key", ["density", "extra_density", "strictness_margin"])
+    @pytest.mark.parametrize("key", ["density", "extra_density"])
     @pytest.mark.parametrize("value", [0, 1, 0.25, Fraction(1, 2)])
     def test_real_values_read_as_float(self, key, value):
         got = _read_params({key: value})[key]
@@ -108,11 +121,14 @@ class TestReadParams:
         with pytest.raises(ValueError, match=rf"{key} must be a number in \[0, 1\]"):
             _read_params({key: value})
 
-    @pytest.mark.parametrize("value", [-1e-9, math.inf, math.nan, [1], "0", False, 10**400])
-    def test_strictness_margin_must_be_finite_and_nonnegative(self, value):
-        with pytest.raises(ValueError, match="strictness_margin must be a finite number >= 0"):
-            _read_params({"strictness_margin": value})
-        assert _read_params({"strictness_margin": 5})["strictness_margin"] == 5.0
+    def test_alpha_keys_read_as_levels(self):
+        got = _read_params({"alpha": {"3": 2, 4: "1/2"}})["alpha"]
+        assert got == {3: 2, 4: Fraction(1, 2)} and all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, 2.0, None])
+    def test_bad_alpha_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=r"alpha keys must be positive integer levels, got "):
+            _read_params({"alpha": {key: 1}})
 
     def test_types_read_as_tuple_of_ints(self):
         assert _read_params({"types": [3, 2.0]})["types"] == (3, 2)
@@ -162,6 +178,18 @@ class TestThresholds:
             lo, hi = uniform_edge_window(t, 3)
             assert lo == math.comb(t, 3)
             assert hi == math.comb(t, 3) + math.comb(t - 1, 2)
+
+    @pytest.mark.parametrize("theorem", ["COR1a", "COR1b", "COR2a", "COR2b"])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_corollary_order_threshold(self, theorem, r):
+        """The corollaries need t >= r(r-1)/2 + 1: the general rule under
+        lambda' coefficients."""
+        levels = (1, 2, r) if theorem.endswith("b") else (2, r)
+        bound = r * (r - 1) // 2 + 1
+        for t, ok in ((bound - 1, False), (bound, True)):
+            report = check_hypotheses(theorem, complete(t, levels), {"t": t})
+            (cond,) = [c for c in report.conditions if c.name == "order-threshold"]
+            assert cond.ok is ok and f"t={t} must be >= {bound} " in cond.detail
 
     def test_strict_window_halves(self):
         lo, hi = strict_three_window(4)
