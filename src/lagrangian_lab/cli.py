@@ -3,9 +3,11 @@
 Exit codes: 0 for success (and passing verdicts), 2 when a verification ran
 fine but the check failed, 1 for usage or input errors. verify and sweep
 compare with the closed form at the fixed tolerance 1e-6 and pass only on
-a converged solve. All numeric output uses 12-digit fixed precision.
-compute and verify seed the solver with --seed (default 0) and use 64
-random starts unless --starts sets them; generate builds with --seed
+a converged solve. Text output writes numbers with 12-digit fixed precision;
+--json prints the result's fields in order, as its to_dict writes them:
+compute's solver result (only the value on an edgeless input) and verify's
+verdict. compute and verify seed the solver with --seed (default 0) and use
+64 random starts unless --starts sets them; generate builds with --seed
 (default 0). sweep has no --seed: it seeds each solve with that instance's
 seed and uses 16 starts unless --starts sets them.
 """
@@ -30,21 +32,9 @@ from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, check_grid, grid_oracle, maximize, polish
 from .theorems import _spec, theorem_ids, verify
 
-_SWEEP_COLUMNS = [
-    "family",
-    "seed",
-    "theorem",
-    "t",
-    "r",
-    "m",
-    "hypotheses_ok",
-    "closed_form",
-    "numerical",
-    "uniform_on_clique",
-    "kkt_residual",
-    "pass",
-    "wall_ms",
-]
+# The task's family and seed, the verdict's to_dict fields, the wall time.
+_SWEEP_COLUMNS = ["family", "seed", "theorem", "t", "r", "m", "hypotheses_ok", "closed_form",
+                  "numerical", "uniform_on_clique", "kkt_residual", "pass", "wall_ms"]
 
 
 class _UsageError(Exception):
@@ -129,20 +119,7 @@ def _cmd_compute(args) -> int:
             if scale * polished.value > value:
                 value, result = scale * polished.value, polished
     if args.json:
-        payload = {"value": value}
-        if result is not None:
-            payload.update(
-                {
-                    "x": [float(v) for v in result.x],
-                    "support": list(result.support),
-                    "kkt_residual": result.kkt_residual,
-                    "method": result.method,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "sort_permutation": list(result.sort_permutation),
-                }
-            )
-        print(json.dumps(payload))
+        print(json.dumps({**(result.to_dict() if result is not None else {}), "value": value}))
     else:
         print(_fmt(value))
     return 0
@@ -206,13 +183,10 @@ def _cmd_verify(args) -> int:
         for cond in verdict.conditions:
             mark = "ok" if cond.ok else "FAIL"
             print(f"  [{mark}] {cond.name}: {cond.detail}")
-        print(f"closed_form {_fmt(verdict.closed_form)}")
-        print(f"numerical {_fmt(verdict.numerical)}")
-        print(f"uniform_on_clique {_fmt(verdict.uniform_on_clique)}")
-        if verdict.kkt_residual is not None:
-            print(f"kkt_residual {_fmt(verdict.kkt_residual)}")
-        if verdict.margin is not None:
-            print(f"margin {_fmt(verdict.margin)}")
+        doc = verdict.to_dict()
+        solved = ("kkt_residual", "margin") if verdict.applicable else ()
+        for key in ("closed_form", "numerical", "uniform_on_clique") + solved:
+            print(f"{key} {_fmt(doc[key])}")
         for note in verdict.notes:
             print(f"note: {note}")
         print(f"pass {str(verdict.passed).lower()}")
@@ -228,23 +202,16 @@ def _sweep_task(task: dict) -> dict:
     started = time.perf_counter()
     h = gen_planted(task["family"], task["params"], task["seed"])
     cfg = SolverConfig(starts=task["starts"], seed=task["seed"])
-    verdict = verify(task["theorem"], h, task["params"], cfg)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    return {
-        "family": task["family"],
-        "seed": task["seed"],
-        "theorem": verdict.theorem,
-        "t": verdict.t if verdict.t is not None else "",
-        "r": verdict.r if verdict.r is not None else "",
-        "m": verdict.m if verdict.m is not None else "",
-        "hypotheses_ok": verdict.hypotheses_ok,
-        "closed_form": _fmt(verdict.closed_form),
-        "numerical": _fmt(verdict.numerical),
-        "uniform_on_clique": _fmt(verdict.uniform_on_clique),
-        "kkt_residual": "" if verdict.kkt_residual is None else f"{verdict.kkt_residual:.3e}",
-        "pass": verdict.passed,
-        "wall_ms": f"{wall_ms:.1f}",
-    }
+    doc = verify(task["theorem"], h, task["params"], cfg).to_dict()
+    row = {**task, **doc, "wall_ms": f"{(time.perf_counter() - started) * 1000.0:.1f}"}
+    return {key: _cell(key, row[key]) for key in _SWEEP_COLUMNS}
+
+
+def _cell(key: str, value):
+    """A sweep CSV cell: None empty, kkt_residual .3e, other floats _fmt."""
+    if key == "kkt_residual" and value is not None:
+        return f"{value:.3e}"
+    return _fmt(value) if value is None or isinstance(value, float) else value
 
 
 def _parse_seed_range(spec: str) -> list[int]:
@@ -267,26 +234,22 @@ def _cmd_sweep(args) -> int:
     theorems = [tok.strip() for tok in args.theorem.split(",")]
     for name in theorems:
         _spec(name)  # validate up front
-    tasks = [
-        {
-            "family": args.family,
-            "params": params,
-            "seed": seed,
-            "theorem": name,
-            "starts": args.starts if args.starts is not None else 16,
-        }
-        for seed in seeds
-        for name in theorems
-    ]
+    starts = args.starts if args.starts is not None else 16
+    tasks = [{"family": args.family, "params": params, "seed": seed, "theorem": name, "starts": starts}
+             for seed in seeds for name in theorems]
     jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
-    # The output opens before any task runs, so a bad --out costs no solve.
-    sink = Path(args.out).open("w", newline="") if args.out else sys.stdout
+    # --out opens for appending before any task runs, so a bad path costs no
+    # solve, and it is emptied only once every row is ready, so a failed task
+    # leaves an existing file as it was.
+    sink = Path(args.out).open("a", newline="") if args.out else sys.stdout
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_sweep_task, tasks))
         else:
             rows = [_sweep_task(t) for t in tasks]
+        if args.out and sink.seekable():
+            sink.truncate(0)
         writer = csv.DictWriter(sink, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)

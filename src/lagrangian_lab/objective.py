@@ -87,19 +87,21 @@ class Coefficients:
     @classmethod
     def ones(cls, types: Iterable[int]) -> "Coefficients":
         """Coefficient 1 on every level: the plain monomial-sum objective."""
-        ts = sorted(set(types))
-        if not ts:
+        types = tuple(types)
+        if not types:
             raise ValueError("edge-type set must be nonempty")
-        return cls.make(ts[0], {r: 1 for r in ts[1:]})
+        return flavour_coefficients("lambda", types)[0]
 
     @classmethod
     def from_json(cls, text: str) -> "Coefficients":
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``; a malformed
         document raises ``ValueError``. An integral float ``r0`` such as 3.0
-        is taken as an int; a boolean or fractional one is rejected."""
+        is taken as an int; a boolean or fractional one is rejected. The
+        ``alpha`` keys are read by ``_read_level``, as theorem parameters are."""
         doc = json.loads(text)
         try:
-            alpha = {int(r): _read_positive(f"alpha_{r}", a) for r, a in doc.get("alpha", {}).items()}
+            entries = doc.get("alpha", {}).items()
+            alpha = {_read_level(r): _read_positive(f"alpha_{r}", a) for r, a in entries}
             r0 = _read_int("r0", doc["r0"])
         except (KeyError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
@@ -133,6 +135,14 @@ def _read_positive(key: str, value) -> Fraction:
     if a is None or a <= 0:
         raise ValueError(f"{key} must be a positive number, got {value!r}")
     return a
+
+
+def _read_level(key) -> int:
+    """An ``alpha`` map key: a positive int, or a string of one."""
+    level = int(key) if isinstance(key, str) and key.isdecimal() else key
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
+        raise ValueError(f"alpha keys must be positive integer levels, got {key!r}")
+    return level
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best point of a solve, with its 1-based support, start family,
+    iterations and whether it stopped before ``max_iters``; no field is
+    ever unset. ``to_dict`` gives the fields in order, lists for arrays and
+    tuples."""
+
     value: float
     x: np.ndarray
     support: tuple[int, ...]
@@ -84,6 +89,10 @@ class OptimizationResult:
     iterations: int
     converged: bool
     sort_permutation: tuple[int, ...] = ()
+
+    def to_dict(self) -> dict:
+        # tolist gives an array or tuple as a list and a scalar as itself.
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def _project_rows(v: np.ndarray) -> np.ndarray:

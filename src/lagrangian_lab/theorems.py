@@ -36,15 +36,16 @@ raises ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from numbers import Real
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
 from .hypergraph import Hypergraph, _read_int, vertex_support
-from .objective import _read_positive, eval_exact, flavour_coefficients, rational_uniform
+from .objective import (_read_level, _read_positive, eval_exact, flavour_coefficients,
+                         rational_uniform)
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
@@ -72,51 +73,53 @@ class HypothesisReport:
     derived: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TheoremVerdict:
+    """The comparison ``verify`` makes: the flavour's numerical maximum over
+    the simplex against the closed form on the largest clique.
+
+    Where the hypotheses fail or there is no closed form (``closed_form`` is
+    then nan), ``applicable`` and ``passed`` stay False and ``numerical``,
+    the ``uniform_on_clique`` pair, ``kkt_residual``, ``margin`` and
+    ``solver`` stay None. On the strict branch, which has no clique to
+    evaluate, only the ``uniform_on_clique`` pair stays None.
+
+    ``to_dict`` writes the fields but ``solver`` in order: Fractions as
+    "p/q", conditions as dicts, notes as a list, and ``passed`` as
+    ``tolerance`` then ``pass``.
+    """
+
     theorem: str
     hypotheses_ok: bool
     conditions: tuple[ConditionCheck, ...]
-    applicable: bool
+    applicable: bool = False
     closed_form: float
     closed_form_exact: Fraction | None
-    numerical: float | None
-    uniform_on_clique: float | None
-    uniform_on_clique_exact: Fraction | None
-    kkt_residual: float | None
-    passed: bool
-    margin: float | None
+    numerical: float | None = None
+    uniform_on_clique: float | None = None
+    uniform_on_clique_exact: Fraction | None = None
+    kkt_residual: float | None = None
+    passed: bool = False
+    margin: float | None = None
     t: int | None
     r: int | None
     m: int | None
-    solver: OptimizationResult | None
+    solver: OptimizationResult | None = None
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        def frac(v):
-            return None if v is None else f"{v.numerator}/{v.denominator}"
-
-        return {
-            "theorem": self.theorem,
-            "hypotheses_ok": self.hypotheses_ok,
-            "conditions": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.conditions
-            ],
-            "applicable": self.applicable,
-            "closed_form": self.closed_form,
-            "closed_form_exact": frac(self.closed_form_exact),
-            "numerical": self.numerical,
-            "uniform_on_clique": self.uniform_on_clique,
-            "uniform_on_clique_exact": frac(self.uniform_on_clique_exact),
-            "kkt_residual": self.kkt_residual,
-            "tolerance": _TOL,
-            "pass": self.passed,
-            "margin": self.margin,
-            "t": self.t,
-            "r": self.r,
-            "m": self.m,
-            "notes": list(self.notes),
-        }
+        out = {}
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            if key == "passed":
+                out["tolerance"], key = _TOL, "pass"
+            if isinstance(value, Fraction):
+                value = f"{value.numerator}/{value.denominator}"
+            elif key in ("conditions", "notes"):
+                value = [asdict(v) if key == "conditions" else v for v in value]
+            if key != "solver":
+                out[key] = value
+        return out
 
 
 def pair_edge_window(t: int) -> tuple[int, int]:
@@ -174,14 +177,6 @@ def _read_real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
         raise ValueError(f"{key} must be a number in [0, 1], got {value!r}")
     return float(value)
-
-
-def _read_level(key) -> int:
-    """An ``alpha`` map key: a positive int, or a string of one."""
-    level = int(key) if isinstance(key, str) and key.isdecimal() else key
-    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
-        raise ValueError(f"alpha keys must be positive integer levels, got {key!r}")
-    return level
 
 
 def _read_params(params: Mapping | None) -> dict:
@@ -559,20 +554,12 @@ def verify(
         cf = float(cf_exact)
     except ValueError:
         cf_exact, cf = None, math.nan
-    verdict = partial(
-        TheoremVerdict,
-        theorem=theorem,
-        hypotheses_ok=report.ok,
-        conditions=report.conditions,
-        closed_form=cf,
-        closed_form_exact=cf_exact,
-        t=derived.get("t"),
-        r=derived.get("r"),
-    )
+    verdict = TheoremVerdict(
+        theorem=theorem, hypotheses_ok=report.ok, conditions=report.conditions, closed_form=cf,
+        closed_form_exact=cf_exact, t=derived.get("t"), r=derived.get("r"), m=derived.get("m"),
+        notes=tuple(notes))
     if not report.ok or cf_exact is None:
-        outputs = ("numerical", "uniform_on_clique", "uniform_on_clique_exact", "kkt_residual")
-        unset = dict.fromkeys(outputs + ("margin", "solver"))
-        return verdict(**unset, applicable=False, passed=False, m=derived.get("m"), notes=tuple(notes))
+        return verdict
 
     coeffs, scale = flavour_coefficients(spec.flavour, h.edge_types, derived.get("alpha"))
     res = maximize(h, coeffs, cfg)
@@ -591,15 +578,9 @@ def verify(
             uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
         passed = res.converged and abs(numerical - cf) <= _TOL and uniform_exact == cf_exact
 
-    return verdict(
-        applicable=True,
-        numerical=numerical,
+    return replace(
+        verdict, applicable=True, numerical=numerical,
         uniform_on_clique=None if uniform_exact is None else float(uniform_exact),
-        uniform_on_clique_exact=uniform_exact,
-        kkt_residual=res.kkt_residual,
-        passed=passed,
-        margin=margin,
-        m=derived.get("m", h.num_edges(max(h.edge_types, default=0))),
-        solver=res,
-        notes=tuple(notes),
-    )
+        uniform_on_clique_exact=uniform_exact, kkt_residual=res.kkt_residual, passed=passed,
+        margin=margin, m=derived.get("m", h.num_edges(max(h.edge_types, default=0))), solver=res,
+        notes=tuple(notes))

@@ -75,6 +75,28 @@ class TestCompute:
         assert doc["value"] == pytest.approx(0.4, abs=1e-6)
         assert sorted(doc["support"]) == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("flags", [[], ["--grid", "--grid-d", "6"]], ids=["solve", "grid"])
+    def test_json_keys_in_field_order(self, k5_file, capsys, flags):
+        assert run(["compute", k5_file, "--json", "--starts", "4"] + flags) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["value", "x", "support", "kkt_residual", "method", "iterations",
+                             "converged", "sort_permutation"]
+        assert len(doc["x"]) == 5 and all(type(v) is float for v in doc["x"])
+        assert doc["sort_permutation"] == [1, 2, 3, 4, 5]
+
+    def test_edgeless_json_has_only_the_value(self, edgeless_file, capsys):
+        assert run(["compute", edgeless_file, "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["value"]
+
+    @pytest.mark.parametrize("key", ["x", "0"])
+    def test_bad_alpha_key_exits_one(self, k5_file, tmp_path, capsys, key):
+        cfile = tmp_path / "coeffs.json"
+        cfile.write_text(json.dumps({"r0": 2, "alpha": {key: 1}}))
+        assert run(["compute", k5_file, "--objective", "weighted", "--coeffs", str(cfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --coeffs must hold a JSON object")
+        assert f"alpha keys must be positive integer levels, got {key!r}" in err
+
     def test_grid_flag(self, tmp_path, capsys):
         h = tmp_path / "h.json"
         dump(complete(3, (2,)), h)
@@ -247,6 +269,29 @@ class TestVerify:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True and doc["theorem"] == "NONUNIF_T3"
+
+    VERDICT_KEYS = ["theorem", "hypotheses_ok", "conditions", "applicable", "closed_form",
+                    "closed_form_exact", "numerical", "uniform_on_clique", "uniform_on_clique_exact",
+                    "kkt_residual", "tolerance", "pass", "margin", "t", "r", "m", "notes"]
+
+    @pytest.mark.parametrize("theorem, family, params, applicable, uniform", [
+        ("TWO_R_T6a", "t6a", {"t": 4}, True, "7/16"),
+        ("PTZ", "t6a", {"t": 4}, False, None),
+        ("TPZZ", "tpzz-free", {"t": 4, "m": 5, "n": 6}, True, None),
+    ], ids=["applicable", "not-applicable", "strict"])
+    def test_json_keys_in_field_order(self, tmp_path, capsys, theorem, family, params, applicable,
+                                      uniform):
+        path = tmp_path / "g.json"
+        dump(gen_planted(family, params, seed=3), path)
+        args = ["verify", "--theorem", theorem, "--input", str(path), "--params", json.dumps(params),
+                "--json", "--starts", "4"]
+        assert run(args) == (0 if applicable else 2)
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == self.VERDICT_KEYS
+        assert doc["applicable"] is applicable and doc["pass"] is applicable
+        assert doc["uniform_on_clique_exact"] == uniform
+        assert (doc["numerical"] is None) is (not applicable)
+        assert all(list(c) == ["name", "ok", "detail"] for c in doc["conditions"])
 
     def test_params_inline(self, tmp_path, capsys):
         g = with_singletons(gen_planted("tpzz-free", {"t": 4, "m": 5, "n": 6}, seed=3))
@@ -484,6 +529,19 @@ class TestSweepSeedsAndFailures:
         out = tmp_path / "missing" / "x.csv"
         assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1..6", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_task_keeps_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"twelve bytes")
+        args = ["sweep", "--family", "t7a", "--theorem", "TWO_R_EDGES_T7a", "--seeds", "1",
+                "--jobs", "1", "--params", '{"t": 4, "m": 100}', "--out", str(out)]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"twelve bytes"
+        # Once every row is ready, the rows replace the old contents.
+        assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["seed"] for row in rows] == ["1"]
 
     def test_failed_rows_exit_two(self, capsys):
         assert run(self.BASE + ["--theorem", "PTZ,NONUNIF_T3", "--seeds", "1..2"]) == 2

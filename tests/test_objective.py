@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -78,6 +79,19 @@ class TestCoefficients:
     def test_non_integral_r0_rejected(self, doc):
         with pytest.raises(ValueError, match="r0 must be an integer"):
             Coefficients.from_json(doc)
+
+    @pytest.mark.parametrize("key", ["x", "0", "3.0"])
+    def test_alpha_keys_read_as_levels(self, key):
+        doc = json.dumps({"r0": 2, "alpha": {key: 1}})
+        with pytest.raises(ValueError, match=f"alpha keys must be positive integer levels, got {key!r}"):
+            Coefficients.from_json(doc)
+
+    def test_ones_is_the_lambda_flavour(self):
+        for types in ((2,), (1, 3), [3, 2, 4, 2]):
+            assert Coefficients.ones(types) == flavour_coefficients("lambda", types)[0]
+        assert Coefficients.ones(iter((2, 3))) == Coefficients.make(2, {3: 1})
+        with pytest.raises(ValueError, match="nonempty"):
+            Coefficients.ones(())
 
     def test_integral_float_r0_accepted(self):
         c = Coefficients.from_json('{"r0": 2.0, "alpha": {"3": 1}}')
