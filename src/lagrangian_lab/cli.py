@@ -162,6 +162,8 @@ def _write(h: Hypergraph, output: str | None) -> int:
 def _cmd_compress(args) -> int:
     if args.check and args.output:
         raise _UsageError("-o/--output needs --fixpoint")
+    if args.json and not args.check:
+        raise _UsageError("--json needs --check")
     h = load(args.input)
     if args.check:
         flag = is_left_compressed(h)
@@ -183,10 +185,9 @@ def _cmd_verify(args) -> int:
         for cond in verdict.conditions:
             mark = "ok" if cond.ok else "FAIL"
             print(f"  [{mark}] {cond.name}: {cond.detail}")
-        doc = verdict.to_dict()
-        solved = ("kkt_residual", "margin") if verdict.applicable else ()
-        for key in ("closed_form", "numerical", "uniform_on_clique") + solved:
-            print(f"{key} {_fmt(doc[key])}")
+        for key in ("closed_form", "numerical", "uniform_on_clique", "kkt_residual", "margin"):
+            if (value := getattr(verdict, key)) is not None:
+                print(f"{key} {_fmt(value)}")
         for note in verdict.notes:
             print(f"note: {note}")
         print(f"pass {str(verdict.passed).lower()}")

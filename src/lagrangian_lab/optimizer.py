@@ -14,19 +14,19 @@ one batched gradient and KKT residual over the rows still running. A row
 leaves the batch when it converges, stalls or runs out of iterations.
 
 At a maximizer every support vertex has the same partial derivative, the
-first-order condition the Motzkin-Straus-type results are read from. Once
-a row's support (its weights above ``_SUPPORT_EPS``) is the same as at its
-previous iteration, the row tries one Newton step towards that condition
-on its face: it solves the bordered system ``[H_SS -1; 1^T 0] [d; lam] =
-[-g_S; 0]`` with the exact Hessian (a singular system, as on a face with a
-direction of constant value, takes its minimum-norm least-squares step).
-The step is accepted only if every
-support weight stays above ``_SUPPORT_EPS``, the value does not drop
-(beyond ``_NEWTON_ULPS`` units of rounding) and the KKT residual strictly
-falls. Otherwise the row takes its projected-gradient step, found by one
-batched line search that tries several halvings of every pending row per
-objective evaluation, and waits ``_NEWTON_WAIT`` iterations before it
-tries Newton again.
+first-order condition the Motzkin-Straus-type results are read from. From
+its first iteration on, a running row with two or more support vertices
+(weights above ``_SUPPORT_EPS``) tries one Newton step towards that
+condition on its face: it solves the bordered system ``[H_SS -1; 1^T 0]
+[d; lam] = [-g_S; 0]`` with the exact Hessian (a singular system, as on a
+face with a direction of constant value, takes its minimum-norm
+least-squares step). The step is accepted only if every support weight
+stays above ``_SUPPORT_EPS``, the value does not drop (beyond
+``_NEWTON_ULPS`` units of rounding) and the KKT residual strictly falls.
+Otherwise the row takes its projected-gradient step, found by one batched
+line search that tries several halvings of every pending row per objective
+evaluation, and waits ``_NEWTON_WAIT`` iterations before it tries Newton
+again.
 
 The batch only shares the per-call overhead: every row does exactly the
 arithmetic of an ascent from that start alone (the same projections,
@@ -235,24 +235,21 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
     face-Newton finish.
 
     Each iteration takes one batched gradient and residual over the rows
-    still running. A row whose support is the same as at its previous
-    iteration first tries one Newton step on that face (``_newton``); the
-    other rows, and those whose step is rejected, take one batched line
-    search, and a rejected row waits ``_NEWTON_WAIT`` iterations before its
-    next try. A row stops when its residual is within ``_TOL_GRAD`` or no
-    step above ``_MIN_STEP`` ascends (both count as converged), or when
-    ``max_iters`` runs out. Returns points, values, iterations and
-    converged flags, one per row.
+    still running. A row with two or more support vertices first tries one
+    Newton step on its face (``_newton``); the other rows, and those whose
+    step is rejected, take one batched line search, and a rejected row
+    waits ``_NEWTON_WAIT`` iterations before its next try. A row stops when
+    its residual is within ``_TOL_GRAD`` or no step above ``_MIN_STEP``
+    ascends (both count as converged), or when ``max_iters`` runs out.
+    Returns points, values, iterations and converged flags, one per row.
     """
     x = _project_rows(x0)
-    rows, n = x.shape
+    rows = len(x)
     val = obj.values(x)
     step = np.ones(rows)
     iters = np.full(rows, cfg.max_iters)
     converged = np.zeros(rows, dtype=bool)
-    # Per row: the support at its previous iteration, and the first
-    # iteration at which it may try Newton.
-    face = np.zeros((rows, n), dtype=bool)
+    # Per row: the first iteration at which it may try Newton.
     newton_from = np.ones(rows, dtype=int)
     active = np.arange(rows)
     for it in range(1, cfg.max_iters + 1):
@@ -260,10 +257,7 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
         g = obj.gradients(xa)
         res = _residuals(xa, g)
         small = res <= _TOL_GRAD
-        sup = xa > _SUPPORT_EPS
-        same = (sup == face[active]).all(axis=1)
-        face[active] = sup
-        tries = ~small & same & (sup.sum(axis=1) > 1) & (newton_from[active] <= it)
+        tries = ~small & ((xa > _SUPPORT_EPS).sum(axis=1) > 1) & (newton_from[active] <= it)
         newton = np.zeros(len(active), dtype=bool)
         if tries.any():
             ok = _newton(obj, x, val, res[tries], g[tries], active[tries])
@@ -303,37 +297,40 @@ def _finalize(
     )
 
 
-def maximize(
-    h: Hypergraph, coeffs: Coefficients, cfg: SolverConfig | None = None
+def _solve(
+    h: Hypergraph, coeffs: Coefficients, points: np.ndarray, labels: Sequence[str], cfg: SolverConfig
 ) -> OptimizationResult:
-    """Best ascent result over clique, prefix and random starts.
+    """Ascend every row of ``points`` and finalize the best; an edgeless
+    instance returns its first row, projected, at 0 iterations.
 
-    Among runs whose values tie within ``_TOL_VALUE`` the smallest support
+    Among rows whose values tie within ``_TOL_VALUE`` the smallest support
     wins, with the lexicographically smallest support set breaking remaining
     ties; this realizes the minimal-support solution convention.
     """
-    cfg = cfg or SolverConfig()
     obj = Objective(h, coeffs)
     if not h.edge_types:
-        x = np.zeros(h.n)
-        x[0] = 1.0
-        return _finalize(obj, x, "warmstart", 0, True)
-
-    starts: list[tuple[str, np.ndarray]] = []
-    clique = max_complete_subgraph(h, h.edge_types)
-    if clique.order > 0:
-        starts.append(("warmstart", uniform_weights(h.n, clique.vertices)))
-    for k in range(1, h.n + 1):
-        starts.append(("warmstart", uniform_weights(h.n, range(1, k + 1))))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.starts):
-        starts.append(("multistart", rng.dirichlet(np.ones(h.n))))
-
-    labels, points = zip(*starts)
-    x, val, iters, conv = _ascend_batch(obj, np.array(points), cfg)
-    pool = np.flatnonzero(val >= val.max() - _TOL_VALUE)
-    i = min(pool, key=lambda i: (len(_support(x[i])), _support(x[i]), -val[i]))
+        return _finalize(obj, points[0], labels[0], 0, True)
+    x, val, iters, conv = _ascend_batch(obj, points, cfg)
+    supports = {i: _support(x[i]) for i in np.flatnonzero(val >= val.max() - _TOL_VALUE)}
+    i = min(supports, key=lambda i: (len(supports[i]), supports[i], -val[i]))
     return _finalize(obj, x[i], labels[i], int(iters[i]), bool(conv[i]))
+
+
+def maximize(
+    h: Hypergraph, coeffs: Coefficients, cfg: SolverConfig | None = None
+) -> OptimizationResult:
+    """Best ascent result over clique, prefix and random starts, picked as
+    ``_solve`` says."""
+    cfg = cfg or SolverConfig()
+    n = h.n
+    clique = max_complete_subgraph(h, h.edge_types).vertices if h.edge_types else ()
+    points = np.concatenate([
+        [uniform_weights(n, clique)] if clique else np.empty((0, n)),
+        np.tri(n) / np.arange(1, n + 1)[:, None],
+        np.random.default_rng(cfg.seed).dirichlet(np.ones(n), size=cfg.starts),
+    ])
+    labels = ["warmstart"] * (len(points) - cfg.starts) + ["multistart"] * cfg.starts
+    return _solve(h, coeffs, points, labels, cfg)
 
 
 def polish(
@@ -344,12 +341,8 @@ def polish(
     method: str = "warmstart",
 ) -> OptimizationResult:
     """Single ascent run from a given point (used to refine grid maxima)."""
-    cfg = cfg or SolverConfig()
-    obj = Objective(h, coeffs)
-    if not h.edge_types:
-        return _finalize(obj, np.asarray(x0, float), method, 0, True)
-    x, _, iters, conv = _ascend_batch(obj, np.asarray(x0, dtype=float).ravel()[None, :], cfg)
-    return _finalize(obj, x[0], method, int(iters[0]), bool(conv[0]))
+    points = np.asarray(x0, dtype=float).ravel()[None, :]
+    return _solve(h, coeffs, points, [method], cfg or SolverConfig())
 
 
 # Grid points per block: the most count rows ``grid_oracle`` holds at once.

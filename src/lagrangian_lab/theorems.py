@@ -78,11 +78,12 @@ class TheoremVerdict:
     """The comparison ``verify`` makes: the flavour's numerical maximum over
     the simplex against the closed form on the largest clique.
 
-    Where the hypotheses fail or there is no closed form (``closed_form`` is
-    then nan), ``applicable`` and ``passed`` stay False and ``numerical``,
-    the ``uniform_on_clique`` pair, ``kkt_residual``, ``margin`` and
-    ``solver`` stay None. On the strict branch, which has no clique to
-    evaluate, only the ``uniform_on_clique`` pair stays None.
+    Where the hypotheses fail or there is no closed form (the
+    ``closed_form`` pair is then None), ``applicable`` and ``passed`` stay
+    False and ``numerical``, the ``uniform_on_clique`` pair,
+    ``kkt_residual``, ``margin`` and ``solver`` stay None. On the strict
+    branch, which has no clique to evaluate, only the ``uniform_on_clique``
+    pair stays None.
 
     ``to_dict`` writes the fields but ``solver`` in order: Fractions as
     "p/q", conditions as dicts, notes as a list, and ``passed`` as
@@ -93,7 +94,7 @@ class TheoremVerdict:
     hypotheses_ok: bool
     conditions: tuple[ConditionCheck, ...]
     applicable: bool = False
-    closed_form: float
+    closed_form: float | None
     closed_form_exact: Fraction | None
     numerical: float | None = None
     uniform_on_clique: float | None = None
@@ -553,7 +554,7 @@ def verify(
         cf_exact = closed_form_exact(theorem, {**p, **derived})
         cf = float(cf_exact)
     except ValueError:
-        cf_exact, cf = None, math.nan
+        cf_exact = cf = None
     verdict = TheoremVerdict(
         theorem=theorem, hypotheses_ok=report.ok, conditions=report.conditions, closed_form=cf,
         closed_form_exact=cf_exact, t=derived.get("t"), r=derived.get("r"), m=derived.get("m"),

@@ -149,8 +149,8 @@ def _instance_cases() -> list[tuple]:
     h = gen_random(6, (2, 3), 0.6, 47)
     cases.append(("stall-23-n6", h, Coefficients.ones(h.edge_types),
                   dict(starts=4, seed=6, tol_grad=1e-300, max_iters=4000), ("maximize",)))
-    # Under tol_grad=1e-6 the winning start stops after 2 iterations; the
-    # default tol_grad takes it to 8.
+    # Under tol_grad=1e-6 the winning start stops after 2 iterations, as it
+    # does under the default tol_grad.
     h = gen_random(6, (2, 3), 0.6, 312)
     cases.append(("loose-tol-grad-23-n6", h, Coefficients.ones(h.edge_types),
                   dict(starts=5, seed=8, tol_grad=1e-6), ("maximize",)))
@@ -189,7 +189,7 @@ def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
     def ascend(x):
         x = project_to_simplex(x)
         val = eval_L(h, coeffs, x)
-        step, face, newton_from = 1.0, None, 1
+        step, newton_from = 1.0, 1
         for it in range(1, cfg.max_iters + 1):
             g = gradient(h, coeffs, x)
             res = kkt_residual(h, coeffs, x)
@@ -197,8 +197,7 @@ def _reference_exits(h, coeffs, cfg: SolverConfig, starts) -> set[str]:
                 exits.add("grad-tol")
                 return
             sup = x > eps
-            same, face = face is not None and np.array_equal(sup, face), sup
-            if same and sup.sum() > 1 and it >= newton_from:
+            if sup.sum() > 1 and it >= newton_from:
                 y = newton_point(x, g, sup)
                 slack = optimizer._NEWTON_ULPS * np.spacing(val)
                 if (y is not None and np.array_equal(y > eps, sup)
@@ -292,6 +291,22 @@ def test_grid_oracle_golden(case):
     value, x = grid_oracle(h, Coefficients.from_json(case["coeffs"]), case["grid"]["resolution"])
     assert _close(float(value).hex(), case["grid"]["value"])
     assert np.array_equal(x, _unhex(case["x0"]))
+
+
+@pytest.mark.parametrize("name", ["random-24-n9", "grid-polish-23-n6", "random-123-n8",
+                                  "dense-3-n9", "planted-t6a"])
+def test_polish_near_a_maximizer_stops_after_two_iterations(name):
+    """Within 1e-6 of a stored maximizer, on its face, the first iteration's
+    Newton step lands within ``_TOL_GRAD`` and the second iteration stops."""
+    case = next(c for c in _load()["cases"] if c["name"] == name)
+    x = _unhex(case["expected"]["x"])
+    sup = x > optimizer._SUPPORT_EPS
+    d = np.where(sup, np.random.default_rng(0).standard_normal(x.size), 0.0)
+    d[sup] -= d[sup].mean()
+    x0 = x + 1e-6 * d / np.abs(d).max()
+    res = polish(_instance(case), Coefficients.from_json(case["coeffs"]), x0)
+    assert (res.iterations, res.converged, res.support) == (2, True, tuple(case["expected"]["support"]))
+    assert _close(float(res.value).hex(), case["expected"]["value"])
 
 
 def _regenerate() -> None:
