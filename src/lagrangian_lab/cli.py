@@ -52,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
-    return f"{value:.12f}"
+    # A negative value that rounds to zero prints without its sign.
+    text = f"{value:.12f}"
+    return text.lstrip("-") if float(text) == 0 else text
 
 
 def _solver_config(args) -> SolverConfig:

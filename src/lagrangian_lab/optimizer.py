@@ -185,6 +185,17 @@ _NEWTON_WAIT = 2
 _NEWTON_ULPS = 4
 
 
+def _solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every system a[i] z = b[i]; a singular one (an exact zero LU pivot,
+    which ``slogdet`` and ``solve`` meet alike) takes its minimum-norm lstsq z."""
+    singular = np.linalg.slogdet(a)[0] == 0
+    z = np.empty_like(b)
+    z[~singular] = np.linalg.solve(a[~singular], b[~singular])
+    for i in np.flatnonzero(singular):
+        z[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+    return z
+
+
 def _newton(obj: Objective, x, val, res, g, rows) -> np.ndarray:
     """One Newton step on the support face for ``rows`` of x at once.
 
@@ -203,19 +214,7 @@ def _newton(obj: Objective, x, val, res, g, rows) -> np.ndarray:
     kkt[:, range(n), range(n)] += ~sup
     kkt[:, :n, n], kkt[:, n, :n] = -1.0 * sup, sup
     rhs = np.append(np.where(sup, -g, 0.0), np.zeros((m, 1)), axis=1)[:, :, None]
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        # Solve row by row (the same LAPACK call per row); a singular system,
-        # such as a face with a direction of constant value, takes its
-        # minimum-norm least-squares step.
-        sol = np.empty_like(rhs)
-        for i in range(m):
-            try:
-                sol[i] = np.linalg.solve(kkt[i], rhs[i])
-            except np.linalg.LinAlgError:
-                sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
-    y = np.where(sup, xs + sol[:, :n, 0], xs)
+    y = np.where(sup, xs + _solve_systems(kkt, rhs)[:, :n, 0], xs)
     # A step that keeps the face is finite and has every weight at most 1.
     accepted = (((y > _SUPPORT_EPS) == sup) & (y <= 1.0)).all(axis=1)
     y = _project_rows(y[accepted])
@@ -283,8 +282,6 @@ def _finalize(
 ) -> OptimizationResult:
     x = project_to_simplex(x)
     row = x[None, :]
-    order = np.lexsort((np.arange(1, x.size + 1), -x))
-    perm = tuple(int(i) + 1 for i in order)
     return OptimizationResult(
         value=float(obj.values(row)[0]),
         x=x,
@@ -293,7 +290,7 @@ def _finalize(
         method=label,
         iterations=iterations,
         converged=converged,
-        sort_permutation=perm,
+        sort_permutation=tuple(int(i) + 1 for i in np.argsort(-x, kind="stable")),
     )
 
 
@@ -305,14 +302,16 @@ def _solve(
 
     Among rows whose values tie within ``_TOL_VALUE`` the smallest support
     wins, with the lexicographically smallest support set breaking remaining
-    ties; this realizes the minimal-support solution convention.
+    ties; this realizes the minimal-support solution convention. Rows with
+    equal supports go by start order (for ``maximize``: the clique start,
+    the prefixes, then the random starts), never by rounding in the value.
     """
     obj = Objective(h, coeffs)
     if not h.edge_types:
         return _finalize(obj, points[0], labels[0], 0, True)
     x, val, iters, conv = _ascend_batch(obj, points, cfg)
     supports = {i: _support(x[i]) for i in np.flatnonzero(val >= val.max() - _TOL_VALUE)}
-    i = min(supports, key=lambda i: (len(supports[i]), supports[i], -val[i]))
+    i = min(supports, key=lambda i: (len(supports[i]), supports[i]))
     return _finalize(obj, x[i], labels[i], int(iters[i]), bool(conv[i]))
 
 

@@ -19,6 +19,7 @@ from lagrangian_lab import (
     gen_random,
     grid_oracle,
     kkt_residual,
+    max_complete_subgraph,
     maximize,
     polish,
     project_to_simplex,
@@ -136,8 +137,6 @@ class TestMaximize:
         assert res.x.min() >= 0 and abs(res.x.sum() - 1) <= 1e-12
 
     def test_warm_start_dominates_clique_value(self, fast_cfg):
-        from lagrangian_lab import max_complete_subgraph
-
         for seed in range(5):
             h = random_instance(seed, n_max=6)
             coeffs = Coefficients.ones(h.edge_types)
@@ -337,6 +336,65 @@ def test_ascent_rows_do_not_depend_on_the_batch(seed, rows):
     for i in range(rows):
         alone = optimizer._ascend_batch(obj, x0[i:i + 1], cfg)
         assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, batch))
+
+
+def _path_face():
+    """The objective of edges {1,4}, {2,3}, {3,4}, a point on the face
+    {2,3,4}, and the bordered Newton system ``_newton`` builds there (an
+    identity row off the face). L = x3 (x2 + x4) is constant along e2 - e4,
+    so the system is singular."""
+    h = gen_random(4, (2,), 0.5, 0)
+    assert h.edges() == [(1, 4), (2, 3), (3, 4)]
+    obj, x = optimizer.Objective(h, Coefficients.ones((2,))), np.array([[0.0, 7 / 27, 13 / 27, 7 / 27]])
+    kkt = np.zeros((5, 5))
+    kkt[0, 0] = 1.0
+    kkt[1:4, 1:4] = obj.hessians(x)[0][1:, 1:]
+    kkt[1:4, 4], kkt[4, 1:4] = -1.0, 1.0
+    return obj, x, kkt
+
+
+def test_singular_face_takes_the_least_squares_newton_step():
+    obj, x, kkt = _path_face()
+    assert np.linalg.slogdet(kkt)[0] == 0
+    val, g = obj.values(x), obj.gradients(x)
+    res = optimizer._residuals(x, g)
+    assert optimizer._newton(obj, x, val, res, g, np.array([0])).tolist() == [True]
+    assert optimizer._residuals(x, obj.gradients(x))[0] < 1e-12 < res[0]
+    assert x[0, 1:] == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+
+
+def test_batched_systems_solve_as_one_at_a_time():
+    """Singular systems mixed into a batch: every row's solution is that of
+    ``np.linalg.solve`` on the row alone, or, where that raises, of
+    ``np.linalg.lstsq``, bit for bit."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((9, 5, 5))
+    a[0] = _path_face()[2]
+    a[3, 2] = a[3, 4]          # a repeated row
+    a[5] = rng.integers(-3, 4, (5, 2)) @ rng.integers(-3, 4, (2, 5))   # rank 2
+    a[7, :, 1] = 0.0           # a zero column
+    b = rng.standard_normal((9, 5, 1))
+
+    def alone(ai, bi):
+        try:
+            return np.linalg.solve(ai, bi), False
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(ai, bi, rcond=None)[0], True
+
+    want, singular = zip(*(alone(ai, bi) for ai, bi in zip(a, b)))
+    assert singular[0] and not all(singular)
+    assert np.array_equal(optimizer._solve_systems(a, b), np.array(want))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_planted_clique_start_wins_its_ties(seed):
+    """On a planted t6a instance the maximum is uniform on the clique, and
+    random starts that reach it tie the clique start to rounding; ties go by
+    start order, so the clique start is reported."""
+    h = gen_planted("t6a", {"t": 5}, seed)
+    res = maximize(h, Coefficients.ones(h.edge_types), SolverConfig(starts=16, seed=seed))
+    clique = max_complete_subgraph(h, h.edge_types).vertices
+    assert (res.method, res.support, res.iterations) == ("warmstart", tuple(clique), 1)
 
 
 @pytest.mark.parametrize("seed", [16, 19, 61])

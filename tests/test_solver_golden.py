@@ -149,9 +149,10 @@ def _instance_cases() -> list[tuple]:
     h = gen_random(6, (2, 3), 0.6, 47)
     cases.append(("stall-23-n6", h, Coefficients.ones(h.edge_types),
                   dict(starts=4, seed=6, tol_grad=1e-300, max_iters=4000), ("maximize",)))
-    # Under tol_grad=1e-6 the winning start stops after 2 iterations, as it
-    # does under the default tol_grad.
-    h = gen_random(6, (2, 3), 0.6, 312)
+    # Under tol_grad=1e-6 the winning start stops after 7 iterations at a
+    # KKT residual of about 4e-7; under the default it takes 8 and ends
+    # below 1e-12 (test_tol_grad_changes_the_result).
+    h = gen_random(6, (2, 3), 0.6, 309)
     cases.append(("loose-tol-grad-23-n6", h, Coefficients.ones(h.edge_types),
                   dict(starts=5, seed=8, tol_grad=1e-6), ("maximize",)))
     return cases
@@ -283,6 +284,16 @@ def test_solver_golden(case):
     assert _close(got["kkt_residual"], want["kkt_residual"]), (got["kkt_residual"], want["kkt_residual"])
     assert len(got["x"]) == len(want["x"])
     assert all(_close(a, b) for a, b in zip(got["x"], want["x"])), (got["x"], want["x"])
+
+
+@pytest.mark.parametrize("case", [c for c in _cases() if "tol_grad" in c.values[0]["cfg"]])
+def test_tol_grad_changes_the_result(case):
+    """A case that sets ``tol_grad`` solves otherwise under the default, or
+    it would test nothing the other cases do not."""
+    default = dict(case, cfg={k: v for k, v in case["cfg"].items() if k != "tol_grad"})
+    got, want = _record(_solve(default)), case["expected"]
+    assert (got["iterations"] != want["iterations"]
+            or not _close(got["kkt_residual"], want["kkt_residual"]))
 
 
 @pytest.mark.parametrize("case", [c for c in _cases() if "grid" in c.values[0]])
