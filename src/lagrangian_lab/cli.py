@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success (and passing verdicts), 2 when a verification ran
 fine but the check failed, 1 for usage or input errors. verify and sweep
-compare with the closed form at the fixed tolerance 1e-6 and pass only on
-a converged solve. Text output writes numbers with 12-digit fixed precision;
+pass an equality verdict when the optimum is at most 1e-6 below the closed
+form and at most 1e-12 times the closed form above it, and only on a
+converged solve. Text output writes numbers with 12-digit fixed precision;
 --json prints the result's fields in order, as its to_dict writes them:
 compute's solver result (only the value on an edgeless input) and verify's
 verdict. compute and verify seed the solver with --seed (default 0) and use

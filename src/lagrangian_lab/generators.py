@@ -147,6 +147,8 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         h = validate(n, edges + rest)
     elif family == "ptz":
         bounds = uniform_edge_window(t, r)
+        if bounds[1] < bounds[0]:
+            raise GenerationError(f"PTZ's {r}-level window {list(bounds)} is empty for t={t}")
         target, tparams = "PTZ", {"t": t, "r": r}
         h = validate(n, _plant(rng, t, n, (r,), r, bounds, p.get("m", bounds[0])))
     elif family == "tpzz-free":

@@ -22,9 +22,10 @@ times L with alpha_r = r!/r0!, r0 the smallest level, or 1 when there are
 no levels. The factorial-weighted sum written out independently is a test
 oracle, so the identity is cross-checked in the tests rather than assumed.
 
-Float evaluations accept any real vector of length n. An exact mode over
-rationals, which requires a point of the simplex, backs the closed-form
-identity checks.
+Float evaluations accept any real vector of length n. An exact mode, which
+requires a rational point of the simplex, backs the closed-form identity
+checks: it adds integer edge products over one common denominator and
+builds one ``Fraction`` per level.
 """
 
 from __future__ import annotations
@@ -311,20 +312,17 @@ def gradient(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> np.ndar
     return Objective(h, coeffs).gradients(np.asarray(x, dtype=float)[None])[0]
 
 
-def eval_exact(
-    h: Hypergraph, coeffs: Coefficients, x: Sequence[Fraction]
-) -> Fraction:
-    """Exact rational evaluation of L at an exact simplex point."""
+def eval_exact(h: Hypergraph, coeffs: Coefficients, x: Sequence[Fraction]) -> Fraction:
+    """Exact rational evaluation of L at an exact simplex point. Each weight
+    is k_v / d over the lcm d of the denominators, so level r adds the
+    integer products of its edges' k_v into S_r and contributes
+    alpha_r * S_r / d**r (Python ints: d**r overflows int64)."""
     xs = check_rational_feasible(x, h.n)
+    d = math.lcm(*(v.denominator for v in xs))
+    k = [v.numerator * (d // v.denominator) for v in xs]
     total = Fraction(0)
     for r, es in h.levels:
-        a = Fraction(coeffs.coefficient(r))
-        s = Fraction(0)
-        for e in es:
-            m = Fraction(1)
-            for v in e:
-                m *= xs[v - 1]
-            s += m
-        total += a * s
+        s_r = sum(math.prod(k[v - 1] for v in e) for e in es)
+        total += Fraction(coeffs.coefficient(r)) * Fraction(s_r, d**r)
     return total
 

@@ -18,6 +18,7 @@ from lagrangian_lab import (
     with_singletons,
 )
 from lagrangian_lab import generators
+from lagrangian_lab.theorems import uniform_edge_window
 
 
 class TestGenRandom:
@@ -131,6 +132,13 @@ class TestPlantedFamilies:
         with pytest.raises(GenerationError):
             gen_planted("ptz", {"t": 4, "r": 3, "m": 3}, seed=1)
 
+    @pytest.mark.parametrize("t,r", [(4, 4), (7, 5), (15, 5), (6, 6), (23, 6)])
+    def test_ptz_empty_window(self, t, r):
+        lo, hi = uniform_edge_window(t, r)
+        message = rf"PTZ's {r}-level window \[{lo}, {hi}\] is empty for t={t}"
+        with pytest.raises(GenerationError, match=message):
+            gen_planted("ptz", {"t": t, "r": r})
+
     def test_tpzz_free(self):
         h = gen_planted("tpzz-free", {"t": 4, "m": 5, "n": 6}, seed=1)
         assert h.num_edges(3) == 5
@@ -221,3 +229,19 @@ def test_with_singletons():
     assert h.num_edges(1) == h.n
     # idempotent
     assert with_singletons(h) == h
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: gen_random(5, (), 0.5, 0), "edge-type set must be nonempty"),
+    (lambda: gen_planted("t7a", {"t": 4, "n": 4}),
+     "extra 2-edges need an attachment vertex t\\+1; raise n"),
+    (lambda: gen_planted("t6a", {"t": 3, "r": 4}), "need t >= r, got t=3, r=4"),
+    (lambda: gen_planted("tpzz-free", {"t": 4, "n": 4, "m": 5}),
+     "m=5 exceeds the 4 possible 3-edges on n=4"),
+    # Every sample is the whole K_4^(3), so all 1,000 contain the clique.
+    (lambda: gen_planted("tpzz-free", {"t": 4, "n": 4}),
+     "could not sample a clique-free 3-graph with m=4, t=4, n=4 in 1000 attempts"),
+])
+def test_input_errors(build, message):
+    with pytest.raises(GenerationError, match=message):
+        build()

@@ -268,3 +268,14 @@ def test_link_table_matches_loop_reference(h):
         assert (table == {}) == (r not in h.edge_types)
         assert all(type(k) is int and type(v) is int for k, v in table.items())
         assert h.link_table(r) is table
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: validate(0, []), "vertex count must be positive, got 0"),
+    (lambda: complete(4, []), "edge-type set must be nonempty"),
+    (lambda: complete(4, [0]), "edge type 0 must be >= 1"),
+    (lambda: from_text("3\n1 x\n"), "bad edge line '1 x'"),
+])
+def test_input_errors(build, message):
+    with pytest.raises(HypergraphError, match=message):
+        build()

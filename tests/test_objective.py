@@ -380,6 +380,19 @@ class TestEvalExact:
         c_full = Coefficients.make(2, {3: Fraction(1)})
         assert eval_exact(h, c_full, x_full) == eval_exact(sub, c_full, x_sub)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lambda_prime_off_uniform_points(self, seed):
+        """Against the independent oracle at a point whose first n - 1
+        weights have distinct prime denominators; the last weight takes the
+        remainder, so the common denominator is the product of the primes."""
+        h = random_instance(seed)
+        rng = random.Random(seed)
+        primes = rng.sample([11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53], h.n - 1)
+        x = [Fraction(rng.randint(1, p // h.n), p) for p in primes]
+        x.append(1 - sum(x))
+        coeffs, scale = flavour_coefficients("lambda'", h.edge_types)
+        assert scale * eval_exact(h, coeffs, x) == lambda_prime_exact(h, x)
+
     def test_rejects_inexact_simplex(self):
         h = complete(3, (2,))
         with pytest.raises(ValueError):
@@ -412,3 +425,16 @@ def test_zero_weight_vertex_deletion_invariance():
     x = np.array([0.5, 0.3, 0.2, 0.0])
     pruned = validate(4, [e for e in h.edges() if 4 not in e])
     assert eval_L(h, coeffs, x) == pytest.approx(eval_L(pruned, coeffs, x), abs=1e-15)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Coefficients(r0=0), "base cardinality must be >= 1, got 0"),
+    (lambda: rational_uniform(3, []), "support must be nonempty"),
+    (lambda: check_rational_feasible((Fraction(1, 2),) * 2, 3),
+     "weight vector has length 2, expected 3"),
+    (lambda: check_rational_feasible((Fraction(3, 2), Fraction(-1, 2))),
+     "negative rational weight"),
+])
+def test_input_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

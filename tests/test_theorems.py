@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from lagrangian_lab import (
     closed_form_exact,
     complete,
     complete_value_exact,
+    eval_exact,
+    flavour_coefficients,
     gen_planted,
     maximize,
     theorem_ids,
@@ -381,6 +384,25 @@ class TestVerify:
         res = maximize(h, Coefficients.make(2, {3: 3}), fast_cfg)
         assert verdict.numerical == pytest.approx(2 * res.value, abs=1e-9)
 
+    @pytest.mark.parametrize("t", [12, 13])
+    def test_excess_above_the_closed_form_fails(self, t):
+        """The solver's point on the pair-window graph beats the closed form
+        by less than the tolerance; the upper side is relative, not _TOL."""
+        verdict = verify("TWO_R_EDGES_T7a", pair_window_graph(t), {"alpha_r": "11/10"},
+                         SolverConfig(starts=16, seed=1))
+        assert verdict.hypotheses_ok and verdict.solver.converged
+        assert 0 < verdict.numerical - verdict.closed_form < 1e-6
+        assert verdict.uniform_on_clique_exact == verdict.closed_form_exact
+        assert not verdict.passed
+        assert any(n.startswith("numerical exceeds the closed form by") for n in verdict.notes)
+
+    def test_pass_a_few_ulps_above_the_closed_form(self):
+        h = gen_planted("t6a", {"t": 5}, seed=0)
+        verdict = verify("TWO_R_T6a", h, {"t": 5}, SolverConfig())
+        assert 0 < verdict.numerical - verdict.closed_form < 1e-15
+        assert verdict.passed
+        assert not any("exceeds" in n for n in verdict.notes)
+
     def test_verdict_serialization(self, fast_cfg):
         h = complete(3, (1, 2))
         verdict = verify("NONUNIF_T3", h, cfg=fast_cfg)
@@ -418,3 +440,48 @@ def test_registry_is_closed():
                  lambda: verify("NOPE", h)):
         with pytest.raises(ValueError, match="unknown theorem 'NOPE'"):
             call()
+
+
+def pair_window_graph(t):
+    """The pair-window family at r = 3: on [t+1], every triple and every
+    pair but {t-1, t+1} and {t, t+1}. Its largest {2,3}-clique is [t]."""
+    n, missing = t + 1, {(t - 1, t + 1), (t, t + 1)}
+    return validate(n, [e for r in (2, 3) for e in itertools.combinations(range(1, n + 1), r)
+                        if e not in missing])
+
+
+def _weights(counts, total):
+    """(multiplicity, numerator) pairs over one denominator."""
+    return tuple(Fraction(k, total) for times, k in counts for _ in range(times))
+
+
+# (theorem, instance, parameters, point, closed form, value at the point)
+KNOWN_REFUTATIONS = [
+    ("TWO_R_EDGES_T7a", validate(4, [(1, 2), (1, 3), (1, 4), (2, 3)] + complete(4, (3,)).edges()),
+     {"alpha_r": 2}, _weights([(1, 10), (2, 9), (1, 3)], 31),
+     Fraction(11, 27), Fraction(12207, 29791)),
+    ("TWO_R_EDGES_T7a", pair_window_graph(12), {"alpha_r": "11/10"},
+     _weights([(10, 833), (2, 830), (1, 7)], 9997),
+     Fraction(517, 864), Fraction(1195682939595, 1998200539946)),
+    ("TWO_R_EDGES_T7a", pair_window_graph(13), {"alpha_r": "11/10"},
+     _weights([(11, 77), (2, 76), (1, 1)], 1000),
+     Fraction(511, 845), Fraction(755917499, 1250000000)),
+    ("COR2a", pair_window_graph(4), {"r": 3}, _weights([(2, 243), (2, 204), (1, 105)], 999),
+     Fraction(9, 8), Fraction(14240872, 12308679)),
+]
+
+
+@pytest.mark.parametrize("theorem, h, params, x, closed, value", KNOWN_REFUTATIONS,
+                         ids=["t7a-n4", "t7a-F12", "t7a-F13", "cor2a-F4"])
+def test_known_refutations_are_exact(theorem, h, params, x, closed, value):
+    """Instances meeting every hypothesis where an exact rational point
+    beats the closed form: the registry's reading of these rows is refuted
+    without a solver or a tolerance. The pair-window points are roundings
+    of a solver maximum."""
+    report = check_hypotheses(theorem, h, params)
+    assert report.ok
+    assert closed_form_exact(theorem, {**params, **report.derived}) == closed
+    coeffs, scale = flavour_coefficients(theorems_module.SPECS[theorem].flavour, h.edge_types,
+                                         report.derived.get("alpha"))
+    assert scale * eval_exact(h, coeffs, x) == value
+    assert value > closed
