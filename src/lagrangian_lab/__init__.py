@@ -53,7 +53,6 @@ from .theorems import (
     TheoremVerdict,
     check_hypotheses,
     closed_form_exact,
-    complete_value_exact,
     theorem_ids,
     verify,
 )

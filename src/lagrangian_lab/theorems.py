@@ -45,8 +45,8 @@ from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
 from .hypergraph import Hypergraph, _read_int, vertex_support
-from .objective import (_read_level, _read_positive, eval_exact, flavour_coefficients,
-                         rational_uniform)
+from .objective import (Coefficients, _read_level, _read_positive, eval_exact,
+                         flavour_coefficients, rational_uniform)
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
@@ -168,19 +168,6 @@ def threshold_general(
     return k_higher * alpha_max / (alpha_2 * math.factorial(r_max - 2)) + 1
 
 
-def complete_value_exact(
-    t: int, types: Iterable[int], alpha: Mapping[int, Fraction] | None = None
-) -> Fraction:
-    """L(K_t^T) at the uniform weighting: sum of alpha_r * C(t,r) / t^r."""
-    ts = sorted(set(types))
-    alpha = dict(alpha or {})
-    total = Fraction(0)
-    for r in ts:
-        a = Fraction(1) if r == ts[0] else Fraction(alpha.get(r, 1))
-        total += a * Fraction(math.comb(t, r), t**r)
-    return total
-
-
 def _read_real(key: str, value) -> float:
     """A real number in [0, 1], never a bool or a string, as a float."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
@@ -248,31 +235,45 @@ def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -
     return alpha
 
 
+def _objective(theorem: str, p: Mapping, types: Iterable[int]) -> tuple:
+    """The row's coefficients and scale on its pattern's levels, resolved
+    against ``types``, and the closed form scale * sum of c_r * C(t,r) / t^r
+    over those levels at ``p``'s t, None where t is not positive. ``p`` is
+    already read; an open pattern without ``types`` or an r below 3 raises
+    ``ValueError``."""
+    spec = _spec(theorem)
+    pattern, flavour = spec.pattern, spec.flavour
+    r = _rank(p, types)
+    if not types and any(isinstance(e, str) and e != "r" for e in pattern):
+        raise ValueError(f"closed form for {theorem} needs the edge-type list")
+    if "r" in pattern and (r is None or r < 3):
+        raise ValueError(f"closed form for {theorem} needs r >= 3, got {r}")
+    levels = _resolve(pattern, r, types)
+    alpha = _alpha(pattern, p, levels, r) if flavour == "L" else None
+    coeffs, scale = flavour_coefficients(flavour, levels, alpha)
+    t = p.get("t")
+    if t is None or t < 1:
+        return coeffs, scale, None
+    return coeffs, scale, scale * sum(coeffs.coefficient(v) * Fraction(math.comb(t, v), t**v)
+                                      for v in levels)
+
+
 def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
     """Exact closed-form optimum: sum of c_r * C(t,r) / t^r over the levels
     the pattern admits, resolved against ``types``."""
-    spec = _spec(theorem)
     p = _read_params(params)
-    t, types = p.get("t"), p.get("types", ())
-    r = _rank(p, types)
-    if t is None:
-        raise ValueError(f"closed form for {theorem} needs a positive t, got {t}")
-    if not types and any(isinstance(e, str) and e != "r" for e in spec.pattern):
-        raise ValueError(f"closed form for {theorem} needs the edge-type list")
-    if "r" in spec.pattern and (r is None or r < 3):
-        raise ValueError(f"closed form for {theorem} needs r >= 3, got {r}")
-    levels = _resolve(spec.pattern, r, types)
-    alpha = _alpha(spec.pattern, p, levels, r) if spec.flavour == "L" else None
-    coeffs, scale = flavour_coefficients(spec.flavour, levels, alpha)
-    return scale * complete_value_exact(t, levels, dict(coeffs.alpha))
+    closed = _objective(theorem, p, p.get("types", ()))[2]
+    if closed is None:
+        raise ValueError(f"closed form for {theorem} needs a positive t")
+    return closed
 
 
 class _Checker:
     """Runs one row's checks on an instance. Each check appends conditions
     and fills ``derived``; a check that returns False ends the run."""
 
-    def __init__(self, spec: TheoremSpec, h: Hypergraph, params: Mapping | None):
-        self.spec = spec
+    def __init__(self, theorem: str, h: Hypergraph, params: Mapping | None):
+        self.theorem, self.spec = theorem, _spec(theorem)
         self.h = h
         self.types = h.edge_types
         self.p = _read_params(params)
@@ -284,16 +285,13 @@ class _Checker:
     def t(self) -> int | None:
         return self.derived.get("t")
 
-    @cached_property
-    def alpha(self) -> dict:
-        return _alpha(self.spec.pattern, self.p, self.want, self.r)
+    def coef(self, v: int) -> Fraction:
+        """The flavour's coefficient on level v, 1 on the base level."""
+        return Fraction(self.coeffs.coefficient(v))
 
     @cached_property
-    def coef(self) -> dict[int, Fraction]:
-        """The flavour's coefficient on each level, 1 on the base level."""
-        alpha = self.alpha if self.spec.flavour == "L" else None
-        coeffs, _ = flavour_coefficients(self.spec.flavour, self.want, alpha)
-        return {self.want[0]: Fraction(1), **{v: Fraction(a) for v, a in coeffs.alpha}}
+    def coeffs(self) -> Coefficients:
+        return _objective(self.theorem, self.p, self.types)[0]
 
     def cond(self, name: str, ok, detail: str = "") -> None:
         self.conds.append(ConditionCheck(name, bool(ok), detail))
@@ -316,7 +314,7 @@ class _Checker:
             if check(self) is False:
                 return
         if self.spec.flavour == "L":
-            self.derived["alpha"] = self.alpha
+            self.derived["alpha"] = _alpha(self.spec.pattern, self.p, self.want, self.r)
         self.derived["types"] = self.levels
         # The top level is the rank, except where an optional level makes the
         # pattern's shape depend on the instance: there only "r" names it.
@@ -447,16 +445,16 @@ class _Checker:
         self.cond("order-threshold", t is not None and t >= 2, f"t={t} must be >= 2")
 
     def min_order_one_r(self) -> None:
-        a_r = self.coef[self.r]
+        a_r = self.coef(self.r)
         detail = f"ceil([a_r-(r-2)!]^(r-2) / ((r-2)! a_r^(r-3))) with a_r={a_r}"
         self.threshold(threshold_one_r(self.r, a_r), detail)
 
     def min_order_one_two_three(self) -> None:
-        a2, a3 = self.coef[2], self.coef[3]
+        a2, a3 = self.coef(2), self.coef(3)
         self.threshold(threshold_one_two_three(a2, a3), f"a2={a2}, a3={a3}")
 
     def coefficient_ratio(self) -> None:
-        a_r, a2, fact = self.coef[self.r], self.coef[2], math.factorial(self.r - 2)
+        a_r, a2, fact = self.coef(self.r), self.coef(2), math.factorial(self.r - 2)
         weak, strong = a_r / (2 * fact), a_r / fact
         self.cond("coefficient-ratio", a2 >= weak, f"a2={a2} must be >= a_r/(2 (r-2)!) = {weak}")
         # the statement carries two inconsistent bounds; require the stronger
@@ -467,7 +465,7 @@ class _Checker:
     def min_order_general(self) -> None:
         higher = [x for x in self.want if x > 2]
         k, r = len(higher), higher[-1]
-        a_r, a2 = self.coef[r], self.coef[2]
+        a_r, a2 = self.coef(r), self.coef(2)
         detail = f"k a_r/(a2 (r-2)!) + 1 with k={k}, r={r}, a_r={a_r}, a2={a2}"
         self.threshold(threshold_general(k, r, a_r, a2), detail)
 
@@ -543,7 +541,7 @@ def check_hypotheses(
     Failed conditions are reported, never raised; ``derived`` carries the
     quantities the verifier needs (t, r, m, clique vertices, coefficients).
     """
-    c = _Checker(_spec(theorem), h, params)
+    c = _Checker(theorem, h, params)
     c.run()
     return HypothesisReport(theorem, all(cond.ok for cond in c.conds), tuple(c.conds), c.derived)
 
@@ -560,14 +558,15 @@ def verify(
     spec = _spec(theorem)
     p = _read_params(params)
     report = check_hypotheses(theorem, h, p)
-    derived = dict(report.derived)
+    derived = report.derived
     notes = [spec.note] if spec.note else []
 
+    row = {**p, **derived}
     try:
-        cf_exact = closed_form_exact(theorem, {**p, **derived})
-        cf = float(cf_exact)
+        coeffs, scale, cf_exact = _objective(theorem, row, row.get("types", ()))
     except ValueError:
-        cf_exact = cf = None
+        cf_exact = None
+    cf = None if cf_exact is None else float(cf_exact)
     verdict = TheoremVerdict(
         theorem=theorem, hypotheses_ok=report.ok, conditions=report.conditions, closed_form=cf,
         closed_form_exact=cf_exact, t=derived.get("t"), r=derived.get("r"), m=derived.get("m"),
@@ -575,7 +574,6 @@ def verify(
     if not report.ok or cf_exact is None:
         return verdict
 
-    coeffs, scale = flavour_coefficients(spec.flavour, h.edge_types, derived.get("alpha"))
     res = maximize(h, coeffs, cfg)
     numerical = scale * res.value
     if not res.converged:

@@ -10,11 +10,11 @@ from lagrangian_lab import (
     check_hypotheses,
     closed_form_exact,
     complete,
-    complete_value_exact,
     eval_exact,
     flavour_coefficients,
     gen_planted,
     maximize,
+    rational_uniform,
     theorem_ids,
     validate,
     verify,
@@ -32,6 +32,13 @@ from lagrangian_lab.theorems import (
 )
 
 from conftest import closed_form, lambda_prime_complete
+
+
+def complete_value(t, levels):
+    """The monomial sum of the complete pattern on t vertices at the uniform
+    weighting, by the exact evaluator rather than the closed-form sum."""
+    coeffs, scale = flavour_coefficients("lambda", levels)
+    return scale * eval_exact(complete(t, levels), coeffs, rational_uniform(t))
 
 
 class TestClosedForms:
@@ -81,7 +88,7 @@ class TestClosedForms:
         if t < r:
             return
         explicit = closed_form_exact("TWO_R_T6a", {"t": t, "r": r, "alpha_r": 1})
-        assert explicit == complete_value_exact(t, (2, r))
+        assert explicit == complete_value(t, (2, r))
         assert closed_form_exact("COR1a", {"t": t, "r": r}) == lambda_prime_complete(t, (2, r))
 
     def test_general_family_value(self):
@@ -361,7 +368,7 @@ class TestVerify:
         h = complete(5, (2, 3, 4))
         verdict = verify("GENERAL_T9a", h, cfg=fast_cfg)
         assert verdict.passed
-        assert verdict.numerical == pytest.approx(float(complete_value_exact(5, (2, 3, 4))), abs=1e-6)
+        assert verdict.numerical == pytest.approx(float(complete_value(5, (2, 3, 4))), abs=1e-6)
         assert any("largest cardinality" in note for note in verdict.notes)
 
     def test_general_alpha_map_never_sets_a_named_level(self, fast_cfg):
@@ -371,7 +378,7 @@ class TestVerify:
         verdict = verify("GENERAL_T9b", complete(5, (1, 2, 3, 4)), p, cfg=fast_cfg)
         assert verdict.hypotheses_ok
         assert closed_form_exact("GENERAL_T9b", p) == verdict.closed_form_exact
-        assert verdict.closed_form_exact == complete_value_exact(5, (1, 2, 3, 4))
+        assert verdict.closed_form_exact == complete_value(5, (1, 2, 3, 4))
 
     def test_factorial_weight_bridge(self, fast_cfg):
         """A factorial-weighted verdict equals 2! times the plain weighted
