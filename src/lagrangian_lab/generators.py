@@ -10,15 +10,15 @@ is a pure function of (family, parameters, seed).
 Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
 is a positive rational, ``density`` and ``extra_density`` are numbers in
-[0, 1], ``types`` is a list of positive ints, and ``null`` means the
-default. ``t6a``, ``t7a`` and ``ptz`` share one builder: it plants a
-clique on [t] and adds the m - lo extra edges of one window through vertex
-t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t], r >= 3, with
-extra 2-edges (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its
-2-level window), and keep each other r-edge on [n] with probability
-``extra_density`` (0.3). ``ptz`` plants the r-edges on [t] with extra
-r-edges and n = t+1. Every builder checks its vertex count and levels
-against the soft limits before it lists any edge.
+[0, 1], ``types`` is a list of positive ints, ``null`` means the default,
+and an unknown key raises. ``t6a``, ``t7a`` and ``ptz`` need r >= 3 and
+share one builder: it plants a clique on [t] and adds the m - lo extra
+edges of one window through vertex t+1. ``t6a`` and ``t7a`` plant every
+2- and r-edge on [t] with extra 2-edges (``t6a`` is ``t7a`` with m at the
+floor C(t, 2) of its 2-level window), and keep each other r-edge on [n]
+with probability ``extra_density`` (0.3). ``ptz`` plants the r-edges on
+[t] with extra r-edges and n = t+1. Every builder checks its vertex count
+and levels against the soft limits before it lists any edge.
 """
 
 from __future__ import annotations
@@ -131,12 +131,13 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         "tpzz-free": (p.get("n", t + 2), (3,)),
         "random-lc": (p.get("n", 6), p.get("types", (2, 3))),
     }[family]
+    if family in ("t6a", "t7a", "ptz") and r < 3:
+        # PTZ needs r >= 3, and t6a and t7a plant the 2-level on its own, so
+        # r = 2 would plant it twice.
+        raise GenerationError(f"family {family!r} needs r >= 3, got r={r}")
     _check_limits(n, levels)
 
     if family in ("t6a", "t7a"):
-        if r < 3:
-            # The 2-level is planted on its own; r = 2 would plant it twice.
-            raise GenerationError(f"family {family!r} needs r >= 3, got r={r}")
         lo, hi = pair_edge_window(t)
         target, m = ("TWO_R_T6a", lo) if family == "t6a" else ("TWO_R_EDGES_T7a", p.get("m", hi))
         tparams = {"t": t, "r": r, "alpha_r": p.get("alpha_r")}

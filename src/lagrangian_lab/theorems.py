@@ -13,9 +13,11 @@ and the corollaries.
 ``SPECS``, held as data, is the only list of theorems. In a type pattern an
 int is a fixed level, ``"r"`` the rank (parameter ``r``, else the largest
 type above 2), ``"k?"`` a level k kept when present, and ``"3+"`` every type
-above 2. ``_resolve`` reads a pattern against the instance's levels for the
-checks and against ``types`` (which an open pattern needs) for
-``closed_form_exact``, so a level the pattern does not admit is never summed.
+above 2. ``_objective`` resolves a row once into its levels (the pattern
+read against ``types``, which an open pattern needs), the flavour's
+``Coefficients`` and scale on them, and the closed form, which sums c_r from
+those ``Coefficients`` over those levels only. The checks' thresholds,
+``closed_form_exact`` and the solve in ``verify`` all read them.
 
 ``verify`` needs the optimum at most ``_TOL`` below the closed form and at
 most ``_REL_EXCESS`` times the closed form above it, and the
@@ -30,8 +32,9 @@ integral float is taken, a bool, string or fractional float is not), and
 ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string), keyed by
 positive ints or strings of them. ``density`` and ``extra_density`` are
 floats in [0, 1] (never a bool or a string); ``types`` is a nonempty list of
-positive ints, read as a tuple. ``null`` counts as absent; anything else
-raises ``ValueError``.
+positive ints, read as a tuple. ``clique`` and ``clique_present``, which the
+checks write into ``derived``, pass through. ``null`` counts as absent; an
+unknown key (named in the message) or anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class TheoremVerdict:
 
     ``to_dict`` writes the fields but ``solver`` in order: Fractions as
     "p/q", conditions as dicts, notes as a list, and ``passed`` as
-    ``tolerance`` then ``pass``.
+    ``tolerance`` and ``rel_excess`` (the two sides of the equality test)
+    then ``pass``.
     """
 
     theorem: str
@@ -116,7 +120,7 @@ class TheoremVerdict:
         for f in fields(self):
             key, value = f.name, getattr(self, f.name)
             if key == "passed":
-                out["tolerance"], key = _TOL, "pass"
+                out["tolerance"], out["rel_excess"], key = _TOL, _REL_EXCESS, "pass"
             if isinstance(value, Fraction):
                 value = f"{value.numerator}/{value.denominator}"
             elif key in ("conditions", "notes"):
@@ -177,7 +181,14 @@ def _read_real(key: str, value) -> float:
 
 def _read_params(params: Mapping | None) -> dict:
     """Copy of the parameters, read as the module docstring says."""
-    p = {k: v for k, v in dict(params or {}).items() if v is not None}
+    raw = dict(params or {})
+    known = ("t", "r", "n", "m", "alpha", "density", "extra_density", "types")
+    unknown = [repr(k) for k in raw if k not in known + ("clique", "clique_present")
+               and not str(k).startswith("alpha_")]
+    if unknown:
+        raise ValueError(f"unknown parameters: {', '.join(unknown)} "
+                         f"(the keys are {', '.join(known)} and alpha_*)")
+    p = {k: v for k, v in raw.items() if v is not None}
     for key, value in p.items():
         if key in ("t", "r", "n", "m"):
             p[key] = _read_int(key, value)

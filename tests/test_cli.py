@@ -281,7 +281,7 @@ class TestVerify:
 
     VERDICT_KEYS = ["theorem", "hypotheses_ok", "conditions", "applicable", "closed_form",
                     "closed_form_exact", "numerical", "uniform_on_clique", "uniform_on_clique_exact",
-                    "kkt_residual", "tolerance", "pass", "margin", "t", "r", "m", "notes"]
+                    "kkt_residual", "tolerance", "rel_excess", "pass", "margin", "t", "r", "m", "notes"]
 
     @pytest.mark.parametrize("theorem, family, params, applicable, uniform", [
         ("TWO_R_T6a", "t6a", {"t": 4}, True, "7/16"),
@@ -361,7 +361,7 @@ class TestVerify:
         assert run(["verify", "--theorem", "BOGUS", "--input", one_two_file]) == 1
 
     def test_inline_params_longer_than_a_file_name(self, one_two_file, capsys):
-        params = json.dumps({"t": 3, "comment": "x" * 300})
+        params = '{"t": 3' + " " * 300 + "}"
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--starts", "4"]
         assert run(args + ["--params", params]) == 0
 
@@ -390,6 +390,15 @@ class TestVerify:
         assert run(["verify", "--theorem", "GENERAL_T9a", "--input", str(path), "--params", params]) == 1
         err = capsys.readouterr().err
         assert err == f"error: alpha keys must be positive integer levels, got {key!r}\n"
+
+    @pytest.mark.parametrize("params, named", [('{"alpha-r": 2, "T": 9}', "'alpha-r', 'T'"),
+                                               ('{"tt": 9}', "'tt'")])
+    def test_unknown_param_key_exits_one(self, tmp_path, capsys, params, named):
+        path = tmp_path / "g.json"
+        dump(gen_planted("t7a", {"t": 4}, seed=1), path)
+        args = ["verify", "--theorem", "TWO_R_EDGES_T7a", "--input", str(path), "--starts", "4"]
+        assert run(args + ["--params", params]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown parameters: {named} ")
 
     def test_grid_d_flag_removed(self, one_two_file, capsys):
         args = ["verify", "--theorem", "NONUNIF_T3", "--input", one_two_file, "--grid-d", "12"]
@@ -453,6 +462,14 @@ class TestGenerate:
         assert run(["generate", "--family", family, "--params", params]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}, got ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("family, params, named", [
+        ("t6a", '{"tt": 9, "extra_densty": 0.9}', "'tt', 'extra_densty'"),
+        ("t7a", '{"alpha-r": 2}', "'alpha-r'"),
+    ])
+    def test_unknown_param_key_exits_one(self, capsys, family, params, named):
+        assert run(["generate", "--family", family, "--params", params]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown parameters: {named} ")
 
     @pytest.mark.parametrize("family,params", [("random-lc", '{"n": 100000}'), ("t6a", '{"t": 100000}')])
     def test_oversized_exits_one_before_listing_edges(self, monkeypatch, capsys, family, params):

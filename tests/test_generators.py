@@ -222,6 +222,13 @@ def test_pair_families_need_r_at_least_3(family):
         gen_planted(family, {"t": 4, "r": 2}, seed=0)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_ptz_needs_r_at_least_3(r):
+    # PTZ's own r-range; at r = 1 the window would call math.comb(t - 1, -1).
+    with pytest.raises(GenerationError, match=f"family 'ptz' needs r >= 3, got r={r}"):
+        gen_planted("ptz", {"t": 4, "r": r}, seed=0)
+
+
 def test_with_singletons():
     g = gen_planted("ptz", {"t": 4, "r": 3, "m": 5}, seed=1)
     h = with_singletons(g)

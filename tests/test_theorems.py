@@ -149,6 +149,28 @@ class TestReadParams:
         with pytest.raises(ValueError, match="types must be"):
             _read_params({"types": value})
 
+    @pytest.mark.parametrize("params, named", [
+        ({"alpha-r": 2, "T": 9}, "'alpha-r', 'T'"),
+        ({"t": 4, "tt": 9, "extra_densty": 0.9}, "'tt', 'extra_densty'"),
+        ({"alpha-r": None}, "'alpha-r'"),
+        ({3: 1}, "3"),
+    ])
+    def test_unknown_keys_rejected_by_name(self, params, named, fast_cfg):
+        h = gen_planted("t7a", {"t": 4}, seed=1)
+        calls = (lambda: _read_params(params), lambda: verify("TWO_R_EDGES_T7a", h, params, fast_cfg),
+                 lambda: gen_planted("t6a", params), lambda: closed_form_exact("MS_T1", params))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"unknown parameters: {named} "):
+                call()
+
+    def test_strict_branch_derived_is_read_back(self):
+        """``derived`` merged over the parameters reads, clique_present
+        included (test_known_refutations_are_exact reads back clique)."""
+        h = with_singletons(gen_planted("tpzz-free", {"t": 4}, seed=3))
+        report = check_hypotheses("MIXED_T10c", h, {"t": 4})
+        assert report.ok and report.derived["clique_present"] is False
+        assert closed_form_exact("MIXED_T10c", report.derived) == Fraction(11, 8)
+
     def test_closed_form_types_string_is_a_value_error(self):
         with pytest.raises(ValueError, match="types must be a nonempty list"):
             closed_form_exact("GENERAL_T9a", {"t": 4, "types": "23"})
@@ -415,6 +437,11 @@ class TestVerify:
         verdict = verify("NONUNIF_T3", h, cfg=fast_cfg)
         doc = verdict.to_dict()
         assert doc["pass"] is True
+        # Both sides of the equality test, just before the verdict.
+        keys = list(doc)
+        assert keys[keys.index("tolerance"):keys.index("pass") + 1] == [
+            "tolerance", "rel_excess", "pass"]
+        assert (doc["tolerance"], doc["rel_excess"]) == (1e-6, 1e-12)
         assert doc["closed_form_exact"] == "5/3"
         assert doc["theorem"] == "NONUNIF_T3"
 
