@@ -6,11 +6,11 @@ pass an equality verdict when the optimum is at most 1e-6 below the closed
 form and at most 1e-12 times the closed form above it, and only on a
 converged solve. Text output writes numbers with 12-digit fixed precision;
 --json prints the result's fields in order, as its to_dict writes them:
-compute's solver result (only the value on an edgeless input) and verify's
-verdict. compute and verify seed the solver with --seed (default 0) and use
-64 random starts unless --starts sets them; generate builds with --seed
-(default 0). sweep has no --seed: it seeds each solve with that instance's
-seed and uses 16 starts unless --starts sets them.
+compute's solver result and verify's verdict. compute and verify seed the
+solver with --seed (default 0) and use 64 random starts unless --starts sets
+them; generate builds with --seed (default 0). sweep has no --seed: it seeds
+each solve with that instance's seed and uses 16 starts unless --starts sets
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
 from .objective import Coefficients, flavour_coefficients
-from .optimizer import SolverConfig, check_grid, grid_oracle, maximize, polish
+from .optimizer import SolverConfig, grid_oracle, maximize, polish
 from .theorems import _spec, theorem_ids, verify
 
 # The task's family and seed, the verdict's to_dict fields, the wall time.
@@ -104,25 +104,18 @@ def _cmd_compute(args) -> int:
         raise _UsageError("--grid-d needs --grid")
     grid_d = 24 if args.grid_d is None else args.grid_d
     h = load(args.input)
-    # The flags are checked on an edgeless input too, so a bad flag fails on
-    # every input alike.
     coeffs, scale = _coefficients_for(args, h)
     cfg = _solver_config(args)
-    if not h.edge_types:
-        if args.grid:
-            check_grid(h.n, grid_d)
-        value, result = 0.0, None
-    else:
-        # The grid runs first: a bad resolution or size fails before the solve.
-        grid = grid_oracle(h, coeffs, grid_d) if args.grid else None
-        result = maximize(h, coeffs, cfg)
-        value = scale * result.value
-        if grid is not None:
-            polished = polish(h, coeffs, grid[1], cfg, method="grid")
-            if scale * polished.value > value:
-                value, result = scale * polished.value, polished
+    # The grid runs first: a bad resolution or size fails before the solve.
+    grid = grid_oracle(h, coeffs, grid_d) if args.grid else None
+    result = maximize(h, coeffs, cfg)
+    value = scale * result.value
+    if grid is not None:
+        polished = polish(h, coeffs, grid[1], cfg, method="grid")
+        if scale * polished.value > value:
+            value, result = scale * polished.value, polished
     if args.json:
-        print(json.dumps({**(result.to_dict() if result is not None else {}), "value": value}))
+        print(json.dumps({**result.to_dict(), "value": value}))
     else:
         print(_fmt(value))
     return 0

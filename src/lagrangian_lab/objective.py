@@ -88,9 +88,6 @@ class Coefficients:
     @classmethod
     def ones(cls, types: Iterable[int]) -> "Coefficients":
         """Coefficient 1 on every level: the plain monomial-sum objective."""
-        types = tuple(types)
-        if not types:
-            raise ValueError("edge-type set must be nonempty")
         return flavour_coefficients("lambda", types)[0]
 
     @classmethod

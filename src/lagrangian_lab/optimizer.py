@@ -297,8 +297,7 @@ def _finalize(
 def _solve(
     h: Hypergraph, coeffs: Coefficients, points: np.ndarray, labels: Sequence[str], cfg: SolverConfig
 ) -> OptimizationResult:
-    """Ascend every row of ``points`` and finalize the best; an edgeless
-    instance returns its first row, projected, at 0 iterations.
+    """Ascend every row of ``points`` and finalize the best.
 
     Among rows whose values tie within ``_TOL_VALUE`` the smallest support
     wins, with the lexicographically smallest support set breaking remaining
@@ -307,8 +306,6 @@ def _solve(
     the prefixes, then the random starts), never by rounding in the value.
     """
     obj = Objective(h, coeffs)
-    if not h.edge_types:
-        return _finalize(obj, points[0], labels[0], 0, True)
     x, val, iters, conv = _ascend_batch(obj, points, cfg)
     supports = {i: _support(x[i]) for i in np.flatnonzero(val >= val.max() - _TOL_VALUE)}
     i = min(supports, key=lambda i: (len(supports[i]), supports[i]))
@@ -359,17 +356,6 @@ def _grid_blocks(n: int, total: int):
         yield np.diff(c.reshape(rows, n - 1), prepend=-1, append=total + n - 1, axis=1) - 1
 
 
-def check_grid(n: int, resolution: int) -> None:
-    """Reject a resolution below 1 or a grid of more than 10^7 points."""
-    if resolution < 1:
-        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
-    count = math.comb(resolution + n - 1, n - 1)
-    if count > 10_000_000:
-        raise GridTooLargeError(
-            f"grid with D={resolution}, n={n} has {count} points (limit 10^7)"
-        )
-
-
 def grid_oracle(
     h: Hypergraph, coeffs: Coefficients, resolution: int
 ) -> tuple[float, np.ndarray]:
@@ -377,10 +363,16 @@ def grid_oracle(
 
     A certified lower bound on the true optimum; combine with
     :func:`polish` from the returned argmax to close the gap. Among equal
-    maxima the first point in enumeration order wins.
+    maxima the first point in enumeration order wins. A resolution below 1
+    raises ``ValueError``, and one whose grid has more than 10^7 points
+    raises ``GridTooLargeError``.
     """
     obj = Objective(h, coeffs)
-    check_grid(h.n, resolution)
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
+    count = math.comb(resolution + h.n - 1, h.n - 1)
+    if count > 10_000_000:
+        raise GridTooLargeError(f"grid with D={resolution}, n={h.n} has {count} points (limit 10^7)")
     best_val, best_x = -math.inf, None
     for counts in _grid_blocks(h.n, resolution):
         pts = counts / resolution

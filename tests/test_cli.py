@@ -57,7 +57,7 @@ class TestCompute:
     def test_edgeless_output(self, edgeless_file, capsys):
         for objective in ("lambda", "lambda-prime"):
             assert run(["compute", edgeless_file, "--objective", objective, "--grid", "--json"]) == 0
-            assert capsys.readouterr().out == '{"value": 0.0}\n'
+            assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
     def test_weighted_with_coeffs(self, tmp_path, capsys):
         h = tmp_path / "h.json"
@@ -87,9 +87,13 @@ class TestCompute:
         assert all(type(v) is float and v == 0.2 for v in doc["x"])
         assert doc["sort_permutation"] == [1, 2, 3, 4, 5]
 
-    def test_edgeless_json_has_only_the_value(self, edgeless_file, capsys):
+    def test_edgeless_json_has_every_key(self, edgeless_file, capsys):
+        # The zero objective is at a KKT point from the start: one iteration.
         assert run(["compute", edgeless_file, "--json"]) == 0
-        assert list(json.loads(capsys.readouterr().out)) == ["value"]
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["value", "x", "support", "kkt_residual", "method", "iterations",
+                             "converged", "sort_permutation"]
+        assert (doc["value"], doc["iterations"]) == (0.0, 1)
 
     @pytest.mark.parametrize("key", ["x", "0"])
     def test_bad_alpha_key_exits_one(self, k5_file, tmp_path, capsys, key):

@@ -87,11 +87,9 @@ class TestCoefficients:
             Coefficients.from_json(doc)
 
     def test_ones_is_the_lambda_flavour(self):
-        for types in ((2,), (1, 3), [3, 2, 4, 2]):
+        for types in ((), (2,), (1, 3), [3, 2, 4, 2]):
             assert Coefficients.ones(types) == flavour_coefficients("lambda", types)[0]
         assert Coefficients.ones(iter((2, 3))) == Coefficients.make(2, {3: 1})
-        with pytest.raises(ValueError, match="nonempty"):
-            Coefficients.ones(())
 
     def test_integral_float_r0_accepted(self):
         c = Coefficients.from_json('{"r0": 2.0, "alpha": {"3": 1}}')
