@@ -3,9 +3,10 @@
 Each planted family targets one registered theorem's hypothesis shape and
 is checked once after construction: its builder randomizes only parts that
 the target hypotheses do not read, so a failed check means an infeasible
-parameter window and raises rather than resampling. ``tpzz-free`` samples
-until it finds a clique-free graph, with a bounded retry budget. Generation
-is a pure function of (family, parameters, seed).
+parameter window and raises rather than resampling; the error names each
+failed condition with its detail. ``tpzz-free`` samples until it finds a
+clique-free graph, with a bounded retry budget. Generation is a pure
+function of (family, parameters, seed).
 
 Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
@@ -159,9 +160,10 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         density = p.get("density", 0.5)
         return left_compress_fixpoint(gen_random(n, levels, density, rng.randrange(2**63)))
 
-    if not check_hypotheses(target, h, tparams).ok:
+    report = check_hypotheses(target, h, tparams)
+    if not report.ok:
+        failed = "; ".join(f"{c.name}: {c.detail}" for c in report.conditions if not c.ok)
         raise GenerationError(
-            f"family {family!r} with params {dict(params or {})} failed its hypothesis check; "
-            "the window is infeasible"
+            f"family {family!r} with params {dict(params or {})} failed its hypothesis check: {failed}"
         )
     return h

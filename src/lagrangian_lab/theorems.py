@@ -28,18 +28,22 @@ below it; either way from a converged solve.
 ``_read_params`` is the one reader of theorem and family parameters (the
 generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
 integral float is taken, a bool, string or fractional float is not), and
-``t`` is positive. ``alpha_*`` values and ``alpha`` map entries are positive
-``Fraction``s (from an int, float, ``Fraction`` or "p/q" string), keyed by
-positive ints or strings of them. ``density`` and ``extra_density`` are
-floats in [0, 1] (never a bool or a string); ``types`` is a nonempty list of
-positive ints, read as a tuple. ``clique`` and ``clique_present``, which the
-checks write into ``derived``, pass through. ``null`` counts as absent; an
-unknown key (named in the message) or anything else raises ``ValueError``.
+``t`` is positive. The ``alpha`` keys are the map ``alpha``, keyed by
+positive ints or strings of them, and ``alpha_r`` and ``alpha_<level>``, the
+level a positive int in decimal digits without a leading zero (``alpha_3``,
+never ``alpha_03`` or ``alpha_R``); their values and the map's entries are
+positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
+``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
+string); ``types`` is a nonempty list of positive ints, read as a tuple.
+``clique`` and ``clique_present``, which the checks write into ``derived``,
+pass through. ``null`` counts as absent; an unknown key (named in the
+message) or anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -184,10 +188,10 @@ def _read_params(params: Mapping | None) -> dict:
     raw = dict(params or {})
     known = ("t", "r", "n", "m", "alpha", "density", "extra_density", "types")
     unknown = [repr(k) for k in raw if k not in known + ("clique", "clique_present")
-               and not str(k).startswith("alpha_")]
+               and not re.fullmatch("alpha_(r|[1-9][0-9]*)", str(k))]
     if unknown:
         raise ValueError(f"unknown parameters: {', '.join(unknown)} "
-                         f"(the keys are {', '.join(known)} and alpha_*)")
+                         f"(the keys are {', '.join(known)}, alpha_r and alpha_<level>)")
     p = {k: v for k, v in raw.items() if v is not None}
     for key, value in p.items():
         if key in ("t", "r", "n", "m"):

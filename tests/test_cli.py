@@ -396,7 +396,8 @@ class TestVerify:
         assert err == f"error: alpha keys must be positive integer levels, got {key!r}\n"
 
     @pytest.mark.parametrize("params, named", [('{"alpha-r": 2, "T": 9}', "'alpha-r', 'T'"),
-                                               ('{"tt": 9}', "'tt'")])
+                                               ('{"tt": 9}', "'tt'"),
+                                               ('{"alpha_R": 2}', "'alpha_R'")])
     def test_unknown_param_key_exits_one(self, tmp_path, capsys, params, named):
         path = tmp_path / "g.json"
         dump(gen_planted("t7a", {"t": 4}, seed=1), path)
@@ -470,6 +471,7 @@ class TestGenerate:
     @pytest.mark.parametrize("family, params, named", [
         ("t6a", '{"tt": 9, "extra_densty": 0.9}', "'tt', 'extra_densty'"),
         ("t7a", '{"alpha-r": 2}', "'alpha-r'"),
+        ("t7a", '{"alpha_R": 2}', "'alpha_R'"),
     ])
     def test_unknown_param_key_exits_one(self, capsys, family, params, named):
         assert run(["generate", "--family", family, "--params", params]) == 1

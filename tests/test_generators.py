@@ -162,7 +162,7 @@ class TestPlantedFamilies:
             return check_hypotheses(*args)
 
         monkeypatch.setattr(generators, "check_hypotheses", spy)
-        with pytest.raises(GenerationError, match="failed its hypothesis check"):
+        with pytest.raises(GenerationError, match="failed its hypothesis check: order-threshold: "):
             gen_planted("t6a", {"t": 4, "r": 3, "alpha_r": 5}, seed=0)
         assert len(calls) == 1
 

@@ -154,14 +154,21 @@ class TestReadParams:
         ({"t": 4, "tt": 9, "extra_densty": 0.9}, "'tt', 'extra_densty'"),
         ({"alpha-r": None}, "'alpha-r'"),
         ({3: 1}, "3"),
+        ({"alpha_R": 2, "alpha_0": 1}, "'alpha_R', 'alpha_0'"),
+        ({"alpha_x": 2, "alpha_": 1, "alpha_03": 1}, "'alpha_x', 'alpha_', 'alpha_03'"),
     ])
     def test_unknown_keys_rejected_by_name(self, params, named, fast_cfg):
         h = gen_planted("t7a", {"t": 4}, seed=1)
         calls = (lambda: _read_params(params), lambda: verify("TWO_R_EDGES_T7a", h, params, fast_cfg),
                  lambda: gen_planted("t6a", params), lambda: closed_form_exact("MS_T1", params))
+        message = f"unknown parameters: {named} .*, alpha_r and alpha_<level>\\)$"
         for call in calls:
-            with pytest.raises(ValueError, match=f"unknown parameters: {named} "):
+            with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize("key", ["alpha_r", "alpha_2", "alpha_13"])
+    def test_level_keys_are_read(self, key):
+        assert _read_params({key: "3/2"}) == {key: Fraction(3, 2)}
 
     def test_strict_branch_derived_is_read_back(self):
         """``derived`` merged over the parameters reads, clique_present
