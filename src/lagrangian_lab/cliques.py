@@ -12,15 +12,18 @@ complete it to an r-edge). The search keeps, next to the complete set C, the
 candidate mask of vertices u above max(C) with C + {u} complete (at the root:
 every vertex, or level 1's entry for the empty mask when 1 is in T).
 When v joins C, the new candidates are the old ones u above v such that
-T + {v, u} is an edge for every level r and every (r-2)-subset T of C: these
-are the only r-subsets of C + {v, u} not already known to be edges. A branch
-is cut as soon as |C| plus the number of candidates cannot reach the size
-sought. Visiting candidates in increasing label order enumerates complete
-sets in lexicographic order, which fixes the tie-break among maximum sets.
-One search also settles uniqueness: after a new best the floor is |best|, so
-a later set of that size is found, and after such a tie it is |best| + 1. A
-floor of at most k cuts no k-set, so best stays the first maximum set; a
-k-prefix of a longer set is a tie only until that set is found.
+T + {v, u} is an r-edge for every level r and every (r-2)-subset T of C: these
+are the only r-subsets of C + {v, u} not already known to be edges. So level
+2 is one lookup (v's entry), level 3 one lookup per member c of C (the entry
+of {c, v}), and only a level r >= 4 enumerates the (r-2)-subsets of C. A
+branch is cut as soon as |C| plus the number of candidates cannot reach the
+size sought. Visiting candidates in increasing label order enumerates
+complete sets in lexicographic order, which fixes the tie-break among maximum
+sets. One search also settles uniqueness: after a new best the floor is
+|best|, so a later set of that size is found, and after such a tie it is
+|best| + 1. A floor of at most k cuts no k-set, so best stays the first
+maximum set; a k-prefix of a longer set is a tie only until that set is
+found.
 """
 
 from __future__ import annotations
@@ -47,20 +50,28 @@ class _Search:
         if not ts or ts[0] < 1:
             raise ValueError(f"edge types must be a nonempty set of positive ints, got {ts}")
         self.start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
-        self.links = [(r - 2, h.link_table(r)) for r in ts if r > 1]
+        self.pairs = h.link_table(2) if 2 in ts else None
+        self.triples = h.link_table(3) if 3 in ts else None
+        self.links = [(r - 2, h.link_table(r)) for r in ts if r > 3]
 
     def complete_sets(self, floor: int) -> Iterator[tuple[int, ...]]:
         """Complete sets of at least ``self.floor`` vertices, in lexicographic
         order. Branches that cannot reach the floor are cut; it starts at
         ``floor`` and the caller may raise it between two sets."""
         self.floor = floor
+        pairs, triples, links = self.pairs, self.triples, self.links
 
         def grow(members: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
             while cand and len(members) + cand.bit_count() >= self.floor:
                 bit = cand & -cand
                 cand ^= bit
                 nxt = cand
-                for size, table in self.links:
+                if pairs is not None:
+                    nxt &= pairs.get(bit, 0)
+                if triples is not None:
+                    for m in members:
+                        nxt &= triples.get(m | bit, 0)
+                for size, table in links:
                     for sub in combinations(members, size):
                         nxt &= table.get(sum(sub) | bit, 0)
                 grown = members + (bit,)

@@ -23,7 +23,9 @@ those ``Coefficients`` over those levels only. The checks' thresholds,
 most ``_REL_EXCESS`` times the closed form above it, and the
 uniform-on-clique value equal to it in rational arithmetic, or, where a
 clique-free check found no order-t clique, the optimum ``_STRICT_MARGIN``
-below it; either way from a converged solve.
+below it; either way from a converged solve. It first rejects, by name,
+each ``alpha`` key and ``alpha`` map entry the row does not read on the
+instance's edge types; ``closed_form_exact`` ignores them.
 
 ``_read_params`` is the one reader of theorem and family parameters (the
 generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
@@ -235,19 +237,46 @@ def _rank(p: Mapping, types: Iterable[int]) -> int | None:
     return p.get("r", max((x for x in types if x > 2), default=None))
 
 
+def _alpha_keys(pattern: tuple, levels: tuple[int, ...], r: int | None) -> dict:
+    """The key each level above the lowest reads its ``L`` coefficient from:
+    ``alpha_r`` or ``alpha_<level>`` for a level the pattern names, else
+    None, an entry of the ``alpha`` map."""
+    return {v: "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
+            for v in levels[1:]}
+
+
 def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -> dict:
-    """alpha_v of the ``L`` flavour for the levels above the lowest: a level
-    the pattern names reads ``alpha_2``/``alpha_3``/``alpha_r`` and never the
-    ``alpha`` map, the others read an open pattern's ``alpha`` map (kept
-    whole), and unset ones are 1."""
+    """alpha_v of the ``L`` flavour for the levels above the lowest, read as
+    ``_alpha_keys`` says; an open pattern keeps the ``alpha`` map whole, and
+    unset levels are 1."""
     alpha = dict(p.get("alpha", {})) if "3+" in pattern else {}
-    for v in levels[1:]:
-        key = "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
+    for v, key in _alpha_keys(pattern, levels, r).items():
         if key is not None:
             alpha[v] = p.get(key, Fraction(1))
         else:
             alpha.setdefault(v, Fraction(1))
     return alpha
+
+
+def _check_alpha_read(theorem: str, p: Mapping, types: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming each ``alpha_*`` key and ``alpha`` map
+    entry of ``p`` that ``_alpha`` does not read on the row's levels for
+    ``types`` (every one on a ``lambda`` or ``lambda'`` row). A row whose
+    rank is missing or below 3 has no levels, and its r-range check fails
+    instead."""
+    spec = _spec(theorem)
+    r = _rank(p, types)
+    keys = {}
+    if spec.flavour == "L":
+        if "r" in spec.pattern and (r is None or r < 3):
+            return
+        keys = _alpha_keys(spec.pattern, _resolve(spec.pattern, r, types), r)
+    unread = [repr(k) for k in p if k.startswith("alpha_") and k not in keys.values()]
+    unread += [f"alpha[{v}]" for v in p.get("alpha", {}) if keys.get(v, "") is not None]
+    if unread:
+        reads = ", ".join(key or f"alpha[{v}]" for v, key in keys.items()) or "no alpha key"
+        raise ValueError(f"{theorem} does not read {', '.join(unread)} on edge types {types} "
+                         f"(it reads {reads})")
 
 
 def _objective(theorem: str, p: Mapping, types: Iterable[int]) -> tuple:
@@ -275,7 +304,9 @@ def _objective(theorem: str, p: Mapping, types: Iterable[int]) -> tuple:
 
 def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
     """Exact closed-form optimum: sum of c_r * C(t,r) / t^r over the levels
-    the pattern admits, resolved against ``types``."""
+    the pattern admits, resolved against ``types``. Unlike ``verify`` it
+    ignores ``alpha`` keys the row does not read, so one parameter dict
+    serves every row (as the registry's closed-form grid passes it)."""
     p = _read_params(params)
     closed = _objective(theorem, p, p.get("types", ()))[2]
     if closed is None:
@@ -572,6 +603,7 @@ def verify(
     value only bounds the maximum from below, so it never passes."""
     spec = _spec(theorem)
     p = _read_params(params)
+    _check_alpha_read(theorem, p, h.edge_types)
     report = check_hypotheses(theorem, h, p)
     derived = report.derived
     notes = [spec.note] if spec.note else []

@@ -155,13 +155,13 @@ def _oracle(h, types):
 
 @st.composite
 def instances_and_types(draw):
-    """n <= 9, edges on up to three of the levels 1..4 at random densities,
+    """n <= 9, edges on up to three of the levels 1..5 at random densities,
     and a type set that may name levels the instance lacks, include 1, or
     exceed n."""
     n = draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
     edges = []
-    for r in sorted(draw(st.sets(st.integers(1, 4), max_size=3))):
+    for r in sorted(draw(st.sets(st.integers(1, 5), max_size=3))):
         density = draw(st.sampled_from((0.3, 0.6, 0.85, 1.0)))
         edges += [c for c in itertools.combinations(range(1, n + 1), r) if rng.random() < density]
     h = validate(n, edges)

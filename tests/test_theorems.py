@@ -166,6 +166,26 @@ class TestReadParams:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    @pytest.mark.parametrize("theorem, h, params, named, closed", [
+        # alpha_4 on an open pattern: level 4 reads the alpha map.
+        ("GENERAL_T9a", complete(5, (2, 3, 4)), {"t": 5, "alpha_4": 5}, "'alpha_4'", Fraction(61, 125)),
+        # T5 names its levels 2 and 3, so it has no rank to read alpha_r for.
+        ("ONE_TWO_THREE_T5", complete(4, (1, 2, 3)), {"t": 4, "alpha_r": 5}, "'alpha_r'",
+         Fraction(23, 16)),
+        # A lambda' row reads no alpha key.
+        ("COR1a", complete(4, (2, 3)), {"t": 4, "alpha_r": 5, "alpha": {"3": 2}},
+         "'alpha_r', alpha\\[3\\]", Fraction(9, 8)),
+    ])
+    def test_unread_alpha_keys_rejected_by_name(self, theorem, h, params, named, closed, fast_cfg):
+        """verify names every alpha key and map entry the row does not read;
+        closed_form_exact, which the registry grid feeds one dict for every
+        row, ignores them."""
+        with pytest.raises(ValueError, match=f"^{theorem} does not read {named} on edge types"):
+            verify(theorem, h, params, fast_cfg)
+        assert closed_form_exact(theorem, {**params, "types": h.edge_types}) == closed
+        without = {k: v for k, v in params.items() if k == "t"}
+        assert verify(theorem, h, without, fast_cfg).closed_form_exact == closed
+
     @pytest.mark.parametrize("key", ["alpha_r", "alpha_2", "alpha_13"])
     def test_level_keys_are_read(self, key):
         assert _read_params({key: "3/2"}) == {key: Fraction(3, 2)}
@@ -402,12 +422,12 @@ class TestVerify:
 
     def test_general_alpha_map_never_sets_a_named_level(self, fast_cfg):
         """GENERAL_T9b names level 2, so alpha_2 is 1 when absent, even with a
-        2 in the alpha map; the closed form and verify agree on it."""
+        2 in the alpha map: the closed form ignores the entry, and verify
+        rejects it by name."""
         p = {"t": 5, "types": [1, 2, 3, 4], "alpha": {"2": 3}}
-        verdict = verify("GENERAL_T9b", complete(5, (1, 2, 3, 4)), p, cfg=fast_cfg)
-        assert verdict.hypotheses_ok
-        assert closed_form_exact("GENERAL_T9b", p) == verdict.closed_form_exact
-        assert verdict.closed_form_exact == complete_value(5, (1, 2, 3, 4))
+        assert closed_form_exact("GENERAL_T9b", p) == complete_value(5, (1, 2, 3, 4))
+        with pytest.raises(ValueError, match=r"does not read alpha\[2\] .*reads alpha_2, alpha\[3\]"):
+            verify("GENERAL_T9b", complete(5, (1, 2, 3, 4)), p, cfg=fast_cfg)
 
     def test_factorial_weight_bridge(self, fast_cfg):
         """A factorial-weighted verdict equals 2! times the plain weighted
