@@ -31,7 +31,7 @@ from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
 from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, grid_oracle, maximize, polish
-from .theorems import _spec, theorem_ids, verify
+from .theorems import _read_params, _read_row, theorem_ids, verify
 
 # The task's family and seed, the verdict's to_dict fields, the wall time.
 _SWEEP_COLUMNS = ["family", "seed", "theorem", "t", "r", "m", "hypotheses_ok", "closed_form",
@@ -229,8 +229,11 @@ def _cmd_sweep(args) -> int:
     params = _load_params(args.params)
     seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
+    # An unknown theorem id, or an alpha key a row does not read on the first
+    # seed's instance, fails before any solve.
+    p, types = _read_params(params), gen_planted(args.family, params, seeds[0]).edge_types
     for name in theorems:
-        _spec(name)  # validate up front
+        _read_row(name, p, types)
     starts = args.starts if args.starts is not None else 16
     tasks = [{"family": args.family, "params": params, "seed": seed, "theorem": name, "starts": starts}
              for seed in seeds for name in theorems]

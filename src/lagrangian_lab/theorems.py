@@ -13,19 +13,20 @@ and the corollaries.
 ``SPECS``, held as data, is the only list of theorems. In a type pattern an
 int is a fixed level, ``"r"`` the rank (parameter ``r``, else the largest
 type above 2), ``"k?"`` a level k kept when present, and ``"3+"`` every type
-above 2. ``_objective`` resolves a row once into its levels (the pattern
-read against ``types``, which an open pattern needs), the flavour's
-``Coefficients`` and scale on them, and the closed form, which sums c_r from
-those ``Coefficients`` over those levels only. The checks' thresholds,
-``closed_form_exact`` and the solve in ``verify`` all read them.
+above 2. ``_row`` resolves a row once, against a list of edge types, into a
+record: the rank, the levels, the ``alpha`` key each level reads, the
+flavour's ``Coefficients`` and scale on those levels, and the closed form,
+which sums c_r from those ``Coefficients`` over those levels only. The
+checks' thresholds and ``closed_form_exact`` read it; ``verify`` builds it
+once on the instance's edge types and reads it for every step.
 
-``verify`` needs the optimum at most ``_TOL`` below the closed form and at
-most ``_REL_EXCESS`` times the closed form above it, and the
-uniform-on-clique value equal to it in rational arithmetic, or, where a
-clique-free check found no order-t clique, the optimum ``_STRICT_MARGIN``
-below it; either way from a converged solve. It first rejects, by name,
-each ``alpha`` key and ``alpha`` map entry the row does not read on the
-instance's edge types; ``closed_form_exact`` ignores them.
+From that record ``verify`` rejects, by name, each ``alpha`` key and
+``alpha`` map entry the row does not read (``closed_form_exact`` ignores
+them). It then needs the optimum at most ``_TOL`` below the closed form at
+the derived t and at most ``_REL_EXCESS`` times the closed form above it,
+and the uniform-on-clique value equal to it in rational arithmetic, or,
+where a clique-free check found no order-t clique, the optimum
+``_STRICT_MARGIN`` below it; either way from a converged solve.
 
 ``_read_params`` is the one reader of theorem and family parameters (the
 generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
@@ -37,9 +38,8 @@ never ``alpha_03`` or ``alpha_R``); their values and the map's entries are
 positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
 ``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
 string); ``types`` is a nonempty list of positive ints, read as a tuple.
-``clique`` and ``clique_present``, which the checks write into ``derived``,
-pass through. ``null`` counts as absent; an unknown key (named in the
-message) or anything else raises ``ValueError``.
+``null`` counts as absent; an unknown key (named in the message) or
+anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
 from numbers import Real
 from typing import Callable, Iterable, Mapping
 
@@ -189,7 +188,7 @@ def _read_params(params: Mapping | None) -> dict:
     """Copy of the parameters, read as the module docstring says."""
     raw = dict(params or {})
     known = ("t", "r", "n", "m", "alpha", "density", "extra_density", "types")
-    unknown = [repr(k) for k in raw if k not in known + ("clique", "clique_present")
+    unknown = [repr(k) for k in raw if k not in known
                and not re.fullmatch("alpha_(r|[1-9][0-9]*)", str(k))]
     if unknown:
         raise ValueError(f"unknown parameters: {', '.join(unknown)} "
@@ -237,69 +236,64 @@ def _rank(p: Mapping, types: Iterable[int]) -> int | None:
     return p.get("r", max((x for x in types if x > 2), default=None))
 
 
-def _alpha_keys(pattern: tuple, levels: tuple[int, ...], r: int | None) -> dict:
-    """The key each level above the lowest reads its ``L`` coefficient from:
-    ``alpha_r`` or ``alpha_<level>`` for a level the pattern names, else
-    None, an entry of the ``alpha`` map."""
-    return {v: "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
-            for v in levels[1:]}
+@dataclass(frozen=True)
+class _Row:
+    """A row as ``_row`` resolves it. ``keys`` maps each level above the
+    lowest to the key its ``L`` coefficient is read from (``alpha_r``,
+    ``alpha_<level>``, or None for the ``alpha`` map); on a ``lambda`` or
+    ``lambda'`` row it is empty and ``alpha`` is None."""
+
+    r: int | None
+    levels: tuple[int, ...]
+    keys: dict
+    alpha: dict | None
+    coeffs: Coefficients
+    scale: int
+
+    def closed_form(self, t: int | None) -> Fraction | None:
+        """scale * sum of c_r * C(t,r) / t^r over the levels; None unless t >= 1."""
+        if t is None or t < 1:
+            return None
+        return self.scale * sum(self.coeffs.coefficient(v) * Fraction(math.comb(t, v), t**v)
+                                for v in self.levels)
 
 
-def _alpha(pattern: tuple, p: Mapping, levels: tuple[int, ...], r: int | None) -> dict:
-    """alpha_v of the ``L`` flavour for the levels above the lowest, read as
-    ``_alpha_keys`` says; an open pattern keeps the ``alpha`` map whole, and
-    unset levels are 1."""
-    alpha = dict(p.get("alpha", {})) if "3+" in pattern else {}
-    for v, key in _alpha_keys(pattern, levels, r).items():
-        if key is not None:
-            alpha[v] = p.get(key, Fraction(1))
-        else:
-            alpha.setdefault(v, Fraction(1))
-    return alpha
-
-
-def _check_alpha_read(theorem: str, p: Mapping, types: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` naming each ``alpha_*`` key and ``alpha`` map
-    entry of ``p`` that ``_alpha`` does not read on the row's levels for
-    ``types`` (every one on a ``lambda`` or ``lambda'`` row). A row whose
-    rank is missing or below 3 has no levels, and its r-range check fails
-    instead."""
+def _row(theorem: str, p: Mapping, types: Iterable[int]) -> _Row | None:
+    """The row of ``theorem`` at the already-read parameters ``p`` on
+    ``types``, None where its pattern names the rank and that is missing or
+    below 3. An open pattern keeps the ``alpha`` map whole; an unset
+    coefficient is 1."""
     spec = _spec(theorem)
-    r = _rank(p, types)
-    keys = {}
+    pattern, r = spec.pattern, _rank(p, types)
+    if "r" in pattern and (r is None or r < 3):
+        return None
+    levels = _resolve(pattern, r, types)
+    keys, alpha = {}, None
     if spec.flavour == "L":
-        if "r" in spec.pattern and (r is None or r < 3):
-            return
-        keys = _alpha_keys(spec.pattern, _resolve(spec.pattern, r, types), r)
+        keys = {v: "alpha_r" if v == r and "r" in pattern else f"alpha_{v}" if v in pattern else None
+                for v in levels[1:]}
+        alpha = dict(p.get("alpha", {})) if "3+" in pattern else {}
+        for v, key in keys.items():
+            alpha[v] = p.get(key, Fraction(1)) if key else alpha.get(v, Fraction(1))
+    return _Row(r, levels, keys, alpha, *flavour_coefficients(spec.flavour, levels, alpha))
+
+
+def _read_row(theorem: str, p: Mapping, types: tuple[int, ...]) -> _Row | None:
+    """``_row`` on ``types``, after raising ``ValueError`` naming each
+    ``alpha_*`` key and ``alpha`` map entry of ``p`` the row does not read
+    there (every one on a ``lambda`` or ``lambda'`` row). An ``L`` row
+    without a rank reads no key, and its r-range check fails instead."""
+    row = _row(theorem, p, types)
+    if row is None and _spec(theorem).flavour == "L":
+        return None
+    keys = row.keys if row else {}
     unread = [repr(k) for k in p if k.startswith("alpha_") and k not in keys.values()]
     unread += [f"alpha[{v}]" for v in p.get("alpha", {}) if keys.get(v, "") is not None]
     if unread:
         reads = ", ".join(key or f"alpha[{v}]" for v, key in keys.items()) or "no alpha key"
         raise ValueError(f"{theorem} does not read {', '.join(unread)} on edge types {types} "
                          f"(it reads {reads})")
-
-
-def _objective(theorem: str, p: Mapping, types: Iterable[int]) -> tuple:
-    """The row's coefficients and scale on its pattern's levels, resolved
-    against ``types``, and the closed form scale * sum of c_r * C(t,r) / t^r
-    over those levels at ``p``'s t, None where t is not positive. ``p`` is
-    already read; an open pattern without ``types`` or an r below 3 raises
-    ``ValueError``."""
-    spec = _spec(theorem)
-    pattern, flavour = spec.pattern, spec.flavour
-    r = _rank(p, types)
-    if not types and any(isinstance(e, str) and e != "r" for e in pattern):
-        raise ValueError(f"closed form for {theorem} needs the edge-type list")
-    if "r" in pattern and (r is None or r < 3):
-        raise ValueError(f"closed form for {theorem} needs r >= 3, got {r}")
-    levels = _resolve(pattern, r, types)
-    alpha = _alpha(pattern, p, levels, r) if flavour == "L" else None
-    coeffs, scale = flavour_coefficients(flavour, levels, alpha)
-    t = p.get("t")
-    if t is None or t < 1:
-        return coeffs, scale, None
-    return coeffs, scale, scale * sum(coeffs.coefficient(v) * Fraction(math.comb(t, v), t**v)
-                                      for v in levels)
+    return row
 
 
 def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
@@ -308,7 +302,13 @@ def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
     ignores ``alpha`` keys the row does not read, so one parameter dict
     serves every row (as the registry's closed-form grid passes it)."""
     p = _read_params(params)
-    closed = _objective(theorem, p, p.get("types", ()))[2]
+    types = p.get("types", ())
+    if not types and any(isinstance(e, str) and e != "r" for e in _spec(theorem).pattern):
+        raise ValueError(f"closed form for {theorem} needs the edge-type list")
+    row = _row(theorem, p, types)
+    if row is None:
+        raise ValueError(f"closed form for {theorem} needs r >= 3, got {_rank(p, types)}")
+    closed = row.closed_form(p.get("t"))
     if closed is None:
         raise ValueError(f"closed form for {theorem} needs a positive t")
     return closed
@@ -325,7 +325,6 @@ class _Checker:
         self.p = _read_params(params)
         self.conds: list[ConditionCheck] = []
         self.derived: dict = {}
-        self.r: int | None = None
 
     @property
     def t(self) -> int | None:
@@ -333,34 +332,31 @@ class _Checker:
 
     def coef(self, v: int) -> Fraction:
         """The flavour's coefficient on level v, 1 on the base level."""
-        return Fraction(self.coeffs.coefficient(v))
-
-    @cached_property
-    def coeffs(self) -> Coefficients:
-        return _objective(self.theorem, self.p, self.types)[0]
+        return Fraction(self.row.coeffs.coefficient(v))
 
     def cond(self, name: str, ok, detail: str = "") -> None:
         self.conds.append(ConditionCheck(name, bool(ok), detail))
 
-    def derive_r(self) -> int | None:
+    def derive_r(self) -> bool:
         r = _rank(self.p, self.types)
         if r is not None:
             self.derived["r"] = r
-        self.r = r if r is not None and r >= 3 else None
-        self.cond("r-range", self.r is not None, f"r={r}, needs r >= 3")
-        return self.r
+        ok = r is not None and r >= 3
+        self.cond("r-range", ok, f"r={r}, needs r >= 3")
+        return ok
 
     def run(self) -> None:
         pattern = self.spec.pattern
-        if "r" in pattern and self.derive_r() is None:
+        if "r" in pattern and not self.derive_r():
             return
-        self.want = _resolve(pattern, self.r, self.types)
+        self.row = _row(self.theorem, self.p, self.types)
+        self.want = self.row.levels
         self.levels = self.types if "3+" in pattern else self.want
         for check in self.spec.checks:
             if check(self) is False:
                 return
-        if self.spec.flavour == "L":
-            self.derived["alpha"] = _alpha(self.spec.pattern, self.p, self.want, self.r)
+        if self.row.alpha is not None:
+            self.derived["alpha"] = self.row.alpha
         self.derived["types"] = self.levels
         # The top level is the rank, except where an optional level makes the
         # pattern's shape depend on the instance: there only "r" names it.
@@ -385,7 +381,7 @@ class _Checker:
         return bool(higher)
 
     def rank_at_most_four(self) -> None:
-        self.cond("r-range-upper", self.r <= 4, f"r={self.r} must satisfy 3 <= r <= 4")
+        self.cond("r-range-upper", self.row.r <= 4, f"r={self.row.r} must satisfy 3 <= r <= 4")
 
     def clique(self) -> None:
         res = max_complete_subgraph(self.h, self.levels)
@@ -491,16 +487,16 @@ class _Checker:
         self.cond("order-threshold", t is not None and t >= 2, f"t={t} must be >= 2")
 
     def min_order_one_r(self) -> None:
-        a_r = self.coef(self.r)
+        a_r = self.coef(self.row.r)
         detail = f"ceil([a_r-(r-2)!]^(r-2) / ((r-2)! a_r^(r-3))) with a_r={a_r}"
-        self.threshold(threshold_one_r(self.r, a_r), detail)
+        self.threshold(threshold_one_r(self.row.r, a_r), detail)
 
     def min_order_one_two_three(self) -> None:
         a2, a3 = self.coef(2), self.coef(3)
         self.threshold(threshold_one_two_three(a2, a3), f"a2={a2}, a3={a3}")
 
     def coefficient_ratio(self) -> None:
-        a_r, a2, fact = self.coef(self.r), self.coef(2), math.factorial(self.r - 2)
+        a_r, a2, fact = self.coef(self.row.r), self.coef(2), math.factorial(self.row.r - 2)
         weak, strong = a_r / (2 * fact), a_r / fact
         self.cond("coefficient-ratio", a2 >= weak, f"a2={a2} must be >= a_r/(2 (r-2)!) = {weak}")
         # the statement carries two inconsistent bounds; require the stronger
@@ -584,8 +580,10 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Evaluate every hypothesis of a theorem on a concrete instance.
 
-    Failed conditions are reported, never raised; ``derived`` carries the
-    quantities the verifier needs (t, r, m, clique vertices, coefficients).
+    Failed conditions are reported, never raised; ``derived`` carries what
+    the checks found: t, r, m, ``clique`` (the clique's vertices),
+    ``clique_present``, the levels and an ``L`` row's coefficients.
+    ``verify`` reads the first five.
     """
     c = _Checker(theorem, h, params)
     c.run()
@@ -603,16 +601,12 @@ def verify(
     value only bounds the maximum from below, so it never passes."""
     spec = _spec(theorem)
     p = _read_params(params)
-    _check_alpha_read(theorem, p, h.edge_types)
+    row = _read_row(theorem, p, h.edge_types)
     report = check_hypotheses(theorem, h, p)
     derived = report.derived
     notes = [spec.note] if spec.note else []
 
-    row = {**p, **derived}
-    try:
-        coeffs, scale, cf_exact = _objective(theorem, row, row.get("types", ()))
-    except ValueError:
-        cf_exact = None
+    cf_exact = None if row is None else row.closed_form(derived.get("t"))
     cf = None if cf_exact is None else float(cf_exact)
     verdict = TheoremVerdict(
         theorem=theorem, hypotheses_ok=report.ok, conditions=report.conditions, closed_form=cf,
@@ -621,8 +615,8 @@ def verify(
     if not report.ok or cf_exact is None:
         return verdict
 
-    res = maximize(h, coeffs, cfg)
-    numerical = scale * res.value
+    res = maximize(h, row.coeffs, cfg)
+    numerical = row.scale * res.value
     if not res.converged:
         notes.append("solver budget exhausted before convergence")
 
@@ -634,7 +628,7 @@ def verify(
     else:
         clique = derived.get("clique")
         if clique:
-            uniform_exact = scale * eval_exact(h, coeffs, rational_uniform(h.n, clique))
+            uniform_exact = row.scale * eval_exact(h, row.coeffs, rational_uniform(h.n, clique))
         if margin < -_REL_EXCESS * cf:
             notes.append(f"numerical exceeds the closed form by {-margin:.6g} "
                          f"(relative bound {_REL_EXCESS:g})")

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from lagrangian_lab import complete, dump, gen_planted, load, to_json, validate, with_singletons
-from lagrangian_lab import cli, generators
+from lagrangian_lab import cli, generators, theorems
 from lagrangian_lab.cli import run
 
 
@@ -598,18 +598,39 @@ class TestSweepSeedsAndFailures:
         assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1..6", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_failed_task_keeps_existing_out(self, tmp_path, capsys):
+    def test_failed_task_keeps_existing_out(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "keep.csv"
         out.write_bytes(b"twelve bytes")
-        args = ["sweep", "--family", "t7a", "--theorem", "TWO_R_EDGES_T7a", "--seeds", "1",
-                "--jobs", "1", "--params", '{"t": 4, "m": 100}', "--out", str(out)]
-        assert run(args) == 1
+
+        def fail(task):
+            raise ValueError("task failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_sweep_task", fail)
+            assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_bytes() == b"twelve bytes"
         # Once every row is ready, the rows replace the old contents.
         assert run(self.BASE + ["--theorem", "PTZ", "--seeds", "1", "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["seed"] for row in rows] == ["1"]
+
+    def test_unread_alpha_key_exits_one_before_any_solve(self, monkeypatch, capsys):
+        """Every listed theorem is checked on the first seed's instance
+        before any task runs, so COR1a's unread alpha_r costs no solve."""
+        real, calls = theorems.maximize, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "maximize", spy)
+        args = ["sweep", "--family", "t6a", "--theorem", "TWO_R_T6a,COR1a", "--params",
+                '{"t": 4, "alpha_r": 2}', "--seeds", "1..2", "--jobs", "1"]
+        assert run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: COR1a does not read 'alpha_r'")
+        assert calls == []
 
     def test_no_closed_form_is_an_empty_cell(self, capsys):
         args = ["sweep", "--family", "t6a", "--theorem", "TPZZ", "--seeds", "1", "--jobs", "1"]

@@ -156,6 +156,8 @@ class TestReadParams:
         ({3: 1}, "3"),
         ({"alpha_R": 2, "alpha_0": 1}, "'alpha_R', 'alpha_0'"),
         ({"alpha_x": 2, "alpha_": 1, "alpha_03": 1}, "'alpha_x', 'alpha_', 'alpha_03'"),
+        # What the checks write into ``derived`` is not a parameter.
+        ({"clique": [9, 9], "clique_present": "no"}, "'clique', 'clique_present'"),
     ])
     def test_unknown_keys_rejected_by_name(self, params, named, fast_cfg):
         h = gen_planted("t7a", {"t": 4}, seed=1)
@@ -186,17 +188,20 @@ class TestReadParams:
         without = {k: v for k, v in params.items() if k == "t"}
         assert verify(theorem, h, without, fast_cfg).closed_form_exact == closed
 
+    def test_rankless_rows_check_alpha_keys_by_flavour(self, fast_cfg):
+        """Without a level above 2 an "r" row has no rank. Its lambda' form
+        still reads no alpha key; its L form may read alpha_r, so the
+        r-range check fails instead of the key check."""
+        h, params = complete(4, (2,)), {"t": 4, "alpha_r": 5}
+        with pytest.raises(ValueError, match="^COR1a does not read 'alpha_r' on edge types"):
+            verify("COR1a", h, params, fast_cfg)
+        verdict = verify("TWO_R_T6a", h, params, fast_cfg)
+        assert [(c.name, c.ok) for c in verdict.conditions] == [("r-range", False)]
+        assert not verdict.passed and verdict.closed_form is None
+
     @pytest.mark.parametrize("key", ["alpha_r", "alpha_2", "alpha_13"])
     def test_level_keys_are_read(self, key):
         assert _read_params({key: "3/2"}) == {key: Fraction(3, 2)}
-
-    def test_strict_branch_derived_is_read_back(self):
-        """``derived`` merged over the parameters reads, clique_present
-        included (test_known_refutations_are_exact reads back clique)."""
-        h = with_singletons(gen_planted("tpzz-free", {"t": 4}, seed=3))
-        report = check_hypotheses("MIXED_T10c", h, {"t": 4})
-        assert report.ok and report.derived["clique_present"] is False
-        assert closed_form_exact("MIXED_T10c", report.derived) == Fraction(11, 8)
 
     def test_closed_form_types_string_is_a_value_error(self):
         with pytest.raises(ValueError, match="types must be a nonempty list"):
@@ -378,6 +383,14 @@ class TestVerify:
         assert verdict.uniform_on_clique_exact == verdict.closed_form_exact
         assert not verdict.passed
 
+    def test_closed_form_from_instance_types_only(self, fast_cfg):
+        """The verdict resolves its row on the instance's edge types, never
+        on a ``types`` parameter: on a graph with no level above 2 the open
+        row stops at its shape check, with no t and no closed form."""
+        verdict = verify("GENERAL_T9a", complete(4, (2,)), {"t": 4, "types": [2, 3]}, fast_cfg)
+        assert verdict.conditions[-1].name == "type-shape" and not verdict.conditions[-1].ok
+        assert verdict.closed_form is None and verdict.closed_form_exact is None
+
     def test_not_applicable_short_circuit(self, fast_cfg):
         h = complete(4, (2, 3))
         verdict = verify("NONUNIF_T3", h, cfg=fast_cfg)
@@ -541,7 +554,8 @@ def test_known_refutations_are_exact(theorem, h, params, x, closed, value):
     of a solver maximum."""
     report = check_hypotheses(theorem, h, params)
     assert report.ok
-    assert closed_form_exact(theorem, {**params, **report.derived}) == closed
+    assert closed_form_exact(theorem, {**params, "t": report.derived["t"],
+                                       "types": h.edge_types}) == closed
     coeffs, scale = flavour_coefficients(theorems_module.SPECS[theorem].flavour, h.edge_types,
                                          report.derived.get("alpha"))
     assert scale * eval_exact(h, coeffs, x) == value
