@@ -8,9 +8,10 @@ converged solve. Text output writes numbers with 12-digit fixed precision;
 --json prints the result's fields in order, as its to_dict writes them:
 compute's solver result and verify's verdict. compute and verify seed the
 solver with --seed (default 0) and use 64 random starts unless --starts sets
-them; generate builds with --seed (default 0). sweep has no --seed: it seeds
-each solve with that instance's seed and uses 16 starts unless --starts sets
-them.
+them; generate builds with --seed (default 0). sweep has no --seed: it
+builds each seed's instance once, checks every (seed, theorem) pair's alpha
+keys on it before any solve, then seeds each solve with that instance's seed
+and uses 16 starts unless --starts sets them.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
 from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, grid_oracle, maximize, polish
-from .theorems import _read_params, _read_row, theorem_ids, verify
+from .theorems import _Checker, theorem_ids, verify
 
-# The task's family and seed, the verdict's to_dict fields, the wall time.
+# The task's family and seed, the verdict's to_dict fields, and the wall
+# time of verify alone (the instance is built before the task runs).
 _SWEEP_COLUMNS = ["family", "seed", "theorem", "t", "r", "m", "hypotheses_ok", "closed_form",
                   "numerical", "uniform_on_clique", "kkt_residual", "pass", "wall_ms"]
 
@@ -56,15 +58,6 @@ def _fmt(value: float | None) -> str:
     # A negative value that rounds to zero prints without its sign.
     text = f"{value:.12f}"
     return text.lstrip("-") if float(text) == 0 else text
-
-
-def _solver_config(args) -> SolverConfig:
-    kwargs = {"seed": args.seed}
-    if args.starts is not None:
-        kwargs["starts"] = args.starts
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return SolverConfig(**kwargs)
 
 
 def _load_params(text: str | None) -> dict:
@@ -105,7 +98,7 @@ def _cmd_compute(args) -> int:
     grid_d = 24 if args.grid_d is None else args.grid_d
     h = load(args.input)
     coeffs, scale = _coefficients_for(args, h)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(args.starts, args.max_iters, args.seed)
     # The grid runs first: a bad resolution or size fails before the solve.
     grid = grid_oracle(h, coeffs, grid_d) if args.grid else None
     result = maximize(h, coeffs, cfg)
@@ -171,7 +164,7 @@ def _cmd_compress(args) -> int:
 def _cmd_verify(args) -> int:
     h = load(args.input)
     params = _load_params(args.params)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(args.starts, args.max_iters, args.seed)
     verdict = verify(args.theorem, h, params, cfg)
     if args.json:
         print(json.dumps(verdict.to_dict()))
@@ -197,9 +190,8 @@ def _cmd_generate(args) -> int:
 
 def _sweep_task(task: dict) -> dict:
     started = time.perf_counter()
-    h = gen_planted(task["family"], task["params"], task["seed"])
     cfg = SolverConfig(starts=task["starts"], seed=task["seed"])
-    doc = verify(task["theorem"], h, task["params"], cfg).to_dict()
+    doc = verify(task["theorem"], task["h"], task["params"], cfg).to_dict()
     row = {**task, **doc, "wall_ms": f"{(time.perf_counter() - started) * 1000.0:.1f}"}
     return {key: _cell(key, row[key]) for key in _SWEEP_COLUMNS}
 
@@ -229,14 +221,13 @@ def _cmd_sweep(args) -> int:
     params = _load_params(args.params)
     seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
-    # An unknown theorem id, or an alpha key a row does not read on the first
-    # seed's instance, fails before any solve.
-    p, types = _read_params(params), gen_planted(args.family, params, seeds[0]).edge_types
-    for name in theorems:
-        _read_row(name, p, types)
-    starts = args.starts if args.starts is not None else 16
-    tasks = [{"family": args.family, "params": params, "seed": seed, "theorem": name, "starts": starts}
-             for seed in seeds for name in theorems]
+    # A generator failure, an unknown theorem id, or an alpha key a row does
+    # not read on any seed's instance, fails before any solve.
+    instances = [(seed, gen_planted(args.family, params, seed)) for seed in seeds]
+    tasks = [{"family": args.family, "params": params, "seed": seed, "theorem": name,
+              "starts": args.starts, "h": h} for seed, h in instances for name in theorems]
+    for task in tasks:
+        _Checker(task["theorem"], task["h"], params).check_keys()
     jobs = min(args.jobs or os.cpu_count() or 1, len(tasks))
     # --out opens for appending before any task runs, so a bad path costs no
     # solve, and it is emptied only once every row is ready, so a failed task
@@ -269,9 +260,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--starts", type=int, default=None, help="random multistart count")
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--starts", type=int, default=SolverConfig.starts,
+                       help="random multistart count")
+        p.add_argument("--max-iters", dest="max_iters", type=int, default=SolverConfig.max_iters)
+        p.add_argument("--seed", type=int, default=SolverConfig.seed)
 
     p = sub.add_parser("compute", help="maximize an objective over the simplex")
     p.add_argument("input", help="hypergraph file (JSON or text)")
@@ -324,7 +316,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, at most one per task (default or 0: cores)")
-    p.add_argument("--starts", type=int, default=None)
+    p.add_argument("--starts", type=int, default=16)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

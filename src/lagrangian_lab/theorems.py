@@ -13,12 +13,13 @@ and the corollaries.
 ``SPECS``, held as data, is the only list of theorems. In a type pattern an
 int is a fixed level, ``"r"`` the rank (parameter ``r``, else the largest
 type above 2), ``"k?"`` a level k kept when present, and ``"3+"`` every type
-above 2. ``_row`` resolves a row once, against a list of edge types, into a
+above 2. ``_row`` resolves a row, against a list of edge types, into a
 record: the rank, the levels, the ``alpha`` key each level reads, the
 flavour's ``Coefficients`` and scale on those levels, and the closed form,
-which sums c_r from those ``Coefficients`` over those levels only. The
-checks' thresholds and ``closed_form_exact`` read it; ``verify`` builds it
-once on the instance's edge types and reads it for every step.
+which sums c_r from those ``Coefficients`` over those levels only. A
+``_Checker`` reads a request on an instance once: the parameters, and the
+row on the instance's edge types, for the checks' thresholds,
+``check_hypotheses``, ``verify`` and the CLI's sweep alike.
 
 From that record ``verify`` rejects, by name, each ``alpha`` key and
 ``alpha`` map entry the row does not read (``closed_form_exact`` ignores
@@ -31,11 +32,12 @@ where a clique-free check found no order-t clique, the optimum
 ``_read_params`` is the one reader of theorem and family parameters (the
 generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
 integral float is taken, a bool, string or fractional float is not), and
-``t`` is positive. The ``alpha`` keys are the map ``alpha``, keyed by
-positive ints or strings of them, and ``alpha_r`` and ``alpha_<level>``, the
-level a positive int in decimal digits without a leading zero (``alpha_3``,
-never ``alpha_03`` or ``alpha_R``); their values and the map's entries are
-positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
+``t`` is positive and ``r`` at most 6, the soft limit on edge types. The
+``alpha`` keys are the map ``alpha``, keyed by positive ints or strings of
+them, and ``alpha_r`` and ``alpha_<level>``, the level a positive int in
+decimal digits without a leading zero (``alpha_3``, never ``alpha_03`` or
+``alpha_R``); their values and the map's entries are positive
+``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
 ``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
 string); ``types`` is a nonempty list of positive ints, read as a tuple.
 ``null`` counts as absent; an unknown key (named in the message) or
@@ -52,7 +54,7 @@ from numbers import Real
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
-from .hypergraph import Hypergraph, _read_int, vertex_support
+from .hypergraph import Hypergraph, _check_limits, _read_int, vertex_support
 from .objective import (Coefficients, _read_level, _read_positive, eval_exact,
                          flavour_coefficients, rational_uniform)
 from .optimizer import OptimizationResult, SolverConfig, maximize
@@ -213,6 +215,8 @@ def _read_params(params: Mapping | None) -> dict:
         p["alpha"] = {_read_level(k): _read_positive(f"alpha[{k}]", v) for k, v in entries}
     if p.get("t", 1) < 1:
         raise ValueError(f"t must be a positive integer, got {p['t']!r}")
+    if "r" in p:
+        _check_limits(0, (p["r"],))
     return p
 
 
@@ -278,24 +282,6 @@ def _row(theorem: str, p: Mapping, types: Iterable[int]) -> _Row | None:
     return _Row(r, levels, keys, alpha, *flavour_coefficients(spec.flavour, levels, alpha))
 
 
-def _read_row(theorem: str, p: Mapping, types: tuple[int, ...]) -> _Row | None:
-    """``_row`` on ``types``, after raising ``ValueError`` naming each
-    ``alpha_*`` key and ``alpha`` map entry of ``p`` the row does not read
-    there (every one on a ``lambda`` or ``lambda'`` row). An ``L`` row
-    without a rank reads no key, and its r-range check fails instead."""
-    row = _row(theorem, p, types)
-    if row is None and _spec(theorem).flavour == "L":
-        return None
-    keys = row.keys if row else {}
-    unread = [repr(k) for k in p if k.startswith("alpha_") and k not in keys.values()]
-    unread += [f"alpha[{v}]" for v in p.get("alpha", {}) if keys.get(v, "") is not None]
-    if unread:
-        reads = ", ".join(key or f"alpha[{v}]" for v, key in keys.items()) or "no alpha key"
-        raise ValueError(f"{theorem} does not read {', '.join(unread)} on edge types {types} "
-                         f"(it reads {reads})")
-    return row
-
-
 def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
     """Exact closed-form optimum: sum of c_r * C(t,r) / t^r over the levels
     the pattern admits, resolved against ``types``. Unlike ``verify`` it
@@ -315,14 +301,20 @@ def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
 
 
 class _Checker:
-    """Runs one row's checks on an instance. Each check appends conditions
-    and fills ``derived``; a check that returns False ends the run."""
+    """The one reading of a request: the parameters, and the row resolved on
+    the instance's edge types (None where its pattern names a rank that is
+    missing or below 3). ``report`` runs the row's checks in order; each
+    appends conditions and fills ``derived``, and one that returns False
+    ends the run."""
 
     def __init__(self, theorem: str, h: Hypergraph, params: Mapping | None):
         self.theorem, self.spec = theorem, _spec(theorem)
         self.h = h
         self.types = h.edge_types
         self.p = _read_params(params)
+        self.row = _row(theorem, self.p, self.types)
+        self.want = self.row.levels if self.row else ()
+        self.levels = self.types if "3+" in self.spec.pattern else self.want
         self.conds: list[ConditionCheck] = []
         self.derived: dict = {}
 
@@ -337,31 +329,39 @@ class _Checker:
     def cond(self, name: str, ok, detail: str = "") -> None:
         self.conds.append(ConditionCheck(name, bool(ok), detail))
 
-    def derive_r(self) -> bool:
-        r = _rank(self.p, self.types)
-        if r is not None:
-            self.derived["r"] = r
-        ok = r is not None and r >= 3
-        self.cond("r-range", ok, f"r={r}, needs r >= 3")
-        return ok
-
-    def run(self) -> None:
-        pattern = self.spec.pattern
-        if "r" in pattern and not self.derive_r():
+    def check_keys(self) -> None:
+        """Raise ``ValueError`` naming each ``alpha_*`` key and ``alpha`` map
+        entry of the parameters the row does not read on the instance's edge
+        types (every one on a ``lambda`` or ``lambda'`` row). An ``L`` row
+        without a rank reads no key, and its r-range check fails instead."""
+        row, p = self.row, self.p
+        if row is None and self.spec.flavour == "L":
             return
-        self.row = _row(self.theorem, self.p, self.types)
-        self.want = self.row.levels
-        self.levels = self.types if "3+" in pattern else self.want
-        for check in self.spec.checks:
-            if check(self) is False:
-                return
-        if self.row.alpha is not None:
-            self.derived["alpha"] = self.row.alpha
-        self.derived["types"] = self.levels
-        # The top level is the rank, except where an optional level makes the
-        # pattern's shape depend on the instance: there only "r" names it.
-        if self.want[-1] > 2 and not any(str(e).endswith("?") for e in pattern):
-            self.derived.setdefault("r", self.want[-1])
+        keys = row.keys if row else {}
+        unread = [repr(k) for k in p if k.startswith("alpha_") and k not in keys.values()]
+        unread += [f"alpha[{v}]" for v in p.get("alpha", {}) if keys.get(v, "") is not None]
+        if unread:
+            reads = ", ".join(key or f"alpha[{v}]" for v, key in keys.items()) or "no alpha key"
+            raise ValueError(f"{self.theorem} does not read {', '.join(unread)} on edge types "
+                             f"{self.types} (it reads {reads})")
+
+    def report(self) -> HypothesisReport:
+        pattern, row = self.spec.pattern, self.row
+        if "r" in pattern:
+            r = _rank(self.p, self.types)
+            if r is not None:
+                self.derived["r"] = r
+            self.cond("r-range", row is not None, f"r={r}, needs r >= 3")
+        if row is not None and all(check(self) is not False for check in self.spec.checks):
+            if row.alpha is not None:
+                self.derived["alpha"] = row.alpha
+            self.derived["types"] = self.levels
+            # The top level is the rank, except where an optional level makes
+            # the pattern's shape depend on the instance: there only "r" names it.
+            if self.want[-1] > 2 and not any(str(e).endswith("?") for e in pattern):
+                self.derived.setdefault("r", self.want[-1])
+        return HypothesisReport(self.theorem, all(c.ok for c in self.conds), tuple(self.conds),
+                                self.derived)
 
     def shape(self) -> None:
         got, want = self.types, self.want
@@ -583,11 +583,11 @@ def check_hypotheses(
     Failed conditions are reported, never raised; ``derived`` carries what
     the checks found: t, r, m, ``clique`` (the clique's vertices),
     ``clique_present``, the levels and an ``L`` row's coefficients.
-    ``verify`` reads the first five.
+    ``verify`` reads the first five, and passes the ``_Checker`` it built
+    in place of ``params`` so that it reads its request once.
     """
-    c = _Checker(theorem, h, params)
-    c.run()
-    return HypothesisReport(theorem, all(cond.ok for cond in c.conds), tuple(c.conds), c.derived)
+    c = params if isinstance(params, _Checker) else _Checker(theorem, h, params)
+    return c.report()
 
 
 def verify(
@@ -599,12 +599,11 @@ def verify(
     """Check hypotheses, optimize numerically and judge the closed form as
     the module docstring says, reporting the gap either way. An unconverged
     value only bounds the maximum from below, so it never passes."""
-    spec = _spec(theorem)
-    p = _read_params(params)
-    row = _read_row(theorem, p, h.edge_types)
-    report = check_hypotheses(theorem, h, p)
+    c = _Checker(theorem, h, params)
+    c.check_keys()
+    report, row = check_hypotheses(theorem, h, c), c.row
     derived = report.derived
-    notes = [spec.note] if spec.note else []
+    notes = [c.spec.note] if c.spec.note else []
 
     cf_exact = None if row is None else row.closed_form(derived.get("t"))
     cf = None if cf_exact is None else float(cf_exact)

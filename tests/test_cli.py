@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from lagrangian_lab import complete, dump, gen_planted, load, to_json, validate, with_singletons
-from lagrangian_lab import cli, generators, theorems
+from lagrangian_lab import cli, generators
 from lagrangian_lab.cli import run
 
 
@@ -616,20 +616,28 @@ class TestSweepSeedsAndFailures:
         assert [row["seed"] for row in rows] == ["1"]
 
     def test_unread_alpha_key_exits_one_before_any_solve(self, monkeypatch, capsys):
-        """Every listed theorem is checked on the first seed's instance
-        before any task runs, so COR1a's unread alpha_r costs no solve."""
-        real, calls = theorems.maximize, []
+        """Every listed theorem is checked on every seed's instance before
+        any task runs, so COR1a's unread alpha_r costs no verify, and neither
+        does alpha[3] on random-lc's seed 5, the first of seeds 2..5 without
+        a 3-edge."""
+        real, calls = cli.verify, []
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(theorems, "maximize", spy)
-        args = ["sweep", "--family", "t6a", "--theorem", "TWO_R_T6a,COR1a", "--params",
-                '{"t": 4, "alpha_r": 2}', "--seeds", "1..2", "--jobs", "1"]
-        assert run(args) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: COR1a does not read 'alpha_r'")
+        monkeypatch.setattr(cli, "verify", spy)
+        cases = [
+            (["--family", "t6a", "--theorem", "TWO_R_T6a,COR1a", "--params",
+              '{"t": 4, "alpha_r": 2}', "--seeds", "1..2"], "COR1a does not read 'alpha_r'"),
+            (["--family", "random-lc", "--theorem", "GENERAL_T9a", "--params",
+              '{"n": 5, "types": [2, 3], "density": 0.1, "t": 3, "alpha": {"3": 2}}',
+              "--seeds", "2..5"], "GENERAL_T9a does not read alpha[3] on edge types (2,)"),
+        ]
+        for args, message in cases:
+            assert run(["sweep", *args, "--jobs", "1"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {message}")
         assert calls == []
 
     def test_no_closed_form_is_an_empty_cell(self, capsys):

@@ -199,6 +199,18 @@ class TestReadParams:
         assert [(c.name, c.ok) for c in verdict.conditions] == [("r-range", False)]
         assert not verdict.passed and verdict.closed_form is None
 
+    @pytest.mark.parametrize("r", [7, 4000000])
+    def test_rank_above_soft_limit_rejected(self, r, fast_cfg):
+        """r is an edge type, so it is held to the soft limit before any
+        factorial or power of it is taken."""
+        p, h = {"t": 4, "r": r}, complete(4, (2, 3))
+        message = f"edge type {r} exceeds the soft limit 6"
+        for call in (lambda: verify("TWO_R_T6a", h, p, fast_cfg),
+                     lambda: check_hypotheses("ONE_R_T4", h, p),
+                     lambda: closed_form_exact("ONE_R_T4", p), lambda: gen_planted("t6a", p)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     @pytest.mark.parametrize("key", ["alpha_r", "alpha_2", "alpha_13"])
     def test_level_keys_are_read(self, key):
         assert _read_params({key: "3/2"}) == {key: Fraction(3, 2)}
