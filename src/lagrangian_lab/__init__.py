@@ -5,12 +5,7 @@ associated clique-driven closed forms."""
 __version__ = "0.1.0"
 
 from .cliques import CliqueResult, contains_complete, max_complete_subgraph
-from .compression import (
-    compress_edge,
-    compress_hypergraph,
-    is_left_compressed,
-    left_compress_fixpoint,
-)
+from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, GenerationError, gen_planted, gen_random, with_singletons
 from .hypergraph import (
     Hypergraph,
@@ -42,7 +37,6 @@ from .optimizer import (
     OptimizationResult,
     SolverConfig,
     grid_oracle,
-    kkt_residual,
     maximize,
     polish,
     project_to_simplex,

@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -40,16 +41,12 @@ _SWEEP_COLUMNS = ["family", "seed", "theorem", "t", "r", "m", "hypotheses_ok", "
                   "numerical", "uniform_on_clique", "kkt_residual", "pass", "wall_ms"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; this surface reserves 2
     for failed verdicts, so usage problems become exit 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value: float | None) -> str:
@@ -70,7 +67,7 @@ def _load_params(text: str | None) -> dict:
         is_file = False
     doc = json.loads(path.read_text() if is_file else text)
     if not isinstance(doc, dict):
-        raise _UsageError("--params must be a JSON object")
+        raise ValueError("--params must be a JSON object")
     return doc
 
 
@@ -78,12 +75,12 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
     """Objective selection: returns (coefficients, value scale)."""
     if args.objective == "weighted":
         if not args.coeffs:
-            raise _UsageError("--objective weighted requires --coeffs")
+            raise ValueError("--objective weighted requires --coeffs")
         text = Path(args.coeffs).read_text()
         try:
             return Coefficients.from_json(text), 1
         except ValueError as exc:
-            raise _UsageError(
+            raise ValueError(
                 f'--coeffs must hold a JSON object like {{"r0": 2, "alpha": {{"3": 1}}}} ({exc})'
             ) from None
     flavour = "lambda" if args.objective == "lambda" else "lambda'"
@@ -92,9 +89,9 @@ def _coefficients_for(args, h: Hypergraph) -> tuple[Coefficients, int]:
 
 def _cmd_compute(args) -> int:
     if args.coeffs and args.objective != "weighted":
-        raise _UsageError("--coeffs needs --objective weighted")
+        raise ValueError("--coeffs needs --objective weighted")
     if args.grid_d is not None and not args.grid:
-        raise _UsageError("--grid-d needs --grid")
+        raise ValueError("--grid-d needs --grid")
     grid_d = 24 if args.grid_d is None else args.grid_d
     h = load(args.input)
     coeffs, scale = _coefficients_for(args, h)
@@ -126,17 +123,9 @@ def _cmd_clique(args) -> int:
     h = load(args.input)
     types = list(h.edge_types) if args.types is None else args.types
     if not types:
-        raise _UsageError("hypergraph has no edges; pass --types explicitly")
+        raise ValueError("hypergraph has no edges; pass --types explicitly")
     res = max_complete_subgraph(h, types)
-    print(
-        json.dumps(
-            {
-                "order": res.order,
-                "vertices": list(res.vertices),
-                "is_unique_max": res.is_unique_max,
-            }
-        )
-    )
+    print(json.dumps({"order": res.order, **asdict(res)}))
     return 0
 
 
@@ -150,9 +139,9 @@ def _write(h: Hypergraph, output: str | None) -> int:
 
 def _cmd_compress(args) -> int:
     if args.check and args.output:
-        raise _UsageError("-o/--output needs --fixpoint")
+        raise ValueError("-o/--output needs --fixpoint")
     if args.json and not args.check:
-        raise _UsageError("--json needs --check")
+        raise ValueError("--json needs --check")
     h = load(args.input)
     if args.check:
         flag = is_left_compressed(h)
@@ -207,17 +196,18 @@ def _parse_seed_range(spec: str) -> list[int]:
     """The --seeds value: a range a..b or a comma list of non-negative ints."""
     tokens = spec.split("..", 1) if ".." in spec else spec.split(",")
     if not all(tok.strip().isdecimal() for tok in tokens):
-        raise _UsageError(f"--seeds must be a..b or comma-separated non-negative ints, got {spec!r}")
+        raise ValueError(f"--seeds must be a..b or comma-separated non-negative ints, got {spec!r}")
     seeds = [int(tok) for tok in tokens]
     seeds = list(range(seeds[0], seeds[1] + 1)) if ".." in spec else seeds
     if not seeds:
-        raise _UsageError(f"--seeds range {spec!r} is empty")
+        raise ValueError(f"--seeds range {spec!r} is empty")
     return seeds
 
 
 def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 0:
-        raise _UsageError(f"--jobs must be 0 (all cores) or a positive count, got {args.jobs}")
+        raise ValueError(f"--jobs must be 0 (all cores) or a positive count, got {args.jobs}")
+    SolverConfig(args.starts)  # a bad --starts fails before any instance or --out
     params = _load_params(args.params)
     seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
@@ -328,7 +318,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,15 +32,6 @@ import itertools
 from .hypergraph import Edge, Hypergraph, _build
 
 
-def compress_edge(e: Edge, i: int, j: int) -> Edge:
-    """Image of one edge under the (i <- j) compression; identity when it does not apply."""
-    if i >= j:
-        raise ValueError(f"compression requires i < j, got i={i}, j={j}")
-    if j in e and i not in e:
-        return tuple(sorted([i] + [v for v in e if v != j]))
-    return tuple(e)
-
-
 def _masks(h: Hypergraph) -> dict[int, set[int]]:
     return {r: {sum(1 << v for v in e) for e in es} for r, es in h.levels}
 
@@ -67,13 +58,6 @@ def _compress(levels: dict[int, set[int]], pairs) -> dict[int, set[int]]:
                 s -= moved  # images are never in s, so this is s - moved | images
                 s |= {e ^ m for e in moved}
     return levels
-
-
-def compress_hypergraph(h: Hypergraph, i: int, j: int) -> Hypergraph:
-    """Apply the (i <- j) compression to every level of ``h``; level sizes are kept."""
-    if not 1 <= i < j <= h.n:
-        raise ValueError(f"compression pair ({i},{j}) needs 1 <= i < j <= {h.n}")
-    return _graph(h.n, _compress(_masks(h), [(i, j)]))
 
 
 def is_left_compressed(h: Hypergraph) -> bool:

@@ -125,9 +125,11 @@ def flavour_coefficients(
 
 
 def _read_positive(key: str, value) -> Fraction:
-    """An int, float, ``Fraction`` or "p/q" string above 0, as a ``Fraction``."""
+    """An int, float, ``Fraction`` or "p/q" string above 0 and within float
+    range (the solver reads it as a float), as a ``Fraction``."""
     try:
         a = None if isinstance(value, bool) else Fraction(value)
+        float(a or 0)  # past float range: OverflowError
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         a = None
     if a is None or a <= 0:

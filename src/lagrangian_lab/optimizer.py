@@ -45,7 +45,7 @@ import numpy as np
 
 from .cliques import max_complete_subgraph
 from .hypergraph import Hypergraph
-from .objective import Coefficients, Objective, gradient, uniform_weights
+from .objective import Coefficients, Objective, uniform_weights
 
 _MIN_STEP = 1e-18
 _TOL_VALUE = 1e-12
@@ -126,14 +126,6 @@ def _residuals(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     spread = top - np.where(sup, g, np.inf).min(axis=1)
     excess = np.maximum(0.0, np.where(sup, -np.inf, g).max(axis=1) - top)
     return np.where(sup.any(axis=1), spread + excess, 0.0)
-
-
-def kkt_residual(h: Hypergraph, coeffs: Coefficients, x: Sequence[float]) -> float:
-    """First-order optimality defect: gradient spread across the support
-    (weights above ``_SUPPORT_EPS``) plus any off-support gradient exceeding
-    the support gradient."""
-    arr = np.asarray(x, dtype=float).ravel()[None, :]
-    return float(_residuals(arr, gradient(h, coeffs, arr[0])[None, :])[0])
 
 
 # Trial steps per row in each line-search round, as halvings of the row's

@@ -22,6 +22,8 @@ from lagrangian_lab import (
     gen_random,
     validate,
 )
+from lagrangian_lab import compression, optimizer
+from lagrangian_lab.objective import Objective
 
 
 @pytest.fixture
@@ -217,6 +219,29 @@ def is_complete_on(h, vertices, types):
         if any(c not in es for c in itertools.combinations(s, r)):
             return False
     return True
+
+
+def compress_edge(e, i, j):
+    """Image of one edge under the (i <- j) compression; identity when it does
+    not apply. A tuple-level oracle for the package's bitmask pass."""
+    if i >= j:
+        raise ValueError(f"compression requires i < j, got i={i}, j={j}")
+    if j in e and i not in e:
+        return tuple(sorted([i] + [v for v in e if v != j]))
+    return tuple(e)
+
+
+def compress_hypergraph(h, i, j):
+    """The (i <- j) compression of every level of ``h``: the pass that
+    ``left_compress_fixpoint`` runs, on the one pair (i, j)."""
+    return compression._graph(h.n, compression._compress(compression._masks(h), [(i, j)]))
+
+
+def kkt_residual(h, coeffs, x):
+    """The solver's first-order optimality defect at the point x: gradient
+    spread across the support plus any off-support gradient exceeding it."""
+    row = np.asarray(x, dtype=float).ravel()[None, :]
+    return float(optimizer._residuals(row, Objective(h, coeffs).gradients(row))[0])
 
 
 def compression_potential(h):

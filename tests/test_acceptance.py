@@ -18,7 +18,6 @@ from lagrangian_lab import (
     SolverConfig,
     closed_form_exact,
     complete,
-    compress_hypergraph,
     eval_L,
     flavour_coefficients,
     gen_planted,
@@ -39,6 +38,7 @@ from conftest import (
     TYPE_FAMILIES,
     brute_force_max_complete,
     closed_form,
+    compress_hypergraph,
     fd_gradient,
     lambda_prime_complete,
     lambda_prime_exact,

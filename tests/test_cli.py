@@ -418,9 +418,11 @@ class TestVerify:
         path = tmp_path / "g.json"
         dump(gen_planted("t6a", {"t": 4}, seed=1), path)
         args = ["verify", "--theorem", "TWO_R_T6a", "--input", str(path)]
-        assert run(args + ["--params", '{"t": 4, "alpha_r": "1/0"}']) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: alpha_r must be a positive number") and "Traceback" not in err
+        # "1e400" is a positive Fraction that no float can hold.
+        for alpha_r in ("1/0", "1e400"):
+            assert run(args + ["--params", f'{{"t": 4, "alpha_r": "{alpha_r}"}}']) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: alpha_r must be a positive number") and "Traceback" not in err
 
 
 class TestGenerate:
@@ -581,6 +583,17 @@ class TestSweepSeedsAndFailures:
         assert run(self.BASE + ["--seeds", "1"] + flags) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    def test_bad_starts_exits_one_before_any_instance(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("an instance was generated before --starts was checked")
+
+        monkeypatch.setattr(cli, "gen_planted", never)
+        out = tmp_path / "y.csv"
+        args = ["--theorem", "PTZ", "--seeds", "1..2", "--starts", "0", "--out", str(out)]
+        assert run(self.BASE + args) == 1
+        assert capsys.readouterr().err == "error: starts and max_iters must be positive\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["1,,2", "a..3", "5..3", ""],
                              ids=["empty-token", "non-int", "empty-range", "empty"])

@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +8,6 @@ from lagrangian_lab import compression
 from lagrangian_lab.hypergraph import _build
 from lagrangian_lab import (
     Coefficients,
-    compress_edge,
-    compress_hypergraph,
     complete,
     eval_L,
     gen_random,
@@ -19,7 +16,7 @@ from lagrangian_lab import (
     validate,
 )
 
-from conftest import compression_potential, random_simplex_point
+from conftest import compress_edge, compress_hypergraph, compression_potential, random_simplex_point
 
 
 class TestCompressEdge:
@@ -31,12 +28,6 @@ class TestCompressEdge:
 
     def test_identity_when_j_absent(self):
         assert compress_edge((2, 4), 1, 3) == (2, 4)
-
-    def test_requires_i_less_than_j(self):
-        with pytest.raises(ValueError):
-            compress_edge((1, 2), 2, 2)
-        with pytest.raises(ValueError):
-            compress_edge((1, 2), 3, 2)
 
     def test_output_canonical(self):
         assert compress_edge((3, 4, 5), 1, 4) == (1, 3, 5)
@@ -56,13 +47,6 @@ class TestCompressHypergraph:
         for i in range(1, 3):
             for j in range(i + 1, 4):
                 assert compress_hypergraph(h, i, j) == h
-
-    def test_range_errors(self):
-        h = validate(3, [[1, 2]])
-        with pytest.raises(ValueError):
-            compress_hypergraph(h, 2, 1)
-        with pytest.raises(ValueError):
-            compress_hypergraph(h, 1, 4)
 
 
 def _brute_force_left_compressed(h):

@@ -68,7 +68,7 @@ class TestCoefficients:
 
     @pytest.mark.parametrize(
         "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}',
-                '{"r0": 2, "alpha": {"3": true}}'])
+                '{"r0": 2, "alpha": {"3": true}}', '{"r0": 2, "alpha": {"3": "1e400"}}'])
     def test_malformed_json_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             Coefficients.from_json(doc)

@@ -18,7 +18,6 @@ from lagrangian_lab import (
     gen_planted,
     gen_random,
     grid_oracle,
-    kkt_residual,
     max_complete_subgraph,
     maximize,
     polish,
@@ -30,7 +29,13 @@ from lagrangian_lab import (
 
 from lagrangian_lab import objective, optimizer
 
-from conftest import TYPE_FAMILIES, random_instance, random_simplex_point, support_pair_cover
+from conftest import (
+    TYPE_FAMILIES,
+    kkt_residual,
+    random_instance,
+    random_simplex_point,
+    support_pair_cover,
+)
 
 
 class TestProjection:

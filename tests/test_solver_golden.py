@@ -45,7 +45,6 @@ from lagrangian_lab import (
     gen_random,
     gradient,
     grid_oracle,
-    kkt_residual,
     max_complete_subgraph,
     maximize,
     polish,
@@ -56,7 +55,7 @@ from lagrangian_lab import (
 )
 from lagrangian_lab import optimizer
 
-from conftest import coeffs_to_json, hessian_exact
+from conftest import coeffs_to_json, hessian_exact, kkt_residual
 
 DATA = Path(__file__).parent / "data" / "solver_golden.json"
 EXITS = ("grad-tol", "stall", "budget", "newton", "newton-fallback")

@@ -326,7 +326,7 @@ class TestCheckHypotheses:
         with pytest.raises(ValueError, match="t must be an integer"):
             verify("MS_T1", complete(4, (2,)), {"t": t}, fast_cfg)
 
-    @pytest.mark.parametrize("alpha_r", [-1, 0, "-1/2", "1/0", "x", float("nan"), True, [1]])
+    @pytest.mark.parametrize("alpha_r", [-1, 0, "-1/2", "1/0", "x", float("nan"), True, [1], "1e400"])
     def test_alpha_must_be_positive(self, alpha_r):
         p = {"t": 4, "r": 3, "alpha_r": alpha_r}
         h = gen_planted("t6a", {"t": 4, "r": 3, "n": 6}, seed=1)
