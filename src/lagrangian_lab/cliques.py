@@ -38,8 +38,11 @@ from .hypergraph import Hypergraph
 @dataclass(frozen=True)
 class CliqueResult:
     vertices: tuple[int, ...]
-    order: int
     is_unique_max: bool
+
+    @property
+    def order(self) -> int:
+        return len(self.vertices)
 
 
 class _Search:
@@ -92,7 +95,7 @@ def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
         if unique:
             best = found
         search.floor = len(best) + (not unique)
-    return CliqueResult(best, len(best), unique)
+    return CliqueResult(best, unique)
 
 
 def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:

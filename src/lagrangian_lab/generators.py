@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 from .cliques import contains_complete
 from .compression import left_compress_fixpoint
-from .hypergraph import Edge, Hypergraph, _check_limits, validate
+from .hypergraph import Edge, Hypergraph, _check_limits, complete, validate
 from .theorems import (
     _read_params,
     check_hypotheses,
@@ -73,11 +73,7 @@ def with_singletons(h: Hypergraph) -> Hypergraph:
     """Add every vertex's singleton edge (the {1,...}-wrapper of a graph)."""
     existing = set(h.edges())
     existing.update((v,) for v in range(1, h.n + 1))
-    return validate(h.n, sorted(existing, key=lambda e: (len(e), e)))
-
-
-def _complete_edges(vertices: Iterable[int], r: int) -> list[Edge]:
-    return [tuple(c) for c in itertools.combinations(sorted(vertices), r)]
+    return validate(h.n, existing)
 
 
 def _plant(rng: random.Random, t: int, n: int, levels: tuple[int, ...], window: int,
@@ -96,7 +92,7 @@ def _plant(rng: random.Random, t: int, n: int, levels: tuple[int, ...], window: 
         raise GenerationError(f"need n >= t, got n={n}, t={t}")
     if t < max(levels):
         raise GenerationError(f"need t >= r, got t={t}, r={max(levels)}")
-    edges = [e for r in levels for e in _complete_edges(range(1, t + 1), r)]
+    edges = complete(t, levels).edges()
     pool = [c + (t + 1,) for c in itertools.combinations(range(1, t + 1), window - 1)]
     return edges + sorted(rng.sample(pool, m - lo))
 
@@ -105,7 +101,7 @@ def _gen_tpzz_free(rng: random.Random, t: int, m: int, n: int) -> Hypergraph:
     lo, hi = strict_three_window(t)
     if not lo <= m <= hi:
         raise GenerationError(f"m={m} outside the strict window [{lo}, {hi}] for t={t}")
-    pool = _complete_edges(range(1, n + 1), 3)
+    pool = list(itertools.combinations(range(1, n + 1), 3))
     if m > len(pool):
         raise GenerationError(f"m={m} exceeds the {len(pool)} possible 3-edges on n={n}")
     for _ in range(_MAX_RETRIES):
@@ -144,7 +140,7 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         tparams = {"t": t, "r": r, "alpha_r": p.get("alpha_r")}
         edges = _plant(rng, t, n, (2, r), 2, (lo, hi), m)
         extra_density = p.get("extra_density", 0.3)
-        rest = [e for e in _complete_edges(range(1, n + 1), r)
+        rest = [e for e in complete(n, (r,)).edges()
                 if e[-1] > t and rng.random() < extra_density]
         h = validate(n, edges + rest)
     elif family == "ptz":

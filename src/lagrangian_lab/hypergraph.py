@@ -5,11 +5,11 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
-An instance computes its hash, its per-level edge sets, index arrays and
-clique link tables once, on first use, and keeps them: membership tests and
-dict lookups then cost O(1) instead of rehashing every edge, and the
-objective and every clique search read the same arrays and tables. Link
-tables are built in numpy from ``edge_array``: sorted keys, one OR per key.
+An instance computes its per-level edge sets, index arrays and clique link
+tables once, on first use, and keeps them: membership tests then cost O(1)
+instead of rehashing every edge, and the objective and every clique search
+read the same arrays and tables. Link tables are built in numpy from
+``edge_array``: sorted keys, one OR per key.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
@@ -112,13 +112,6 @@ class Hypergraph:
     def _link_tables(self) -> dict[int, dict[int, int]]:
         return {}
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.levels))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def edges(self) -> list[Edge]:
         """All edges, ordered by (cardinality, lexicographic)."""
         out: list[Edge] = []
@@ -143,7 +136,7 @@ class Hypergraph:
 def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
     """Assemble the canonical form from already-validated edges."""
     levels = tuple(
-        (r, tuple(sorted(set(per_level[r]))))
+        (r, tuple(sorted(per_level[r])))
         for r in sorted(per_level)
         if per_level[r]
     )

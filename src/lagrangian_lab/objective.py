@@ -82,10 +82,6 @@ class Coefficients:
         raise MissingCoefficientError(f"no coefficient for cardinality {r} (base r0={self.r0})")
 
     @classmethod
-    def make(cls, r0: int, alpha: Mapping[int, Number] | None = None) -> "Coefficients":
-        return cls(r0=r0, alpha=tuple((alpha or {}).items()))
-
-    @classmethod
     def ones(cls, types: Iterable[int]) -> "Coefficients":
         """Coefficient 1 on every level: the plain monomial-sum objective."""
         return flavour_coefficients("lambda", types)[0]
@@ -103,7 +99,7 @@ class Coefficients:
             r0 = _read_int("r0", doc["r0"])
         except (KeyError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
-        return cls.make(r0, alpha)
+        return cls(r0, alpha)
 
 
 def flavour_coefficients(
@@ -116,11 +112,11 @@ def flavour_coefficients(
     r0 = ts[0] if ts else 1
     if flavour == "lambda'":
         fact = math.factorial
-        return Coefficients.make(r0, {r: fact(r) // fact(r0) for r in ts[1:]}), fact(r0)
+        return Coefficients(r0, {r: fact(r) // fact(r0) for r in ts[1:]}), fact(r0)
     if flavour == "lambda":
-        return Coefficients.make(r0, {r: 1 for r in ts[1:]}), 1
+        return Coefficients(r0, {r: 1 for r in ts[1:]}), 1
     if flavour == "L":
-        return Coefficients.make(r0, {r: a for r, a in (alpha or {}).items() if r > r0}), 1
+        return Coefficients(r0, {r: a for r, a in (alpha or {}).items() if r > r0}), 1
     raise ValueError(f"unknown objective flavour {flavour!r}")
 
 

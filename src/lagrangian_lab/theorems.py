@@ -625,9 +625,8 @@ def verify(
         passed = res.converged and margin >= _STRICT_MARGIN
         notes.append(f"strict branch: measured gap {margin:.6g} (margin floor {_STRICT_MARGIN:g})")
     else:
-        clique = derived.get("clique")
-        if clique:
-            uniform_exact = row.scale * eval_exact(h, row.coeffs, rational_uniform(h.n, clique))
+        clique = derived["clique"]
+        uniform_exact = row.scale * eval_exact(h, row.coeffs, rational_uniform(h.n, clique))
         if margin < -_REL_EXCESS * cf:
             notes.append(f"numerical exceeds the closed form by {-margin:.6g} "
                          f"(relative bound {_REL_EXCESS:g})")

@@ -62,7 +62,7 @@ def test_criterion_01_motzkin_straus():
     ok = True
     worst = 0.0
     for t in range(2, 9):
-        res = maximize(complete(t, (2,)), Coefficients.make(2, {}), _cfg(t))
+        res = maximize(complete(t, (2,)), Coefficients(2, {}), _cfg(t))
         err = abs(res.value - 0.5 * (1 - 1 / t))
         worst = max(worst, err)
         ok &= err <= 1e-6
@@ -78,7 +78,7 @@ def test_criterion_01_motzkin_straus():
                     edges.add((i, j))
         h = validate(n, sorted(edges))
         t_true, _ = brute_force_max_complete(h, (2,))
-        res = maximize(h, Coefficients.make(2, {}), _cfg(rng.randrange(10**6)))
+        res = maximize(h, Coefficients(2, {}), _cfg(rng.randrange(10**6)))
         err = abs(res.value - 0.5 * (1 - 1 / t_true))
         worst = max(worst, err)
         ok &= err <= 1e-6

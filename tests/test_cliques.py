@@ -70,7 +70,7 @@ class TestMaxCompleteSubgraph:
     ], ids=["prefix-not-a-tie", "tie-after-reset", "random-lc-24", "random-24-dense"])
     def test_ties_found_in_one_search(self, h, types, vertices, unique):
         res = max_complete_subgraph(h, types)
-        assert res == CliqueResult(vertices, len(vertices), unique)
+        assert res == CliqueResult(vertices, unique)
 
     def test_empty_types_rejected(self):
         with pytest.raises(ValueError):

@@ -45,26 +45,26 @@ from conftest import (
 
 class TestCoefficients:
     def test_base_coefficient_is_one(self):
-        c = Coefficients.make(2, {3: 1.5})
+        c = Coefficients(2, {3: 1.5})
         assert c.coefficient(2) == 1
         assert c.coefficient(3) == 1.5
 
     def test_missing_level_raises(self):
-        c = Coefficients.make(2, {})
+        c = Coefficients(2, {})
         with pytest.raises(MissingCoefficientError):
             c.coefficient(3)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
-            Coefficients.make(2, {3: 0})
+            Coefficients(2, {3: 0})
         with pytest.raises(ValueError):
-            Coefficients.make(2, {3: -1})
+            Coefficients(2, {3: -1})
 
     def test_keys_must_exceed_base(self):
         with pytest.raises(ValueError):
-            Coefficients.make(2, {2: 1})
+            Coefficients(2, {2: 1})
         with pytest.raises(ValueError):
-            Coefficients.make(2, {1: 1})
+            Coefficients(2, {1: 1})
 
     @pytest.mark.parametrize(
         "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}',
@@ -89,11 +89,11 @@ class TestCoefficients:
     def test_ones_is_the_lambda_flavour(self):
         for types in ((), (2,), (1, 3), [3, 2, 4, 2]):
             assert Coefficients.ones(types) == flavour_coefficients("lambda", types)[0]
-        assert Coefficients.ones(iter((2, 3))) == Coefficients.make(2, {3: 1})
+        assert Coefficients.ones(iter((2, 3))) == Coefficients(2, {3: 1})
 
     def test_integral_float_r0_accepted(self):
         c = Coefficients.from_json('{"r0": 2.0, "alpha": {"3": 1}}')
-        assert c.r0 == 2 and type(c.r0) is int and c == Coefficients.make(2, {3: 1})
+        assert c.r0 == 2 and type(c.r0) is int and c == Coefficients(2, {3: 1})
 
     def test_lambda_prime_weights(self):
         c = flavour_coefficients("lambda'", (1, 2, 3))[0]
@@ -102,18 +102,18 @@ class TestCoefficients:
         assert c2.r0 == 2 and c2.coefficient(3) == 3
 
     def test_flavour_coefficients(self):
-        assert flavour_coefficients("lambda", (1, 3)) == (Coefficients.make(1, {3: 1}), 1)
+        assert flavour_coefficients("lambda", (1, 3)) == (Coefficients(1, {3: 1}), 1)
         got = flavour_coefficients("lambda'", (2, 3, 4))
-        assert got == (Coefficients.make(2, {3: 3, 4: 12}), 2)
+        assert got == (Coefficients(2, {3: 3, 4: 12}), 2)
         got = flavour_coefficients("L", (2, 3), {2: 5, 3: Fraction(1, 2), 4: 7})
-        assert got == (Coefficients.make(2, {3: Fraction(1, 2), 4: 7}), 1)
+        assert got == (Coefficients(2, {3: Fraction(1, 2), 4: 7}), 1)
         for flavour in ("lambda", "lambda'", "L"):
-            assert flavour_coefficients(flavour, ()) == (Coefficients.make(1), 1)
+            assert flavour_coefficients(flavour, ()) == (Coefficients(1), 1)
         with pytest.raises(ValueError, match="unknown objective flavour"):
             flavour_coefficients("mu", (2,))
 
     def test_json_roundtrip_with_rationals(self):
-        c = Coefficients.make(2, {3: Fraction(1, 3), 4: 2})
+        c = Coefficients(2, {3: Fraction(1, 3), 4: 2})
         back = Coefficients.from_json(coeffs_to_json(c))
         assert back == c
         parsed = Coefficients.from_json('{"r0": 2, "alpha": {"3": "1/3"}}')
@@ -123,10 +123,10 @@ class TestCoefficients:
         """A solve's one coverage check is building its ``Objective``; the
         grid oracle builds it before checking the resolution."""
         h = complete(4, (2, 3))
-        Objective(h, Coefficients.make(2, {3: 1}))
+        Objective(h, Coefficients(2, {3: 1}))
         for call in (Objective, maximize, lambda h, c: grid_oracle(h, c, 0)):
             with pytest.raises(MissingCoefficientError, match="cardinality 3"):
-                call(h, Coefficients.make(2, {}))
+                call(h, Coefficients(2, {}))
 
 
 class TestFeasibility:
@@ -164,7 +164,7 @@ class TestEvalL:
     def test_missing_coefficient_raises(self):
         h = complete(3, (2, 3))
         with pytest.raises(MissingCoefficientError):
-            eval_L(h, Coefficients.make(2, {}), uniform_weights(3))
+            eval_L(h, Coefficients(2, {}), uniform_weights(3))
 
 
 class TestLambdaPrime:
@@ -229,7 +229,7 @@ class TestGradient:
         x = random_simplex_point(rng, 6)
         for r in h.edge_types:
             lvl = level(h, r)
-            c = Coefficients.make(r, {})
+            c = Coefficients(r, {})
             lhs = float(np.dot(x, gradient(lvl, c, x)))
             assert lhs == pytest.approx(r * eval_L(lvl, c, x), abs=1e-12)
 
@@ -243,7 +243,7 @@ class TestGradient:
         x = random_simplex_point(rng, 6)
         for r in h.edge_types:
             lvl = level(h, r)
-            c = Coefficients.make(r, {})
+            c = Coefficients(r, {})
             lhs = Objective(lvl, c).hessians(x[None, :])[0] @ x
             assert np.allclose(lhs, (r - 1) * gradient(lvl, c, x), rtol=0, atol=1e-12)
 
@@ -302,7 +302,7 @@ class TestHessian:
         assert np.array_equal(got, 1.0 - np.eye(3))
 
     def test_edgeless(self):
-        got = Objective(validate(3, []), Coefficients.make(2)).hessians(np.full((2, 3), 1 / 3))
+        got = Objective(validate(3, []), Coefficients(2)).hessians(np.full((2, 3), 1 / 3))
         assert np.array_equal(got, np.zeros((2, 3, 3)))
 
 
@@ -367,7 +367,7 @@ class TestEvalExact:
     @pytest.mark.parametrize("t", range(2, 9))
     def test_uniform_pair_value(self, t):
         h = complete(t, (2,))
-        got = eval_exact(h, Coefficients.make(2, {}), rational_uniform(t))
+        got = eval_exact(h, Coefficients(2, {}), rational_uniform(t))
         assert got == Fraction(t - 1, 2 * t)
 
     def test_zero_weight_locality(self):
@@ -375,7 +375,7 @@ class TestEvalExact:
         sub = complete(3, (2, 3))
         x_full = rational_uniform(4, support=(1, 2, 3))
         x_sub = rational_uniform(3)
-        c_full = Coefficients.make(2, {3: Fraction(1)})
+        c_full = Coefficients(2, {3: Fraction(1)})
         assert eval_exact(h, c_full, x_full) == eval_exact(sub, c_full, x_sub)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -394,7 +394,7 @@ class TestEvalExact:
     def test_rejects_inexact_simplex(self):
         h = complete(3, (2,))
         with pytest.raises(ValueError):
-            eval_exact(h, Coefficients.make(2, {}), (Fraction(1, 3),) * 2 + (Fraction(1, 4),))
+            eval_exact(h, Coefficients(2, {}), (Fraction(1, 3),) * 2 + (Fraction(1, 4),))
 
 
 @settings(max_examples=40, deadline=None)

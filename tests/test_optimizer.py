@@ -126,7 +126,7 @@ class TestMaximize:
 
     def test_edgeless_graph(self, fast_cfg):
         empty = validate(3, [])
-        res = maximize(empty, Coefficients.make(2, {}), fast_cfg)
+        res = maximize(empty, Coefficients(2, {}), fast_cfg)
         assert res.value == 0.0
 
     def test_sorted_view_metadata(self, fast_cfg):
@@ -154,7 +154,7 @@ class TestMaximize:
 
 class TestGridOracle:
     def test_tiny_grid(self):
-        val, x = grid_oracle(complete(2, (2,)), Coefficients.make(2, {}), 2)
+        val, x = grid_oracle(complete(2, (2,)), Coefficients(2, {}), 2)
         assert val == pytest.approx(0.25)
         assert np.allclose(x, [0.5, 0.5])
 
@@ -167,7 +167,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_uniform_point_on_grid(self, t):
         h = complete(t, (2,))
-        val, _ = grid_oracle(h, Coefficients.make(2, {}), 2 * t)
+        val, _ = grid_oracle(h, Coefficients(2, {}), 2 * t)
         assert val == pytest.approx(0.5 * (1 - 1 / t), abs=1e-12)
 
     def test_grid_plus_polish_matches_maximize(self, fast_cfg):
@@ -191,7 +191,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("resolution", [0, -3])
     def test_resolution_below_one_rejected(self, resolution):
         with pytest.raises(ValueError, match="grid resolution"):
-            grid_oracle(complete(3, (2,)), Coefficients.make(2, {}), resolution)
+            grid_oracle(complete(3, (2,)), Coefficients(2, {}), resolution)
 
     @pytest.mark.parametrize("types", [(2,), (1, 2), (2, 3)])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -228,17 +228,17 @@ class TestGridOracle:
     def test_budget_guard(self):
         h = complete(12, (2,))
         with pytest.raises(GridTooLargeError):
-            grid_oracle(h, Coefficients.make(2, {}), 100)
+            grid_oracle(h, Coefficients(2, {}), 100)
 
 
 class TestKKTResidual:
     def test_uniform_on_complete_graph(self):
         h = complete(4, (2,))
-        assert kkt_residual(h, Coefficients.make(2, {}), uniform_weights(4)) <= 1e-12
+        assert kkt_residual(h, Coefficients(2, {}), uniform_weights(4)) <= 1e-12
 
     def test_vertex_point_on_single_edge(self):
         h = validate(2, [[1, 2]])
-        res = kkt_residual(h, Coefficients.make(2, {}), np.array([1.0, 0.0]))
+        res = kkt_residual(h, Coefficients(2, {}), np.array([1.0, 0.0]))
         assert res == pytest.approx(1.0)
 
     def test_solver_outputs_are_near_critical(self, fast_cfg):
@@ -252,14 +252,14 @@ class TestKKTResidual:
 class TestSupportPairCover:
     def test_triangle_optimum(self, fast_cfg):
         h = complete(3, (2,))
-        res = maximize(h, Coefficients.make(2, {}), fast_cfg)
+        res = maximize(h, Coefficients(2, {}), fast_cfg)
         assert support_pair_cover(h, res)
 
     def test_disjoint_edges_flagged(self):
         h = validate(4, [[1, 2], [3, 4]])
         x = np.full(4, 0.25)
         forced = OptimizationResult(
-            value=eval_L(h, Coefficients.make(2, {}), x),
+            value=eval_L(h, Coefficients(2, {}), x),
             x=x,
             support=(1, 2, 3, 4),
             kkt_residual=0.0,

@@ -109,7 +109,7 @@ def _instance_cases() -> list[tuple]:
                 coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
             else:
                 ts = h.edge_types
-                coeffs = Coefficients.make(ts[0], {r: Fraction(2 * i + 3, i + 2) for i, r in enumerate(ts[1:])})
+                coeffs = Coefficients(ts[0], {r: Fraction(2 * i + 3, i + 2) for i, r in enumerate(ts[1:])})
             cases.append((f"random-{''.join(map(str, types))}-n{n}", h, coeffs,
                           dict(base, seed=seed), ("maximize",)))
     t6a = gen_planted("t6a", {"t": 4}, seed=3)
@@ -122,8 +122,8 @@ def _instance_cases() -> list[tuple]:
     cases.append(("singletons-tie", validate(4, [[1], [2], [3], [4]]), Coefficients.ones((1,)),
                   dict(starts=4, seed=2), ("maximize",)))
     empty = validate(4, [])
-    cases.append(("edgeless", empty, Coefficients.make(2), dict(starts=3, seed=0), ("maximize",)))
-    cases.append(("edgeless-polish", empty, Coefficients.make(2), dict(starts=3, seed=0),
+    cases.append(("edgeless", empty, Coefficients(2), dict(starts=3, seed=0), ("maximize",)))
+    cases.append(("edgeless-polish", empty, Coefficients(2), dict(starts=3, seed=0),
                   ("polish", [0.5, 0.25, 0.25, 0.0], "warmstart")))
     h = gen_random(6, (2, 3), 0.55, 44)
     cases.append(("grid-polish-23-n6", h, Coefficients.ones(h.edge_types), dict(starts=4, seed=0),

@@ -462,7 +462,7 @@ class TestVerify:
         h = gen_planted("t6a", {"t": 4, "r": 3, "n": 5}, seed=7)
         verdict = verify("COR1a", h, cfg=fast_cfg)
         assert verdict.passed
-        res = maximize(h, Coefficients.make(2, {3: 3}), fast_cfg)
+        res = maximize(h, Coefficients(2, {3: 3}), fast_cfg)
         assert verdict.numerical == pytest.approx(2 * res.value, abs=1e-9)
 
     @pytest.mark.parametrize("t", [12, 13])
