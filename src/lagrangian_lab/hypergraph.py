@@ -134,7 +134,7 @@ class Hypergraph:
 
 
 def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
-    """Assemble the canonical form from already-validated edges."""
+    """Assemble the canonical form from already-validated, distinct edges."""
     levels = tuple(
         (r, tuple(sorted(per_level[r])))
         for r in sorted(per_level)

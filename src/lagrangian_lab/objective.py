@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +43,7 @@ import numpy as np
 from .hypergraph import Hypergraph, _read_int
 
 Number = float | int | Fraction
+_LEVEL = "[1-9][0-9]*"  # a level in a key: one spelling, ASCII digits, no leading 0
 
 
 class MissingCoefficientError(ValueError):
@@ -52,11 +54,11 @@ class MissingCoefficientError(ValueError):
 class Coefficients:
     """Per-cardinality weights for the polynomial program.
 
-    The base cardinality ``r0`` always has coefficient 1; ``alpha`` maps each
-    higher cardinality to a positive constant. Values may be exact
-    ``Fraction``s, which flow unchanged into the exact evaluation mode.
-    Coverage of a hypergraph's levels is checked at call time, so one value
-    can serve a whole family of graphs.
+    The base cardinality ``r0`` always has coefficient 1; ``alpha``, a mapping
+    or (level, value) pairs, gives each higher cardinality a positive
+    constant. Values may be exact ``Fraction``s, which flow unchanged into
+    the exact evaluation mode. Coverage of a hypergraph's levels is checked
+    at call time, so one value can serve a whole family of graphs.
     """
 
     r0: int
@@ -88,12 +90,15 @@ class Coefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "Coefficients":
-        """Parse ``{"r0": int, "alpha": {"r": number, ...}}``; a malformed
-        document raises ``ValueError``. An integral float ``r0`` such as 3.0
-        is taken as an int; a boolean or fractional one is rejected. The
-        ``alpha`` keys are read by ``_read_level``, as theorem parameters are."""
+        """Parse ``{"r0": int, "alpha": {"r": number, ...}}``, reading only
+        ``r0`` and ``alpha``: another key or a malformed document raises
+        ``ValueError``. An integral float ``r0`` such as 3.0 is an int, a
+        boolean or fractional one an error. ``_read_level`` reads the
+        ``alpha`` keys, as it reads those of theorem parameters."""
         doc = json.loads(text)
         try:
+            if unknown := [repr(k) for k in doc.keys() if k not in ("r0", "alpha")]:
+                raise ValueError(f"unknown keys: {', '.join(unknown)} (the keys are r0 and alpha)")
             entries = doc.get("alpha", {}).items()
             alpha = {_read_level(r): _read_positive(f"alpha_{r}", a) for r, a in entries}
             r0 = _read_int("r0", doc["r0"])
@@ -134,8 +139,8 @@ def _read_positive(key: str, value) -> Fraction:
 
 
 def _read_level(key) -> int:
-    """An ``alpha`` map key: a positive int, or a string of one."""
-    level = int(key) if isinstance(key, str) and key.isdecimal() else key
+    """An ``alpha`` map key: a positive int, or a string of one as ``_LEVEL``."""
+    level = int(key) if isinstance(key, str) and re.fullmatch(_LEVEL, key) else key
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise ValueError(f"alpha keys must be positive integer levels, got {key!r}")
     return level

@@ -33,11 +33,11 @@ where a clique-free check found no order-t clique, the optimum
 generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
 integral float is taken, a bool, string or fractional float is not), and
 ``t`` is positive and ``r`` at most 6, the soft limit on edge types. The
-``alpha`` keys are the map ``alpha``, keyed by positive ints or strings of
-them, and ``alpha_r`` and ``alpha_<level>``, the level a positive int in
-decimal digits without a leading zero (``alpha_3``, never ``alpha_03`` or
-``alpha_R``); their values and the map's entries are positive
-``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
+``alpha`` keys are ``alpha_r``, ``alpha_<level>`` and the map ``alpha``, keyed
+by positive ints or levels; one rule, ``_LEVEL``, reads every level in a key:
+ASCII decimal digits without a leading zero (``alpha_3`` and ``"3"``, never
+``alpha_03``, ``"03"`` or ``alpha_R``). Their values and the map's entries
+are positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
 ``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
 string); ``types`` is a nonempty list of positive ints, read as a tuple.
 ``null`` counts as absent; an unknown key (named in the message) or
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
 from .hypergraph import Hypergraph, _check_limits, _read_int, vertex_support
-from .objective import (Coefficients, _read_level, _read_positive, eval_exact,
+from .objective import (_LEVEL, Coefficients, _read_level, _read_positive, eval_exact,
                          flavour_coefficients, rational_uniform)
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
@@ -191,7 +191,7 @@ def _read_params(params: Mapping | None) -> dict:
     raw = dict(params or {})
     known = ("t", "r", "n", "m", "alpha", "density", "extra_density", "types")
     unknown = [repr(k) for k in raw if k not in known
-               and not re.fullmatch("alpha_(r|[1-9][0-9]*)", str(k))]
+               and not re.fullmatch(f"alpha_(r|{_LEVEL})", str(k))]
     if unknown:
         raise ValueError(f"unknown parameters: {', '.join(unknown)} "
                          f"(the keys are {', '.join(known)}, alpha_r and alpha_<level>)")
@@ -545,10 +545,12 @@ SPECS: dict[str, TheoremSpec] = {
     "ONE_TWO_THREE_T5": TheoremSpec((1, 2, 3), "L", _T5),
     "TWO_R_T6a": TheoremSpec((2, "r"), "L", _TWO_R, note=_T6a_NOTE),
     "ONE_TWO_R_T6b": TheoremSpec((1, 2, "r"), "L", _TWO_R),
-    # The pair-window family (every r-set and every pair on [t+1] but
-    # {t-1, t+1} and {t, t+1}, with singletons for the "b" rows) refutes
-    # T7a at some alpha_r above (r-2)!, and COR2a/b, with exact rational
-    # points: see tests/test_theorems.py::test_known_refutations_are_exact.
+    # On the pair-window family F_{t,r} (every r-set and every pair on [t+1]
+    # but {t-1, t+1} and {t, t+1}; singletons for the "b" rows), at x* =
+    # uniform on [t] with alpha_2 = 1, the gradient has g_{t+1} - lambda =
+    # (alpha_r C(t-1, r-2) - t^(r-2)) / t^(r-1); where that is positive, a
+    # step toward t+1 beats the closed form. It is negative for every t iff
+    # alpha_r <= (r-2)!. COR2a/b's r!/2 is above: test_known_refutations_are_exact.
     "TWO_R_EDGES_T7a": TheoremSpec((2, "r"), "L", _TWO_R_EDGES),
     "ONE_TWO_R_EDGES_T7b": TheoremSpec((1, 2, "r"), "L", _T7b),
     "COR1a": TheoremSpec((2, "r"), "lambda'", _TWO_R),

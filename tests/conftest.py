@@ -151,6 +151,25 @@ def lambda_prime_complete(t, types):
     )
 
 
+def gradient_exact(h, coeffs, x):
+    """Exact gradient of L at a rational point, as a list of ``Fraction``s:
+    entry j adds up, over the edges through j, the coefficient times the
+    product of the edge's other weights. Each weight is k_v / d over the lcm
+    d of the denominators, so a level's products are integers over d**(r-1)."""
+    xs = [Fraction(v) for v in x]
+    d = math.lcm(*(v.denominator for v in xs))
+    k = [v.numerator * (d // v.denominator) for v in xs]
+    out = [Fraction(0)] * h.n
+    for r, es in h.levels:
+        sums = [0] * h.n
+        for e in es:
+            for j in e:
+                sums[j - 1] += math.prod(k[v - 1] for v in e if v != j)
+        a = Fraction(coeffs.coefficient(r))
+        out = [g + a * Fraction(s, d ** (r - 1)) for g, s in zip(out, sums)]
+    return out
+
+
 def hessian_exact(h, coeffs, x):
     """Exact Hessian of L at any point, as a list of ``Fraction`` rows:
     entry (i, j) sums, over the edges through both i and j, the coefficient

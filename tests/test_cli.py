@@ -95,7 +95,7 @@ class TestCompute:
                              "converged", "sort_permutation"]
         assert (doc["value"], doc["iterations"]) == (0.0, 1)
 
-    @pytest.mark.parametrize("key", ["x", "0"])
+    @pytest.mark.parametrize("key", ["x", "0", "03", "\u0663"])
     def test_bad_alpha_key_exits_one(self, k5_file, tmp_path, capsys, key):
         cfile = tmp_path / "coeffs.json"
         cfile.write_text(json.dumps({"r0": 2, "alpha": {key: 1}}))
@@ -103,6 +103,15 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: --coeffs must hold a JSON object")
         assert f"alpha keys must be positive integer levels, got {key!r}" in err
+
+    def test_unknown_coeffs_key_exits_one(self, tmp_path, capsys):
+        """A key other than r0 and alpha is named, not dropped."""
+        path, cfile = tmp_path / "g.json", tmp_path / "coeffs.json"
+        dump(complete(5, (2, 3, 4)), path)
+        cfile.write_text(json.dumps({"r0": 2, "alpha": {"3": 1, "4": 1}, "alpha_3": 5}))
+        assert run(["compute", str(path), "--objective", "weighted", "--coeffs", str(cfile)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "'alpha_3'" in lines[0]
 
     def test_grid_flag(self, tmp_path, capsys):
         h = tmp_path / "h.json"
@@ -386,7 +395,7 @@ class TestVerify:
         assert run(args) == 1
         assert capsys.readouterr().err == "error: --params must be a JSON object\n"
 
-    @pytest.mark.parametrize("key", ["x", "0"])
+    @pytest.mark.parametrize("key", ["x", "0", "03", "\u0663"])
     def test_bad_alpha_key_exits_one(self, tmp_path, capsys, key):
         path = tmp_path / "g.json"
         dump(complete(5, (2, 3)), path)

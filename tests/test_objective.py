@@ -68,7 +68,8 @@ class TestCoefficients:
 
     @pytest.mark.parametrize(
         "doc", ['{"alpha": {}}', "[1, 2]", '{"r0": null}', '{"r0": 2, "alpha": {"3": "1/0"}}',
-                '{"r0": 2, "alpha": {"3": true}}', '{"r0": 2, "alpha": {"3": "1e400"}}'])
+                '{"r0": 2, "alpha": {"3": true}}', '{"r0": 2, "alpha": {"3": "1e400"}}',
+                '{"r0": 2, "alpha": {"3": 1, "4": 1}, "alpha_3": 5}'])
     def test_malformed_json_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             Coefficients.from_json(doc)
@@ -80,7 +81,7 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="r0 must be an integer"):
             Coefficients.from_json(doc)
 
-    @pytest.mark.parametrize("key", ["x", "0", "3.0"])
+    @pytest.mark.parametrize("key", ["x", "0", "3.0", "03", "\u0663"])
     def test_alpha_keys_read_as_levels(self, key):
         doc = json.dumps({"r0": 2, "alpha": {key: 1}})
         with pytest.raises(ValueError, match=f"alpha keys must be positive integer levels, got {key!r}"):

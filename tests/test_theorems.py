@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lagrangian_lab import (
+    Coefficients,
     SolverConfig,
     check_hypotheses,
     closed_form_exact,
@@ -31,7 +32,7 @@ from lagrangian_lab.theorems import (
     uniform_edge_window,
 )
 
-from conftest import closed_form, lambda_prime_complete
+from conftest import closed_form, gradient_exact, lambda_prime_complete
 
 
 def complete_value(t, levels):
@@ -135,7 +136,8 @@ class TestReadParams:
         got = _read_params({"alpha": {"3": 2, 4: "1/2"}})["alpha"]
         assert got == {3: 2, 4: Fraction(1, 2)} and all(type(k) is int for k in got)
 
-    @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, 2.0, None])
+    @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, 2.0, None, "03",
+                                     "\u0663"])
     def test_bad_alpha_keys_rejected(self, key):
         with pytest.raises(ValueError, match=r"alpha keys must be positive integer levels, got "):
             _read_params({"alpha": {key: 1}})
@@ -528,11 +530,11 @@ def test_registry_is_closed():
             call()
 
 
-def pair_window_graph(t):
-    """The pair-window family at r = 3: on [t+1], every triple and every
-    pair but {t-1, t+1} and {t, t+1}. Its largest {2,3}-clique is [t]."""
+def pair_window_graph(t, r=3):
+    """The pair-window family F_{t,r}: on [t+1], every r-set and every pair
+    but {t-1, t+1} and {t, t+1}. Its largest {2,r}-clique is [t]."""
     n, missing = t + 1, {(t - 1, t + 1), (t, t + 1)}
-    return validate(n, [e for r in (2, 3) for e in itertools.combinations(range(1, n + 1), r)
+    return validate(n, [e for k in (2, r) for e in itertools.combinations(range(1, n + 1), k)
                         if e not in missing])
 
 
@@ -572,3 +574,37 @@ def test_known_refutations_are_exact(theorem, h, params, x, closed, value):
                                          report.derived.get("alpha"))
     assert scale * eval_exact(h, coeffs, x) == value
     assert value > closed
+
+
+def _frontier_gap(t, r, alpha_r):
+    """g_{t+1} - lambda on F_{t,r} at x* = uniform on [t], with alpha_2 = 1,
+    from the exact gradient, after checking g_i = lambda on [t], where
+    lambda = (t-1)/t + alpha_r C(t-1, r-1) / t^(r-1)."""
+    h = pair_window_graph(t, r)
+    g = gradient_exact(h, Coefficients(2, {r: alpha_r}), rational_uniform(h.n, range(1, t + 1)))
+    lam = Fraction(t - 1, t) + alpha_r * Fraction(math.comb(t - 1, r - 1), t ** (r - 1))
+    assert g[:t] == [lam] * t
+    return g[t] - lam
+
+
+def test_pair_window_frontier_is_exact():
+    """The T7a frontier on F_{t,r}, exactly and with no solver:
+    g_{t+1} - lambda = (alpha_r C(t-1, r-2) - t^(r-2)) / t^(r-1), negative
+    for every t at alpha_r = (r-2)!. The sign's factor C(t-1, r-2) / t^(r-2)
+    rises with t, so a sign change from t-1 to t is the first. At alpha_r =
+    3/2, verify fails F_{4,3} (sign positive) and passes F_{3,3} (sign 0)."""
+    for r in range(3, 7):
+        for alpha_r in {1, Fraction(11, 10), Fraction(3, 2), 2, 12, math.factorial(r - 2)}:
+            for t in range(r, 13):
+                gap = _frontier_gap(t, r, alpha_r)
+                assert gap == Fraction(alpha_r * math.comb(t - 1, r - 2) - t ** (r - 2),
+                                       t ** (r - 1))
+                assert gap < 0 or alpha_r != math.factorial(r - 2)
+    for r, alpha_r, first in [(3, Fraction(3, 2), 4), (3, Fraction(11, 10), 12),
+                              (3, Fraction(21, 20), 22), (4, 3, 9), (4, Fraction(5, 2), 15),
+                              (5, 12, 10)]:
+        assert _frontier_gap(first - 1, r, alpha_r) <= 0 < _frontier_gap(first, r, alpha_r)
+    cfg = SolverConfig(starts=16, seed=1)
+    for t, passed in [(4, False), (3, True)]:
+        verdict = verify("TWO_R_EDGES_T7a", pair_window_graph(t), {"alpha_r": "3/2"}, cfg)
+        assert verdict.hypotheses_ok and verdict.passed is passed
