@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_limits
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class _Search:
         ts = sorted(set(types))
         if not ts or ts[0] < 1:
             raise ValueError(f"edge types must be a nonempty set of positive ints, got {ts}")
+        _check_limits(0, ts)
         self.start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
         self.pairs = h.link_table(2) if 2 in ts else None
         self.triples = h.link_table(3) if 3 in ts else None

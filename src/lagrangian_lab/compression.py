@@ -14,8 +14,9 @@ For f in S_ij(F) holding b but not a (so a < j), g = f - b + a is in S_ij(F):
 So one lexicographic pass of every S_ij gives the fixpoint of applying the
 first pair that moves an edge until none does: that loop's pairs increase,
 and each pair it skips is a no-op. S_ij maps each level into itself, so the
-pass runs one level at a time. Levels stay sets of int bitmasks (bit v for
-vertex v, as in ``Hypergraph.link_table``) until one graph is built.
+pass runs one level at a time. Levels are read from the hypergraph's mask view
+(``Hypergraph.edge_masks``: bit v for vertex v), stay int bitmasks through the
+pass, and are written back into the one graph that is built, as its mask view.
 
 Unit-shift lemma: F is (i, j)-stable for every i < j iff it is
 (v - 1, v)-stable for every v >= 2. By induction on j - i, take e in F with
@@ -29,24 +30,11 @@ from __future__ import annotations
 
 import itertools
 
-from .hypergraph import Edge, Hypergraph, _build
+from .hypergraph import Hypergraph, _from_masks
 
 
 def _masks(h: Hypergraph) -> dict[int, set[int]]:
-    return {r: {sum(1 << v for v in e) for e in es} for r, es in h.levels}
-
-
-def _vertices(e: int) -> Edge:
-    """The increasing vertex tuple of an edge mask, read by set bits, lowest first."""
-    vs = []
-    while e:
-        vs.append((e & -e).bit_length() - 1)
-        e &= e - 1
-    return tuple(vs)
-
-
-def _graph(n: int, levels: dict[int, set[int]]) -> Hypergraph:
-    return _build(n, {r: [_vertices(e) for e in s] for r, s in levels.items()})
+    return {r: set(h.edge_masks(r)) for r in h.edge_types}
 
 
 def _compress(levels: dict[int, set[int]], pairs) -> dict[int, set[int]]:
@@ -63,7 +51,7 @@ def _compress(levels: dict[int, set[int]], pairs) -> dict[int, set[int]]:
 def is_left_compressed(h: Hypergraph) -> bool:
     """True iff no S_ij (i < j) moves an edge. Checks the unit shifts S_{v-1,v}
     only, which suffices by the module's unit-shift lemma: at most r lookups per r-edge."""
-    for s in _masks(h).values():
+    for s in map(h.edge_masks, h.edge_types):
         for e in s:
             free = e & ~(e << 1) & ~3  # vertices v >= 2 of e with v - 1 not in e
             while free:
@@ -80,4 +68,4 @@ def left_compress_fixpoint(h: Hypergraph) -> Hypergraph:
     By the module's pass lemma the result is stable for every pair and is the
     restarting loop's fixpoint; label sums never rise on the way.
     """
-    return _graph(h.n, _compress(_masks(h), itertools.combinations(range(1, h.n + 1), 2)))
+    return _from_masks(h.n, _compress(_masks(h), itertools.combinations(range(1, h.n + 1), 2)))

@@ -5,10 +5,11 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
-An instance computes its per-level edge sets, index arrays and clique link
-tables once, on first use, and keeps them: membership tests then cost O(1)
-instead of rehashing every edge, and the objective and every clique search
-read the same arrays and tables. Link tables are built in numpy from
+An instance computes its per-level edge sets, index arrays, edge masks
+(bit v for vertex v) and clique link tables once, on first use, and keeps
+them: membership tests then cost O(1) instead of rehashing every edge, the
+objective and every clique search read the same arrays and tables, and
+left-compression reads and writes masks. Link tables are built in numpy from
 ``edge_array``: sorted keys, one OR per key.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,10 @@ MAX_VERTICES = 24
 Edge = tuple[int, ...]
 
 _NO_EDGES: frozenset[Edge] = frozenset()
+_BIT = [1 << v for v in range(MAX_VERTICES + 1)].__getitem__
+# _BYTE_VERTICES[k][b]: the vertices 8k + i for the set bits i of byte b, lowest first.
+_BYTE_VERTICES = [[tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)]
+                  for k in range(4)]
 
 
 class HypergraphError(ValueError):
@@ -78,6 +83,14 @@ class Hypergraph:
     @cached_property
     def _edge_sets(self) -> dict[int, frozenset[Edge]]:
         return {r: frozenset(es) for r, es in self.levels}
+
+    def edge_masks(self, r: int) -> frozenset[int]:
+        """Level r's edges as int masks (bit v for vertex v)."""
+        return self._edge_masks.get(r, frozenset())
+
+    @cached_property
+    def _edge_masks(self) -> dict[int, frozenset[int]]:
+        return {r: frozenset([sum(map(_BIT, e)) for e in es]) for r, es in self.levels}
 
     def edge_array(self, r: int) -> np.ndarray:
         """Zero-based ``(E, r)`` vertex-index array of level r, read-only."""
@@ -141,6 +154,16 @@ def _build(n: int, per_level: Mapping[int, Iterable[Edge]]) -> Hypergraph:
         if per_level[r]
     )
     return Hypergraph(n=n, levels=levels)
+
+
+def _from_masks(n: int, levels: Mapping[int, Collection[int]]) -> Hypergraph:
+    """The graph whose level r holds the edges of the distinct masks ``levels[r]``;
+    it keeps them as its mask view."""
+    b0, b1, b2, b3 = _BYTE_VERTICES
+    h = _build(n, {r: [b0[e & 255] + b1[e >> 8 & 255] + b2[e >> 16 & 255] + b3[e >> 24]
+                       for e in s] for r, s in levels.items()})
+    h.__dict__["_edge_masks"] = {r: frozenset(s) for r, s in levels.items()}
+    return h
 
 
 def _check_limits(n: int, types: Iterable[int] = ()) -> None:

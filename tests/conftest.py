@@ -23,6 +23,7 @@ from lagrangian_lab import (
     validate,
 )
 from lagrangian_lab import compression, optimizer
+from lagrangian_lab.hypergraph import _from_masks
 from lagrangian_lab.objective import Objective
 
 
@@ -253,7 +254,7 @@ def compress_edge(e, i, j):
 def compress_hypergraph(h, i, j):
     """The (i <- j) compression of every level of ``h``: the pass that
     ``left_compress_fixpoint`` runs, on the one pair (i, j)."""
-    return compression._graph(h.n, compression._compress(compression._masks(h), [(i, j)]))
+    return _from_masks(h.n, compression._compress(compression._masks(h), [(i, j)]))
 
 
 def kkt_residual(h, coeffs, x):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lagrangian_lab import (
     CliqueResult,
     Hypergraph,
+    HypergraphError,
     SolverConfig,
     cliques,
     complete,
@@ -82,6 +83,15 @@ class TestMaxCompleteSubgraph:
             max_complete_subgraph(complete(3, (2,)), types)
         with pytest.raises(ValueError, match="edge types must be a nonempty set of positive ints"):
             contains_complete(complete(3, (2,)), 9, types)
+
+    @pytest.mark.parametrize("types", [(7,), (2, 7)])
+    def test_types_past_soft_limit_rejected(self, types):
+        # No 7-edge passes validate, so such a type could never be complete.
+        h = validate(24, [[24], [23, 24], [1, 24]])
+        with pytest.raises(HypergraphError, match="edge type 7 exceeds the soft limit 6"):
+            max_complete_subgraph(h, types)
+        with pytest.raises(HypergraphError, match="edge type 7 exceeds the soft limit 6"):
+            contains_complete(h, 2, types)
 
     def test_no_singletons_order_zero(self):
         h = validate(3, [[1, 2]])

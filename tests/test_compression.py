@@ -4,8 +4,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrangian_lab import compression
-from lagrangian_lab.hypergraph import _build
+from lagrangian_lab import hypergraph
+from lagrangian_lab.hypergraph import _from_masks
 from lagrangian_lab import (
     Coefficients,
     complete,
@@ -159,7 +159,7 @@ class TestUnitShiftLemma:
         seed=st.integers(0, 10_000),
     ))
     def test_masks_round_trip(self, h):
-        assert compression._graph(h.n, compression._masks(h)) == h
+        assert _from_masks(h.n, {r: h.edge_masks(r) for r in h.edge_types}) == h
 
 
 class TestFixpoint:
@@ -212,15 +212,49 @@ class TestFixpoint:
     def test_builds_one_graph_per_fixpoint(self, monkeypatch):
         built = []
 
-        def spy(n, per_level):
+        def spy(n, per_level, build=hypergraph._build):
             built.append(n)
-            return _build(n, per_level)
+            return build(n, per_level)
 
-        monkeypatch.setattr(compression, "_build", spy)
-        for seed, types in enumerate(_TYPE_SETS):
-            h = gen_random(8, types, 0.5, seed)
+        graphs = [gen_random(8, types, 0.5, seed) for seed, types in enumerate(_TYPE_SETS)]
+        monkeypatch.setattr(hypergraph, "_build", spy)
+        for count, h in enumerate(graphs, 1):
             left_compress_fixpoint(h)
-            assert len(built) == seed + 1
+            assert len(built) == count
+
+
+def _encoded(h):
+    """Each level's masks (bit v for vertex v), encoded from its edge tuples."""
+    return {r: frozenset(sum(1 << v for v in e) for e in h.level_edges(r)) for r in h.edge_types}
+
+
+# Vertex 24 sits in the top byte of a mask.
+_N24_CASES = (validate(24, [[24], [23, 24], [1, 24]]), gen_random(24, (2, 3), 0.5, 1),
+              complete(24, (1, 2)))
+
+
+class TestMaskView:
+    """The fixpoint's graph keeps the masks it was decoded from as its mask view."""
+
+    def check_fixpoint(self, h):
+        view = {r: h.edge_masks(r) for r in h.edge_types}
+        assert view == _encoded(h)
+        g = left_compress_fixpoint(h)
+        assert {r: g.edge_masks(r) for r in g.edge_types} == _encoded(g)
+        assert is_left_compressed(g) == is_left_compressed(validate(g.n, g.edges()))
+        assert {r: h.edge_masks(r) for r in h.edge_types} == view == _encoded(h)
+        return g
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=instances)
+    def test_fixpoint_view_matches_edges(self, h):
+        self.check_fixpoint(h)
+
+    def test_fixpoint_view_at_n24(self):
+        fixed = [self.check_fixpoint(h) for h in _N24_CASES]
+        assert fixed[0] == validate(24, [[1], [1, 2], [1, 3]])
+        assert fixed[2] == _N24_CASES[2]
+        assert all(any(24 in e for e in g.edges()) for g in fixed[1:])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,24 @@ class TestHashAndIndexes:
         assert h.edge_array(2).tolist() == [[0, 1]]
         assert h.edge_array(1).shape == (0, 1)
         assert not h.edge_array(2).flags.writeable
+
+    def test_edge_masks_per_instance(self):
+        h = validate(24, [[1, 2], [2, 3, 24]])
+        assert h.edge_masks(3) is h.edge_masks(3)
+        assert h.edge_masks(3) == frozenset({1 << 2 | 1 << 3 | 1 << 24})
+        assert h.edge_masks(2) == frozenset({0b110}) and h.edge_masks(1) == frozenset()
+
+    def test_pickle_keeps_graph_and_views(self):
+        # sweep --jobs pickles instances, with whatever views they have built.
+        h = gen_random(24, (1, 2, 3), 0.3, 5)
+        g = hypergraph_module._from_masks(h.n, {r: h.edge_masks(r) for r in h.edge_types})
+        for graph in (h, g):
+            graph.edge_set(2)
+            graph.link_table(2)
+            back = pickle.loads(pickle.dumps(graph))
+            assert back == graph and hash(back) == hash(graph)
+            assert all(back.edge_masks(r) == graph.edge_masks(r) for r in graph.edge_types)
+            assert back.link_table(2) == graph.link_table(2)
 
 
 @pytest.mark.parametrize(
