@@ -19,18 +19,20 @@ of {c, v}), and only a level r >= 4 enumerates the (r-2)-subsets of C. A
 branch is cut as soon as |C| plus the number of candidates cannot reach the
 size sought. Visiting candidates in increasing label order enumerates
 complete sets in lexicographic order, which fixes the tie-break among maximum
-sets. One search also settles uniqueness: after a new best the floor is
-|best|, so a later set of that size is found, and after such a tie it is
-|best| + 1. A floor of at most k cuts no k-set, so best stays the first
-maximum set; a k-prefix of a longer set is a tie only until that set is
-found.
+sets. The search hands each complete set of at least the floor's size to
+a callback, which returns the next floor. So one search also settles
+uniqueness: after a new best the floor is |best|, so a later set of that
+size is found, and after such a tie it is |best| + 1. A floor of at most k
+cuts no k-set, so best stays the first maximum set; a k-prefix of a longer
+set is a tie only until that set is found. ``contains_complete`` returns a
+floor above n at its first t-set, which no branch can reach: the search ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from .hypergraph import Hypergraph, _check_limits
 
@@ -46,7 +48,7 @@ class CliqueResult:
 
 
 class _Search:
-    """The start mask and link tables of one (hypergraph, type set) pair."""
+    """The start mask and link-table lookups of one (hypergraph, type set) pair."""
 
     def __init__(self, h: Hypergraph, types: Iterable[int]):
         ts = sorted(set(types))
@@ -54,53 +56,59 @@ class _Search:
             raise ValueError(f"edge types must be a nonempty set of positive ints, got {ts}")
         _check_limits(0, ts)
         self.start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
-        self.pairs = h.link_table(2) if 2 in ts else None
-        self.triples = h.link_table(3) if 3 in ts else None
-        self.links = [(r - 2, h.link_table(r)) for r in ts if r > 3]
+        # Each table's bound ``get``, looked up once per search rather than once per probe.
+        self.pairs = h.link_table(2).get if 2 in ts else None
+        self.triples = h.link_table(3).get if 3 in ts else None
+        self.links = [(r - 2, h.link_table(r).get) for r in ts if r > 3]
 
-    def complete_sets(self, floor: int) -> Iterator[tuple[int, ...]]:
-        """Complete sets of at least ``self.floor`` vertices, in lexicographic
-        order. Branches that cannot reach the floor are cut; it starts at
-        ``floor`` and the caller may raise it between two sets."""
-        self.floor = floor
+    def search(self, floor: int, found: Callable[[tuple[int, ...]], int]) -> None:
+        """Call ``found`` on the member bits of each complete set of at least
+        ``floor`` vertices, in lexicographic order; it returns the new floor.
+        Branches that cannot reach the floor are cut."""
         pairs, triples, links = self.pairs, self.triples, self.links
 
-        def grow(members: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-            while cand and len(members) + cand.bit_count() >= self.floor:
+        def grow(members: tuple[int, ...], cand: int) -> None:
+            nonlocal floor
+            while cand and len(members) + cand.bit_count() >= floor:
                 bit = cand & -cand
                 cand ^= bit
                 nxt = cand
                 if pairs is not None:
-                    nxt &= pairs.get(bit, 0)
+                    nxt &= pairs(bit, 0)
                 if triples is not None:
                     for m in members:
-                        nxt &= triples.get(m | bit, 0)
-                for size, table in links:
+                        nxt &= triples(m | bit, 0)
+                for size, link in links:
                     for sub in combinations(members, size):
-                        nxt &= table.get(sum(sub) | bit, 0)
+                        nxt &= link(sum(sub) | bit, 0)
                 grown = members + (bit,)
-                if len(grown) >= self.floor:
-                    yield tuple(b.bit_length() - 1 for b in grown)
-                yield from grow(grown, nxt)
+                if len(grown) >= floor:
+                    floor = found(grown)
+                grow(grown, nxt)
 
-        return grow((), self.start)
+        grow((), self.start)
 
 
 def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
     """Largest vertex set complete for ``types``, lexicographically smallest on ties."""
-    search = _Search(h, types)
     best: tuple[int, ...] = ()
     unique = True
-    for found in search.complete_sets(1):
-        unique = len(found) > len(best)
+
+    def found(bits: tuple[int, ...]) -> int:
+        nonlocal best, unique
+        unique = len(bits) > len(best)
         if unique:
-            best = found
-        search.floor = len(best) + (not unique)
-    return CliqueResult(best, unique)
+            best = bits
+        return len(best) + (not unique)
+
+    _Search(h, types).search(1, found)
+    return CliqueResult(tuple(b.bit_length() - 1 for b in best), unique)
 
 
 def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:
     """Whether some t-subset is complete for ``types``; t = 0 is vacuously true."""
     if t <= 0:
         return True
-    return next(_Search(h, types).complete_sets(t), None) is not None
+    hits: list[tuple[int, ...]] = []
+    _Search(h, types).search(t, lambda bits: hits.append(bits) or h.n + 1)
+    return bool(hits)

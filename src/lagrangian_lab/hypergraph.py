@@ -10,7 +10,7 @@ An instance computes its per-level edge sets, index arrays, edge masks
 them: membership tests then cost O(1) instead of rehashing every edge, the
 objective and every clique search read the same arrays and tables, and
 left-compression reads and writes masks. Link tables are built in numpy from
-``edge_array``: sorted keys, one OR per key.
+``edge_array``: one sort of (key, vertex) packed into an int64, one OR per key.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
@@ -108,13 +108,15 @@ class Hypergraph:
         return out
 
     def link_table(self, r: int) -> dict[int, int]:
-        """Level r's link table, built on first use; callers must not mutate it. The mask
-        (bit v for vertex v) of each (r-1)-subset of an r-edge maps to that of its completions."""
+        """Level r's link table, built on first use; callers must not mutate it. The mask (bit
+        v for vertex v) of each (r-1)-subset of an r-edge maps to that of its completions, keys
+        ascending: one sort of (key, vertex) packed in an int64 groups the vertices by key."""
         if r not in self._link_tables:
-            bits = np.left_shift(np.int64(2), self.edge_array(r))
-            keys = (bits.sum(1)[:, None] ^ bits).ravel()
-            order = np.argsort(keys)
-            keys, bits = keys[order], bits.ravel()[order]
+            index = self.edge_array(r)
+            # (key << 5) | (v - 1): keys are below 2**25 (n <= 24), so each fits an int64.
+            shifted = np.left_shift(np.int64(64), index)
+            packed = np.sort(((shifted.sum(1)[:, None] ^ shifted) | index).ravel())
+            keys, bits = packed >> 5, np.left_shift(np.int64(2), packed & 31)
             # The first index of each run of equal keys; none for an absent level.
             starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
             ors = np.bitwise_or.reduceat(bits, starts) if keys.size else keys

@@ -68,7 +68,10 @@ class TestMaxCompleteSubgraph:
                       *itertools.combinations((5, 6, 7), 2)]), (2,), (3, 4, 5), False),
         (gen_planted("random-lc", {"n": 24}, seed=1), (2, 3), tuple(range(1, 11)), False),
         (gen_random(24, (2, 3, 4), 0.9, 1), (2, 3, 4), (2, 5, 8, 12, 14, 18, 23, 24), True),
-    ], ids=["prefix-not-a-tie", "tie-after-reset", "random-lc-24", "random-24-dense"])
+        # Vertex 24 on every level 2..6: the top of the packed link-table keys.
+        (validate(24, [c for r in range(2, 7) for c in itertools.combinations(range(19, 25), r)]),
+         (2, 3, 4, 5, 6), tuple(range(19, 25)), True),
+    ], ids=["prefix-not-a-tie", "tie-after-reset", "random-lc-24", "random-24-dense", "top-six-24"])
     def test_ties_found_in_one_search(self, h, types, vertices, unique):
         res = max_complete_subgraph(h, types)
         assert res == CliqueResult(vertices, unique)
@@ -111,6 +114,20 @@ class TestContainsComplete:
 
     def test_too_large(self):
         assert not contains_complete(complete(4, (2,)), 5, (2,))
+
+    def test_stops_at_first_set(self):
+        # On K24 the first triangle is {1, 2, 3}: one level-2 lookup per vertex, then no more.
+        class CountingDict(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        h = complete(24, (2,))
+        table = h._link_tables[2] = CountingDict(h.link_table(2))
+        assert contains_complete(h, 3, (2,))
+        assert table.lookups == 3
 
 
 @settings(max_examples=60, deadline=None)

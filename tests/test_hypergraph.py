@@ -276,6 +276,8 @@ class TestHashAndIndexes:
               (12, (2, 5), 0.9), (6, (1, 2, 3, 4, 5, 6), 1.0), (7, (3,), 0.4), (1, (1,), 1.0)])),
         validate(5, []),
         complete(24, (2,)),
+        # Vertex 24 on levels 2..6: the largest keys the packed sort holds.
+        validate(24, [c for r in range(2, 7) for c in itertools.combinations(range(19, 25), r)]),
     ],
     ids=repr,
 )
