@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from .cliques import max_complete_subgraph
 from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, gen_planted
 from .hypergraph import Hypergraph, dump, load, to_json
-from .objective import Coefficients, flavour_coefficients
+from .objective import _LEVEL, Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, grid_oracle, maximize, polish
 from .theorems import _Checker, theorem_ids, verify
 
@@ -112,19 +113,18 @@ def _cmd_compute(args) -> int:
 
 
 def _parse_types(text: str) -> list[int]:
-    """The --types value: comma-separated positive ints."""
+    """The --types value: comma-separated positive ints, each spelled as ``_LEVEL``."""
     tokens = text.split(",")
-    if not all(tok.strip().isdecimal() and int(tok) > 0 for tok in tokens):
+    if not all(re.fullmatch(_LEVEL, tok.strip()) for tok in tokens):
         raise argparse.ArgumentTypeError(f"must be comma-separated positive ints, got {text!r}")
     return [int(tok) for tok in tokens]
 
 
 def _cmd_clique(args) -> int:
     h = load(args.input)
-    types = list(h.edge_types) if args.types is None else args.types
-    if not types:
+    if args.types is None and not h.num_edges():
         raise ValueError("hypergraph has no edges; pass --types explicitly")
-    res = max_complete_subgraph(h, types)
+    res = max_complete_subgraph(h, h.edge_types if args.types is None else args.types)
     print(json.dumps({"order": res.order, **asdict(res)}))
     return 0
 

@@ -3,7 +3,8 @@
 Completeness for a type set T is hereditary (every subset of a complete set
 is complete), so one depth-first search over vertices in increasing label
 order is exact; instances are desk-scale by design, so there is no
-approximate fallback.
+approximate fallback. The search is one function, ``_search``; it reads T
+by ``hypergraph._read_types``.
 
 Vertex sets are integer bitmasks (bit v for vertex v). Every search on an
 instance reads the link tables the instance keeps (``Hypergraph.link_table``:
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .hypergraph import Hypergraph, _check_limits
+from .hypergraph import Hypergraph, _read_types
 
 
 @dataclass(frozen=True)
@@ -47,46 +48,38 @@ class CliqueResult:
         return len(self.vertices)
 
 
-class _Search:
-    """The start mask and link-table lookups of one (hypergraph, type set) pair."""
+def _search(h: Hypergraph, types: Iterable[int], floor: int,
+            found: Callable[[tuple[int, ...]], int]) -> None:
+    """Call ``found`` on the member bits of each complete set of at least
+    ``floor`` vertices, in lexicographic order; it returns the new floor.
+    Branches that cannot reach the floor are cut."""
+    ts = _read_types("types", types)
+    start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
+    # Each table's bound ``get``, looked up once per search rather than once per probe.
+    pairs = h.link_table(2).get if 2 in ts else None
+    triples = h.link_table(3).get if 3 in ts else None
+    links = [(r - 2, h.link_table(r).get) for r in ts if r > 3]
 
-    def __init__(self, h: Hypergraph, types: Iterable[int]):
-        ts = sorted(set(types))
-        if not ts or ts[0] < 1:
-            raise ValueError(f"edge types must be a nonempty set of positive ints, got {ts}")
-        _check_limits(0, ts)
-        self.start = h.link_table(1).get(0, 0) if ts[0] == 1 else (1 << (h.n + 1)) - 2
-        # Each table's bound ``get``, looked up once per search rather than once per probe.
-        self.pairs = h.link_table(2).get if 2 in ts else None
-        self.triples = h.link_table(3).get if 3 in ts else None
-        self.links = [(r - 2, h.link_table(r).get) for r in ts if r > 3]
+    def grow(members: tuple[int, ...], cand: int) -> None:
+        nonlocal floor
+        while cand and len(members) + cand.bit_count() >= floor:
+            bit = cand & -cand
+            cand ^= bit
+            nxt = cand
+            if pairs is not None:
+                nxt &= pairs(bit, 0)
+            if triples is not None:
+                for m in members:
+                    nxt &= triples(m | bit, 0)
+            for size, link in links:
+                for sub in combinations(members, size):
+                    nxt &= link(sum(sub) | bit, 0)
+            grown = members + (bit,)
+            if len(grown) >= floor:
+                floor = found(grown)
+            grow(grown, nxt)
 
-    def search(self, floor: int, found: Callable[[tuple[int, ...]], int]) -> None:
-        """Call ``found`` on the member bits of each complete set of at least
-        ``floor`` vertices, in lexicographic order; it returns the new floor.
-        Branches that cannot reach the floor are cut."""
-        pairs, triples, links = self.pairs, self.triples, self.links
-
-        def grow(members: tuple[int, ...], cand: int) -> None:
-            nonlocal floor
-            while cand and len(members) + cand.bit_count() >= floor:
-                bit = cand & -cand
-                cand ^= bit
-                nxt = cand
-                if pairs is not None:
-                    nxt &= pairs(bit, 0)
-                if triples is not None:
-                    for m in members:
-                        nxt &= triples(m | bit, 0)
-                for size, link in links:
-                    for sub in combinations(members, size):
-                        nxt &= link(sum(sub) | bit, 0)
-                grown = members + (bit,)
-                if len(grown) >= floor:
-                    floor = found(grown)
-                grow(grown, nxt)
-
-        grow((), self.start)
+    grow((), start)
 
 
 def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
@@ -101,7 +94,7 @@ def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
             best = bits
         return len(best) + (not unique)
 
-    _Search(h, types).search(1, found)
+    _search(h, types, 1, found)
     return CliqueResult(tuple(b.bit_length() - 1 for b in best), unique)
 
 
@@ -110,5 +103,5 @@ def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:
     if t <= 0:
         return True
     hits: list[tuple[int, ...]] = []
-    _Search(h, types).search(t, lambda bits: hits.append(bits) or h.n + 1)
+    _search(h, types, t, lambda bits: hits.append(bits) or h.n + 1)
     return bool(hits)

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 from .cliques import contains_complete
 from .compression import left_compress_fixpoint
-from .hypergraph import Edge, Hypergraph, _check_limits, complete, validate
+from .hypergraph import Edge, Hypergraph, _check_limits, _read_types, complete, validate
 from .theorems import (
     _read_params,
     check_hypotheses,
@@ -53,13 +53,11 @@ def gen_random(n: int, types: Iterable[int], density: float, seed: int) -> Hyper
     """Independent per-edge sampling: each potential edge on a level of
     ``types`` kept with probability ``density``. Density 1 reproduces the
     complete T-pattern."""
-    ts = sorted(set(types))
-    if not ts:
-        raise GenerationError("edge-type set must be nonempty")
+    ts = _read_types("types", types)
     p = float(density)
     if not 0.0 <= p <= 1.0:
         raise GenerationError(f"density must be in [0, 1], got {p}")
-    _check_limits(n, ts)
+    _check_limits(n)
     rng = random.Random(seed)
     edges: list[Edge] = []
     for r in ts:
@@ -132,7 +130,7 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         # PTZ needs r >= 3, and t6a and t7a plant the 2-level on its own, so
         # r = 2 would plant it twice.
         raise GenerationError(f"family {family!r} needs r >= 3, got r={r}")
-    _check_limits(n, levels)
+    _check_limits(n)
 
     if family in ("t6a", "t7a"):
         lo, hi = pair_edge_window(t)

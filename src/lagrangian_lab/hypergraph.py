@@ -14,7 +14,8 @@ left-compression reads and writes masks. Link tables are built in numpy from
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
-them.
+them. ``_read_types`` is the one reader of an edge-type set: a nonempty
+iterable, not a string, of ints from 1 to 6, as a sorted tuple without repeats.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _BYTE_VERTICES = [[tuple(8 * k + i for i in range(8) if b >> i & 1) for b in ran
 
 
 class HypergraphError(ValueError):
-    """Malformed hypergraph input: bad vertex, duplicate or empty edge."""
+    """Malformed hypergraph input: bad vertex, duplicate or empty edge, bad edge-type set."""
 
 
 def _read_int(key: str, value) -> int:
@@ -178,6 +179,19 @@ def _check_limits(n: int, types: Iterable[int] = ()) -> None:
             raise HypergraphError(f"edge type {r} exceeds the soft limit {MAX_CARDINALITY}")
 
 
+def _read_types(key: str, types) -> tuple[int, ...]:
+    """An edge-type set as a sorted tuple without repeats: each entry read by
+    ``_read_int``, at least 1 and within the soft limit, and at least one."""
+    try:
+        ts = sorted({_read_int(key, r) for r in types}) if not isinstance(types, str) else []
+    except (TypeError, ValueError):  # not iterable, or an entry is not an int
+        ts = []
+    if not ts or ts[0] < 1:
+        raise HypergraphError(f"{key} must be a nonempty list of positive integers, got {types!r}")
+    _check_limits(0, ts)
+    return tuple(ts)
+
+
 def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Canonicalize raw edge lists into a Hypergraph.
 
@@ -221,14 +235,10 @@ def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
 
 def complete(n: int, types: Iterable[int]) -> Hypergraph:
     """The complete hypergraph on [n] with all edges of each cardinality in ``types``."""
-    ts = sorted(set(types))
-    if not ts:
-        raise HypergraphError("edge-type set must be nonempty")
-    if ts[0] < 1:
-        raise HypergraphError(f"edge type {ts[0]} must be >= 1")
+    ts = _read_types("types", types)
     if ts[-1] > n:
         raise HypergraphError(f"max edge type {ts[-1]} exceeds n={n}")
-    _check_limits(n, ts)
+    _check_limits(n)
     per_level = {
         r: [tuple(c) for c in itertools.combinations(range(1, n + 1), r)] for r in ts
     }

@@ -272,7 +272,7 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
 def _finalize(
     obj: Objective, x: np.ndarray, label: str, iterations: int, converged: bool
 ) -> OptimizationResult:
-    x = project_to_simplex(x)
+    x = _project_rows(x[None])[0]
     row = x[None, :]
     return OptimizationResult(
         value=float(obj.values(row)[0]),

@@ -39,7 +39,8 @@ ASCII decimal digits without a leading zero (``alpha_3`` and ``"3"``, never
 ``alpha_03``, ``"03"`` or ``alpha_R``). Their values and the map's entries
 are positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
 ``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
-string); ``types`` is a nonempty list of positive ints, read as a tuple.
+string); ``types`` is a nonempty list of positive ints up to 6, read as a
+sorted tuple without repeats (by ``hypergraph._read_types``).
 ``null`` counts as absent; an unknown key (named in the message) or
 anything else raises ``ValueError``.
 """
@@ -54,7 +55,7 @@ from numbers import Real
 from typing import Callable, Iterable, Mapping
 
 from .cliques import contains_complete, max_complete_subgraph
-from .hypergraph import Hypergraph, _check_limits, _read_int, vertex_support
+from .hypergraph import Hypergraph, _check_limits, _read_int, _read_types, vertex_support
 from .objective import (_LEVEL, Coefficients, _read_level, _read_positive, eval_exact,
                          flavour_coefficients, rational_uniform)
 from .optimizer import OptimizationResult, SolverConfig, maximize
@@ -204,10 +205,7 @@ def _read_params(params: Mapping | None) -> dict:
         elif key in ("density", "extra_density"):
             p[key] = _read_real(key, value)
         elif key == "types":
-            listed = isinstance(value, (list, tuple))
-            p[key] = tuple(_read_int(key, v) for v in value) if listed else ()
-            if not p[key] or min(p[key]) < 1:
-                raise ValueError(f"types must be a nonempty list of positive integers, got {value!r}")
+            p[key] = _read_types(key, value)
     if "alpha" in p:
         if not isinstance(p["alpha"], Mapping):
             raise ValueError(f"alpha must map levels to coefficients, got {p['alpha']!r}")
@@ -430,12 +428,11 @@ class _Checker:
         t = self._strict_t("(the strict branch has no clique to derive it from)")
         if t is None:
             return
-        present3 = contains_complete(self.h, t, (3,))
-        present13 = contains_complete(self.h, t, (1, 3))
-        self.derived["clique_present"] = present13
-        if present13:
-            self.derived["clique"] = max_complete_subgraph(self.h, (1, 3)).vertices[:t]
-        elif present3:
+        clique = max_complete_subgraph(self.h, (1, 3)).vertices
+        self.derived["clique_present"] = len(clique) >= t
+        if len(clique) >= t:
+            self.derived["clique"] = clique[:t]
+        elif contains_complete(self.h, t, (3,)):
             detail = f"an order-{t} 3-level clique exists but is not covered by singletons"
             self.cond("clique-singleton-cover", False, detail)
 

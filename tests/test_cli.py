@@ -216,7 +216,7 @@ class TestClique:
         assert run(["clique", edgeless_file, "--types", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 1
 
-    @pytest.mark.parametrize("types", ["", "a", "2,,3", "2,", "0", "2,-3", "2.5"])
+    @pytest.mark.parametrize("types", ["", "a", "2,,3", "2,", "0", "2,-3", "2.5", "03", "٢"])
     def test_bad_types_exit_one(self, edgeless_file, one_two_file, capsys, types):
         # An empty value is rejected, not read as "use the file's edge types".
         for path in (edgeless_file, one_two_file):

@@ -82,9 +82,10 @@ class TestMaxCompleteSubgraph:
 
     @pytest.mark.parametrize("types", [(0,), (0, 2), (-1, 3)])
     def test_nonpositive_types_rejected(self, types):
-        with pytest.raises(ValueError, match="edge types must be a nonempty set of positive ints"):
+        message = "types must be a nonempty list of positive integers"
+        with pytest.raises(HypergraphError, match=message):
             max_complete_subgraph(complete(3, (2,)), types)
-        with pytest.raises(ValueError, match="edge types must be a nonempty set of positive ints"):
+        with pytest.raises(HypergraphError, match=message):
             contains_complete(complete(3, (2,)), 9, types)
 
     @pytest.mark.parametrize("types", [(7,), (2, 7)])

@@ -239,7 +239,6 @@ def test_with_singletons():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: gen_random(5, (), 0.5, 0), "edge-type set must be nonempty"),
     (lambda: gen_planted("t7a", {"t": 4, "n": 4}),
      "extra 2-edges need an attachment vertex t\\+1; raise n"),
     (lambda: gen_planted("t6a", {"t": 3, "r": 4}), "need t >= r, got t=3, r=4"),

@@ -13,11 +13,15 @@ from lagrangian_lab import (
     Hypergraph,
     HypergraphError,
     SolverConfig,
+    closed_form_exact,
     complete,
+    contains_complete,
     from_json,
     from_text,
+    gen_planted,
     gen_random,
     loads,
+    max_complete_subgraph,
     maximize,
     relabel,
     to_json,
@@ -293,10 +297,44 @@ def test_link_table_matches_loop_reference(h):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: validate(0, []), "vertex count must be positive, got 0"),
-    (lambda: complete(4, []), "edge-type set must be nonempty"),
-    (lambda: complete(4, [0]), "edge type 0 must be >= 1"),
+    (lambda: complete(4, []), "types must be a nonempty list of positive integers, got \\[\\]"),
+    (lambda: complete(4, [0]), "types must be a nonempty list of positive integers, got \\[0\\]"),
     (lambda: from_text("3\n1 x\n"), "bad edge line '1 x'"),
 ])
 def test_input_errors(build, message):
     with pytest.raises(HypergraphError, match=message):
         build()
+
+
+_DENSE = gen_random(6, (1, 2, 3), 0.8, 1)
+# Each entry point that takes an edge-type set, as a function of that set.
+_TYPE_SET_READERS = {
+    "complete": lambda ts: complete(4, ts),
+    "gen_random": lambda ts: gen_random(5, ts, 0.5, 0),
+    "max_complete_subgraph": lambda ts: max_complete_subgraph(_DENSE, ts),
+    "contains_complete": lambda ts: contains_complete(_DENSE, 3, ts),
+    "closed_form_exact": lambda ts: closed_form_exact("GENERAL_T9a", {"t": 4, "types": ts}),
+    "gen_planted": lambda ts: gen_planted("random-lc", {"types": ts}, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TYPE_SET_READERS))
+@pytest.mark.parametrize("types, message", [
+    ([], "types must be a nonempty list of positive integers, got []"),
+    ([0, 2], "types must be a nonempty list of positive integers, got [0, 2]"),
+    ([2, 7], "edge type 7 exceeds the soft limit 6"),
+    ("23", "types must be a nonempty list of positive integers, got '23'"),
+    ([True], "types must be a nonempty list of positive integers, got [True]"),
+    (["2"], "types must be a nonempty list of positive integers, got ['2']"),
+], ids=["empty", "zero", "past-limit", "string", "bool", "int-string"])
+def test_edge_type_set_rejected_by_one_reader(entry, types, message):
+    with pytest.raises(HypergraphError) as info:
+        _TYPE_SET_READERS[entry](types)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", list(_TYPE_SET_READERS))
+def test_edge_type_set_read_sorted_without_repeats(entry):
+    # 2.0 reads as 2, and repeats and order do not matter.
+    read = _TYPE_SET_READERS[entry]
+    assert read([3, 2.0, 3]) == read((2, 3))

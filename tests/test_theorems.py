@@ -143,7 +143,7 @@ class TestReadParams:
             _read_params({"alpha": {key: 1}})
 
     def test_types_read_as_tuple_of_ints(self):
-        assert _read_params({"types": [3, 2.0]})["types"] == (3, 2)
+        assert _read_params({"types": [3, 2.0]})["types"] == (2, 3)
         assert _read_params({"types": (1, 3)})["types"] == (1, 3)
 
     @pytest.mark.parametrize("value", ["ab", "23", [], [0, 2], [2, "3"], [True], 2, {"2": 1}])
