@@ -297,8 +297,13 @@ def test_link_table_matches_loop_reference(h):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: validate(0, []), "vertex count must be positive, got 0"),
-    (lambda: complete(4, []), "types must be a nonempty list of positive integers, got \\[\\]"),
-    (lambda: complete(4, [0]), "types must be a nonempty list of positive integers, got \\[0\\]"),
+    # The two complete cases keep the ids they had under their earlier messages.
+    pytest.param(lambda: complete(4, []),
+                 "types must be a nonempty list of positive integers, got \\[\\]",
+                 id="<lambda>-edge-type set must be nonempty"),
+    pytest.param(lambda: complete(4, [0]),
+                 "types must be a nonempty list of positive integers, got \\[0\\]",
+                 id="<lambda>-edge type 0 must be >= 1"),
     (lambda: from_text("3\n1 x\n"), "bad edge line '1 x'"),
 ])
 def test_input_errors(build, message):
