@@ -11,7 +11,9 @@ solver with --seed (default 0) and use 64 random starts unless --starts sets
 them; generate builds with --seed (default 0). sweep has no --seed: it
 builds each seed's instance once, checks every (seed, theorem) pair's alpha
 keys on it before any solve, then seeds each solve with that instance's seed
-and uses 16 starts unless --starts sets them.
+and uses 16 starts unless --starts sets them. Integer flags (--starts,
+--max-iters, --seed, --jobs, --grid-d) and --seeds tokens are non-negative
+ints in ASCII digits.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import __version__
 from .cliques import max_complete_subgraph
 from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, gen_planted
-from .hypergraph import Hypergraph, dump, load, to_json
+from .hypergraph import _DIGITS, Hypergraph, dump, load, to_json
 from .objective import _LEVEL, Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, grid_oracle, maximize, polish
 from .theorems import _Checker, theorem_ids, verify
@@ -110,6 +112,14 @@ def _cmd_compute(args) -> int:
     else:
         print(_fmt(value))
     return 0
+
+
+def _digits(text: str) -> int:
+    """An integer flag's value, and each --seeds token, spelled as ``_DIGITS``."""
+    if not re.fullmatch(_DIGITS, text):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative int in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _parse_types(text: str) -> list[int]:
@@ -193,27 +203,22 @@ def _cell(key: str, value):
 
 
 def _parse_seed_range(spec: str) -> list[int]:
-    """The --seeds value: a range a..b or a comma list of non-negative ints."""
+    """The --seeds value: a range a..b or a comma list of ``_digits`` tokens."""
     tokens = spec.split("..", 1) if ".." in spec else spec.split(",")
-    if not all(tok.strip().isdecimal() for tok in tokens):
-        raise ValueError(f"--seeds must be a..b or comma-separated non-negative ints, got {spec!r}")
-    seeds = [int(tok) for tok in tokens]
+    seeds = [_digits(tok.strip()) for tok in tokens]
     seeds = list(range(seeds[0], seeds[1] + 1)) if ".." in spec else seeds
     if not seeds:
-        raise ValueError(f"--seeds range {spec!r} is empty")
+        raise argparse.ArgumentTypeError(f"range {spec!r} is empty")
     return seeds
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs is not None and args.jobs < 0:
-        raise ValueError(f"--jobs must be 0 (all cores) or a positive count, got {args.jobs}")
     SolverConfig(args.starts)  # a bad --starts fails before any instance or --out
     params = _load_params(args.params)
-    seeds = _parse_seed_range(args.seeds)
     theorems = [tok.strip() for tok in args.theorem.split(",")]
     # A generator failure, an unknown theorem id, or an alpha key a row does
     # not read on any seed's instance, fails before any solve.
-    instances = [(seed, gen_planted(args.family, params, seed)) for seed in seeds]
+    instances = [(seed, gen_planted(args.family, params, seed)) for seed in args.seeds]
     tasks = [{"family": args.family, "params": params, "seed": seed, "theorem": name,
               "starts": args.starts, "h": h} for seed, h in instances for name in theorems]
     for task in tasks:
@@ -250,10 +255,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--starts", type=int, default=SolverConfig.starts,
+        p.add_argument("--starts", type=_digits, default=SolverConfig.starts,
                        help="random multistart count")
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=SolverConfig.max_iters)
-        p.add_argument("--seed", type=int, default=SolverConfig.seed)
+        p.add_argument("--max-iters", dest="max_iters", type=_digits,
+                       default=SolverConfig.max_iters)
+        p.add_argument("--seed", type=_digits, default=SolverConfig.seed)
 
     p = sub.add_parser("compute", help="maximize an objective over the simplex")
     p.add_argument("input", help="hypergraph file (JSON or text)")
@@ -264,7 +270,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--coeffs", help="coefficients JSON file for --objective weighted")
     p.add_argument("--grid", action="store_true", help="also run the grid oracle and keep the best")
-    p.add_argument("--grid-d", dest="grid_d", type=int, help="grid resolution (default 24)")
+    p.add_argument("--grid-d", dest="grid_d", type=_digits, help="grid resolution (default 24)")
     p.add_argument("--json", action="store_true")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_compute)
@@ -294,19 +300,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="build a planted instance family member")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--params", help="JSON object (inline or a file path)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_digits, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("sweep", help="generate-and-verify over a seed range, CSV out")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--theorem", required=True, help="theorem id, or comma-separated list")
-    p.add_argument("--seeds", required=True, help="range a..b or comma list")
+    p.add_argument("--seeds", required=True, type=_parse_seed_range,
+                   help="range a..b or comma list")
     p.add_argument("--params", help="JSON object (inline or a file path)")
     p.add_argument("--out", help="CSV path (stdout when omitted)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_digits, default=None,
                    help="worker processes, at most one per task (default or 0: cores)")
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--starts", type=_digits, default=16)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

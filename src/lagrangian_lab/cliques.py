@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .hypergraph import Hypergraph, _read_types
+from .hypergraph import Hypergraph, _read_int, _read_types
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ def max_complete_subgraph(h: Hypergraph, types: Iterable[int]) -> CliqueResult:
 
 def contains_complete(h: Hypergraph, t: int, types: Iterable[int]) -> bool:
     """Whether some t-subset is complete for ``types``; t = 0 is vacuously true."""
+    t = _read_int("t", t)
     if t <= 0:
         return True
     hits: list[tuple[int, ...]] = []

@@ -12,14 +12,15 @@ Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
 is a positive rational, ``density`` and ``extra_density`` are numbers in
 [0, 1], ``types`` is a list of positive ints, ``null`` means the default,
-and an unknown key raises. ``t6a``, ``t7a`` and ``ptz`` need r >= 3 and
-share one builder: it plants a clique on [t] and adds the m - lo extra
-edges of one window through vertex t+1. ``t6a`` and ``t7a`` plant every
-2- and r-edge on [t] with extra 2-edges (``t6a`` is ``t7a`` with m at the
-floor C(t, 2) of its 2-level window), and keep each other r-edge on [n]
-with probability ``extra_density`` (0.3). ``ptz`` plants the r-edges on
-[t] with extra r-edges and n = t+1. Every builder checks its vertex count
-and levels against the soft limits before it lists any edge.
+and an unknown key raises; ``gen_random`` reads ``density`` as they do.
+``t6a``, ``t7a`` and ``ptz`` need r >= 3 and share one builder: it plants
+a clique on [t] and adds the m - lo extra edges of one window through
+vertex t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t] with extra
+2-edges (``t6a`` is ``t7a`` with m at the floor C(t, 2) of its 2-level
+window), and keep each other r-edge on [n] with probability
+``extra_density`` (0.3). ``ptz`` plants the r-edges on [t] with extra
+r-edges and n = t+1. Every builder checks its vertex count and levels
+against the soft limits before it lists any edge.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from typing import Iterable, Mapping
 
 from .cliques import contains_complete
 from .compression import left_compress_fixpoint
-from .hypergraph import Edge, Hypergraph, _check_limits, _read_types, complete, validate
+from .hypergraph import Edge, Hypergraph, _check_limits, _read_int, _read_types, complete, validate
 from .theorems import (
     _read_params,
+    _read_real,
     check_hypotheses,
     pair_edge_window,
     strict_three_window,
@@ -53,12 +55,10 @@ def gen_random(n: int, types: Iterable[int], density: float, seed: int) -> Hyper
     """Independent per-edge sampling: each potential edge on a level of
     ``types`` kept with probability ``density``. Density 1 reproduces the
     complete T-pattern."""
-    ts = _read_types("types", types)
-    p = float(density)
-    if not 0.0 <= p <= 1.0:
-        raise GenerationError(f"density must be in [0, 1], got {p}")
+    n, ts = _read_int("n", n), _read_types("types", types)
+    p = _read_real("density", density)
     _check_limits(n)
-    rng = random.Random(seed)
+    rng = random.Random(_read_int("seed", seed))
     edges: list[Edge] = []
     for r in ts:
         for e in itertools.combinations(range(1, n + 1), r):
@@ -115,7 +115,7 @@ def _gen_tpzz_free(rng: random.Random, t: int, m: int, n: int) -> Hypergraph:
 def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hypergraph:
     """Build one instance of a named family; deterministic in (family, params, seed)."""
     p = _read_params(params)
-    rng = random.Random(seed)
+    rng = random.Random(_read_int("seed", seed))
     t, r = p.get("t", 4), p.get("r", 3)
     if family not in FAMILIES:
         raise GenerationError(f"unknown family {family!r}; choose from {FAMILIES}")

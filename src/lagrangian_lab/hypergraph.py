@@ -5,23 +5,27 @@ cardinality and kept as strictly increasing tuples, so each hypergraph has
 exactly one canonical form and equality/hashing are structural. Isolated
 vertices are allowed: n may exceed the number of covered vertices.
 
-An instance computes its per-level edge sets, index arrays, edge masks
-(bit v for vertex v) and clique link tables once, on first use, and keeps
-them: membership tests then cost O(1) instead of rehashing every edge, the
+An instance computes its per-level index arrays, edge masks (bit v for
+vertex v) and clique link tables once, on first use, and keeps them: the
 objective and every clique search read the same arrays and tables, and
-left-compression reads and writes masks. Link tables are built in numpy from
+left-compression reads and writes masks. A membership test is a binary
+search of the sorted level. Link tables are built in numpy from
 ``edge_array``: one sort of (key, vertex) packed into an int64, one OR per key.
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
-them. ``_read_types`` is the one reader of an edge-type set: a nonempty
-iterable, not a string, of ints from 1 to 6, as a sorted tuple without repeats.
+them. ``_read_int`` is the one reader of an integer value, and an integer
+written as text is ASCII digits (``_DIGITS``). ``_read_types`` is the one
+reader of an edge-type set: a nonempty iterable, not a string, of ints from
+1 to 6, as a sorted tuple without repeats.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -34,8 +38,9 @@ MAX_CARDINALITY = 6
 MAX_VERTICES = 24
 
 Edge = tuple[int, ...]
+# An integer written as text: ASCII digits only, where int() also reads '٣', '1_0' and '-1'.
+_DIGITS = "[0-9]+"
 
-_NO_EDGES: frozenset[Edge] = frozenset()
 _BIT = [1 << v for v in range(MAX_VERTICES + 1)].__getitem__
 # _BYTE_VERTICES[k][b]: the vertices 8k + i for the set bits i of byte b, lowest first.
 _BYTE_VERTICES = [[tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)]
@@ -77,13 +82,6 @@ class Hypergraph:
             if rr == r:
                 return es
         return ()
-
-    def edge_set(self, r: int) -> frozenset[Edge]:
-        return self._edge_sets.get(r, _NO_EDGES)
-
-    @cached_property
-    def _edge_sets(self) -> dict[int, frozenset[Edge]]:
-        return {r: frozenset(es) for r, es in self.levels}
 
     def edge_masks(self, r: int) -> frozenset[int]:
         """Level r's edges as int masks (bit v for vertex v)."""
@@ -142,7 +140,9 @@ class Hypergraph:
 
     def has_edge(self, e: Sequence[int]) -> bool:
         t = tuple(sorted(e))
-        return t in self.edge_set(len(t))
+        es = self.level_edges(len(t))
+        i = bisect_left(es, t)
+        return i < len(es) and es[i] == t
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{r}:{len(es)}" for r, es in self.levels)
@@ -223,26 +223,22 @@ def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
         if e[0] < 1 or e[-1] > n:
             bad = e[0] if e[0] < 1 else e[-1]
             raise HypergraphError(f"vertex {bad} out of range 1..{n} in edge {list(raw)}")
-        r = len(e)
-        if r > MAX_CARDINALITY:
-            raise HypergraphError(f"edge cardinality {r} exceeds the soft limit {MAX_CARDINALITY}")
-        bucket = per_level.setdefault(r, set())
+        bucket = per_level.setdefault(len(e), set())
         if e in bucket:
             raise HypergraphError(f"duplicate edge {list(e)} (after canonical sorting)")
         bucket.add(e)
+    _check_limits(n, per_level)
     return _build(n, per_level)
 
 
 def complete(n: int, types: Iterable[int]) -> Hypergraph:
     """The complete hypergraph on [n] with all edges of each cardinality in ``types``."""
+    n = _read_int("n", n)
     ts = _read_types("types", types)
     if ts[-1] > n:
         raise HypergraphError(f"max edge type {ts[-1]} exceeds n={n}")
     _check_limits(n)
-    per_level = {
-        r: [tuple(c) for c in itertools.combinations(range(1, n + 1), r)] for r in ts
-    }
-    return _build(n, per_level)
+    return _build(n, {r: list(itertools.combinations(range(1, n + 1), r)) for r in ts})
 
 
 def vertex_support(h: Hypergraph, r: int) -> frozenset[int]:
@@ -251,15 +247,12 @@ def vertex_support(h: Hypergraph, r: int) -> frozenset[int]:
 
 
 def relabel(h: Hypergraph, mapping: Mapping[int, int]) -> Hypergraph:
-    """Rename vertices by a bijection of [n] onto itself."""
-    if sorted(mapping) != list(range(1, h.n + 1)) or sorted(mapping.values()) != list(
-        range(1, h.n + 1)
-    ):
+    """Rename vertices by a bijection of [n] onto itself; each label is read by ``_read_int``."""
+    mapping = {_read_int("vertex", u): _read_int("vertex", v) for u, v in mapping.items()}
+    vertices = list(range(1, h.n + 1))
+    if sorted(mapping) != vertices or sorted(mapping.values()) != vertices:
         raise HypergraphError("relabeling must be a bijection on 1..n")
-    per_level: dict[int, list[Edge]] = {}
-    for r, es in h.levels:
-        per_level[r] = [tuple(sorted(mapping[v] for v in e)) for e in es]
-    return _build(h.n, per_level)
+    return _build(h.n, {r: [tuple(sorted(map(mapping.get, e))) for e in es] for r, es in h.levels})
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +280,12 @@ def from_text(text: str) -> Hypergraph:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise HypergraphError("empty hypergraph text")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise HypergraphError(f"first line must be the vertex count, got {lines[0]!r}") from exc
-    edges = []
+    if not re.fullmatch(_DIGITS, lines[0]):
+        raise HypergraphError(f"first line must be the vertex count, got {lines[0]!r}")
     for ln in lines[1:]:
-        try:
-            edges.append([int(tok) for tok in ln.split()])
-        except ValueError as exc:
-            raise HypergraphError(f"bad edge line {ln!r}") from exc
-    return validate(n, edges)
+        if not all(re.fullmatch(_DIGITS, tok) for tok in ln.split()):
+            raise HypergraphError(f"bad edge line {ln!r}")
+    return validate(int(lines[0]), [[int(tok) for tok in ln.split()] for ln in lines[1:]])
 
 
 def loads(text: str) -> Hypergraph:

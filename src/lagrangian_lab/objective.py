@@ -65,6 +65,7 @@ class Coefficients:
     alpha: tuple[tuple[int, Number], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "r0", _read_int("r0", self.r0))
         if self.r0 < 1:
             raise ValueError(f"base cardinality must be >= 1, got {self.r0}")
         alpha = tuple(sorted(dict(self.alpha).items()))
@@ -92,19 +93,17 @@ class Coefficients:
     def from_json(cls, text: str) -> "Coefficients":
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``, reading only
         ``r0`` and ``alpha``: another key or a malformed document raises
-        ``ValueError``. An integral float ``r0`` such as 3.0 is an int, a
-        boolean or fractional one an error. ``_read_level`` reads the
-        ``alpha`` keys, as it reads those of theorem parameters."""
+        ``ValueError``. The constructor reads ``r0``; ``_read_level`` reads
+        the ``alpha`` keys, as it reads those of theorem parameters."""
         doc = json.loads(text)
         try:
             if unknown := [repr(k) for k in doc.keys() if k not in ("r0", "alpha")]:
                 raise ValueError(f"unknown keys: {', '.join(unknown)} (the keys are r0 and alpha)")
             entries = doc.get("alpha", {}).items()
             alpha = {_read_level(r): _read_positive(f"alpha_{r}", a) for r, a in entries}
-            r0 = _read_int("r0", doc["r0"])
+            return cls(doc["r0"], alpha)
         except (KeyError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
-        return cls(r0, alpha)
 
 
 def flavour_coefficients(
@@ -158,10 +157,11 @@ def uniform_weights(n: int, support: Iterable[int] | None = None) -> np.ndarray:
 
 
 def rational_uniform(n: int, support: Iterable[int] | None = None) -> tuple[Fraction, ...]:
-    """Exact uniform weighting on a vertex subset."""
-    idx = sorted(set(support)) if support is not None else list(range(1, n + 1))
-    if not idx:
-        raise ValueError("support must be nonempty")
+    """Exact uniform weighting on a vertex subset of 1..n (all of it by default)."""
+    n = _read_int("n", n)
+    idx = range(1, n + 1) if support is None else sorted({_read_int("vertex", v) for v in support})
+    if not idx or idx[0] < 1 or idx[-1] > n:
+        raise ValueError(f"support must be a nonempty subset of 1..{n}, got {list(idx)}")
     w = Fraction(1, len(idx))
     x = [Fraction(0)] * n
     for v in idx:

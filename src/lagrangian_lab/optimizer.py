@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .cliques import max_complete_subgraph
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _read_int
 from .objective import Coefficients, Objective, uniform_weights
 
 _MIN_STEP = 1e-18
@@ -70,6 +70,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("starts", "max_iters", "seed"):  # by name: dataclasses.fields costs more
+            object.__setattr__(self, key, _read_int(key, getattr(self, key)))
         if min(self.starts, self.max_iters) < 1:
             raise ValueError("starts and max_iters must be positive")
 
@@ -359,6 +361,7 @@ def grid_oracle(
     raises ``ValueError``, and one whose grid has more than 10^7 points
     raises ``GridTooLargeError``.
     """
+    resolution = _read_int("resolution", resolution)
     obj = Objective(h, coeffs)
     if resolution < 1:
         raise ValueError(f"grid resolution must be a positive integer, got {resolution}")

@@ -35,16 +35,15 @@ def fast_cfg():
 
 def brute_force_max_complete(h, types):
     """Subset enumeration oracle, independent of the branch-and-bound search."""
-    ts = sorted(set(types))
+    levels = {r: frozenset(h.level_edges(r)) for r in sorted(set(types))}
     best = ()
     verts = range(1, h.n + 1)
     for size in range(h.n, 0, -1):
         for cand in itertools.combinations(verts, size):
             ok = True
-            for r in ts:
+            for r, es in levels.items():
                 if r > size:
                     continue
-                es = h.edge_set(r)
                 if any(tuple(c) not in es for c in itertools.combinations(cand, r)):
                     ok = False
                     break
@@ -210,7 +209,7 @@ def pair_quantities(h, coeffs, x, i, j):
     both, i_only, j_only = [], [], []
     for r, es in h.levels:
         a = float(coeffs.coefficient(r))
-        existing = h.edge_set(r)
+        existing = frozenset(h.level_edges(r))
         for e in es:
             has_i = i in e
             has_j = j in e
@@ -235,7 +234,7 @@ def is_complete_on(h, vertices, types):
     for r in sorted(set(types)):
         if r > len(s):
             continue
-        es = h.edge_set(r)
+        es = frozenset(h.level_edges(r))
         if any(c not in es for c in itertools.combinations(s, r)):
             return False
     return True

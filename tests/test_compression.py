@@ -52,7 +52,7 @@ class TestCompressHypergraph:
 def _brute_force_left_compressed(h):
     """Exhaust all (i, j, e) triples straight from the definition."""
     for r in h.edge_types:
-        es = h.edge_set(r)
+        es = frozenset(h.level_edges(r))
         for e in es:
             for i, j in itertools.combinations(range(1, h.n + 1), 2):
                 if j in e and i not in e:
@@ -78,7 +78,7 @@ def _tuple_step(h, i, j):
     when it moves no edge."""
     edges = []
     for r, es in h.levels:
-        existing = h.edge_set(r)
+        existing = frozenset(h.level_edges(r))
         edges.extend(img if (img := compress_edge(e, i, j)) not in existing else e for e in es)
     return None if edges == h.edges() else validate(h.n, edges)
 
@@ -123,9 +123,10 @@ class TestIsLeftCompressed:
 def _shift_one_edge_right(h, data):
     """``h`` with one edge moved one step right (v -> v + 1) into a free slot of
     its level; None when no edge can move."""
+    existing = {r: frozenset(h.level_edges(r)) for r in h.edge_types}
     moves = [(e, img) for r, es in h.levels for e in es for v in e
              if v < h.n and v + 1 not in e
-             and (img := tuple(sorted(set(e) - {v} | {v + 1}))) not in h.edge_set(r)]
+             and (img := tuple(sorted(set(e) - {v} | {v + 1}))) not in existing[r]]
     if not moves:
         return None
     e, img = data.draw(st.sampled_from(moves))

@@ -36,13 +36,13 @@ class TestGenRandom:
 
     def test_per_level_densities(self):
         """One density serves every level: a per-level map is refused."""
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"density must be a number in \[0, 1\]"):
             gen_random(5, (2, 3), {2: 1.0, 3: 0.0}, seed=1)
         with pytest.raises(ValueError, match=r"density must be a number in \[0, 1\]"):
             gen_planted("random-lc", {"types": (2, 3), "density": {2: 1.0, 3: 0.0}}, seed=1)
 
     def test_bad_density(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match=r"density must be a number in \[0, 1\], got 1\.5"):
             gen_random(4, (2,), 1.5, seed=0)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrangian_lab import cli
 from lagrangian_lab import hypergraph as hypergraph_module
 from lagrangian_lab import objective as objective_module
 from lagrangian_lab import optimizer as optimizer_module
@@ -20,11 +21,15 @@ from lagrangian_lab import (
     from_text,
     gen_planted,
     gen_random,
+    grid_oracle,
+    left_compress_fixpoint,
     loads,
     max_complete_subgraph,
     maximize,
+    rational_uniform,
     relabel,
     to_json,
+    uniform_weights,
     validate,
     vertex_support,
 )
@@ -226,12 +231,15 @@ class TestHashAndIndexes:
     def test_indexes_built_on_first_use(self):
         h = validate(4, [[1, 2], [2, 3, 4]])
         assert set(vars(h)) == {"n", "levels"}
-        assert h.edge_set(2) is h.edge_set(2)
-        assert h.edge_set(3) == frozenset({(2, 3, 4)})
+        # A membership test searches the sorted level and builds no view.
+        assert h.has_edge([4, 2, 3]) and not h.has_edge([1, 3])
+        assert set(vars(h)) == {"n", "levels"}
+        assert h.link_table(3) is h.link_table(3)
+        assert h.link_table(3) == {0b11000: 0b100, 0b10100: 0b1000, 0b01100: 0b10000}
 
     def test_absent_level(self):
         h = validate(4, [[1, 2], [2, 3, 4]])
-        assert h.edge_set(1) == frozenset() and h.edge_set(5) == frozenset()
+        assert h.level_edges(1) == () and h.level_edges(5) == ()
         assert not h.has_edge([1]) and not h.has_edge([1, 2, 3, 4])
 
     def test_no_module_level_cache(self):
@@ -263,12 +271,13 @@ class TestHashAndIndexes:
         h = gen_random(24, (1, 2, 3), 0.3, 5)
         g = hypergraph_module._from_masks(h.n, {r: h.edge_masks(r) for r in h.edge_types})
         for graph in (h, g):
-            graph.edge_set(2)
+            graph.edge_array(2)
             graph.link_table(2)
             back = pickle.loads(pickle.dumps(graph))
             assert back == graph and hash(back) == hash(graph)
             assert all(back.edge_masks(r) == graph.edge_masks(r) for r in graph.edge_types)
             assert back.link_table(2) == graph.link_table(2)
+            assert back.edge_array(2).tolist() == graph.edge_array(2).tolist()
 
 
 @pytest.mark.parametrize(
@@ -305,6 +314,8 @@ def test_link_table_matches_loop_reference(h):
                  "types must be a nonempty list of positive integers, got \\[0\\]",
                  id="<lambda>-edge type 0 must be >= 1"),
     (lambda: from_text("3\n1 x\n"), "bad edge line '1 x'"),
+    # validate names an oversized level as every other reader does.
+    (lambda: validate(8, [list(range(1, 8))]), "^edge type 7 exceeds the soft limit 6$"),
 ])
 def test_input_errors(build, message):
     with pytest.raises(HypergraphError, match=message):
@@ -343,3 +354,74 @@ def test_edge_type_set_read_sorted_without_repeats(entry):
     # 2.0 reads as 2, and repeats and order do not matter.
     read = _TYPE_SET_READERS[entry]
     assert read([3, 2.0, 3]) == read((2, 3))
+
+
+_K4 = complete(4, (2,))
+
+
+def _parse(*argv):
+    """The command line parsed as ``run`` parses it: a usage error raises
+    ``ValueError``, which ``run`` turns into exit 1."""
+    return lambda: cli._build_parser().parse_args(list(argv))
+
+
+# Each integer a public function or the command line takes: values are read
+# by ``_read_int`` (a bool, a string or a fractional float is an error) and
+# text is spelled as ``_DIGITS`` (ASCII digits only).
+@pytest.mark.parametrize("build, message", [
+    (lambda: rational_uniform(3, [0]), r"support must be a nonempty subset of 1\.\.3, got \[0\]"),
+    (lambda: rational_uniform(3, [-1]), r"support must be a nonempty subset of 1\.\.3, got \[-1\]"),
+    (lambda: uniform_weights(3, [4]), r"support must be a nonempty subset of 1\.\.3, got \[4\]"),
+    (lambda: rational_uniform(3, [1.5]), "vertex must be an integer, got 1.5"),
+    (lambda: relabel(_K4, {1: 1, 2: 2, 3: 3, 4: "4"}), "vertex must be an integer, got '4'"),
+    (lambda: complete(True, (1,)), "n must be an integer, got True"),
+    (lambda: complete(2.5, (2,)), "n must be an integer, got 2.5"),
+    (lambda: gen_random(2.5, (2,), 0.5, 0), "n must be an integer, got 2.5"),
+    (lambda: gen_random(5, (2,), "0.5", 0), r"density must be a number in \[0, 1\], got '0.5'"),
+    (lambda: gen_random(5, (2,), True, 0), r"density must be a number in \[0, 1\], got True"),
+    (lambda: gen_random(5, (2,), 0.5, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: gen_planted("t6a", {"t": 4}, "a"), "seed must be an integer, got 'a'"),
+    (lambda: SolverConfig(starts=2.5), "starts must be an integer, got 2.5"),
+    (lambda: SolverConfig(max_iters=2.5), "max_iters must be an integer, got 2.5"),
+    (lambda: SolverConfig(starts=True), "starts must be an integer, got True"),
+    (lambda: grid_oracle(_K4, Coefficients(2), True), "resolution must be an integer, got True"),
+    (lambda: contains_complete(_K4, True, (2,)), "t must be an integer, got True"),
+    (lambda: Coefficients(True), "r0 must be an integer, got True"),
+    (lambda: from_text("12\n1_0 2\n"), "bad edge line '1_0 2'"),
+    (lambda: from_text("\u0661\u0662\n1 2\n"), "first line must be the vertex count"),
+    (_parse("compute", "g.json", "--starts", "\u0663"), "argument --starts: .*ASCII digits"),
+    (_parse("compute", "g.json", "--starts", "1_6"), "argument --starts: .*ASCII digits"),
+    (_parse("compute", "g.json", "--max-iters", "1_0"), "argument --max-iters: .*ASCII digits"),
+    (_parse("compute", "g.json", "--grid", "--grid-d", "\u0663"), "argument --grid-d: .*ASCII"),
+    (_parse("generate", "--family", "t6a", "--seed", "\u0663"), "argument --seed: .*ASCII digits"),
+    (_parse("generate", "--family", "t6a", "--seed", "-1"), "argument --seed: .*ASCII digits"),
+    (_parse("sweep", "--family", "t6a", "--theorem", "TWO_R_T6a", "--seeds", "\u0662..\u0663"),
+     "argument --seeds: .*ASCII digits"),
+    (_parse("sweep", "--family", "t6a", "--theorem", "TWO_R_T6a", "--seeds", "1", "--jobs",
+            "\u0662"), "argument --jobs: .*ASCII digits"),
+])
+def test_integer_rejected_by_one_reader(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _shown(value) -> str:
+    return to_json(value) if isinstance(value, Hypergraph) else repr(value)
+
+
+# An integral float reads as the int it equals, wherever an integer is taken.
+@pytest.mark.parametrize("read, expected", [
+    (lambda: relabel(_K4, {1: 1, 2: 2, 3: 3, 4: 4.0}), lambda: _K4),
+    (lambda: left_compress_fixpoint(relabel(_K4, {1: 2.0, 2: 1, 3: 3, 4: 4})), lambda: _K4),
+    (lambda: complete(4.0, (2,)), lambda: _K4),
+    (lambda: gen_random(6.0, (2, 3), 0.5, 3.0), lambda: gen_random(6, (2, 3), 0.5, 3)),
+    (lambda: gen_planted("t6a", {"t": 4}, 1.0), lambda: gen_planted("t6a", {"t": 4}, 1)),
+    (lambda: rational_uniform(3.0, [2.0, 3]), lambda: rational_uniform(3, [2, 3])),
+    (lambda: SolverConfig(2.0, 10.0, 1.0), lambda: SolverConfig(2, 10, 1)),
+    (lambda: grid_oracle(_K4, Coefficients(2), 2.0), lambda: grid_oracle(_K4, Coefficients(2), 2)),
+    (lambda: contains_complete(_K4, 4.0, (2,)), lambda: True),
+    (lambda: Coefficients(2.0), lambda: Coefficients(2)),
+], ids=["relabel", "relabel-fixpoint", "complete", "gen_random", "gen_planted", "rational_uniform",
+        "SolverConfig", "grid_oracle", "contains_complete", "Coefficients"])
+def test_integral_float_read_as_int(read, expected):
+    assert _shown(read()) == _shown(expected())

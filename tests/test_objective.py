@@ -428,7 +428,9 @@ def test_zero_weight_vertex_deletion_invariance():
 
 @pytest.mark.parametrize("build,message", [
     (lambda: Coefficients(r0=0), "base cardinality must be >= 1, got 0"),
-    (lambda: rational_uniform(3, []), "support must be nonempty"),
+    # The message now names 1..n; the id is the one the case had before.
+    pytest.param(lambda: rational_uniform(3, []), r"support must be a nonempty subset of 1\.\.3",
+                 id="<lambda>-support must be nonempty"),
     (lambda: check_rational_feasible((Fraction(1, 2),) * 2, 3),
      "weight vector has length 2, expected 3"),
     (lambda: check_rational_feasible((Fraction(3, 2), Fraction(-1, 2))),
