@@ -6,7 +6,7 @@ the target hypotheses do not read, so a failed check means an infeasible
 parameter window and raises rather than resampling; the error names each
 failed condition with its detail. ``tpzz-free`` samples until it finds a
 clique-free graph, with a bounded retry budget. Generation is a pure
-function of (family, parameters, seed).
+function of (family, parameters, seed); a seed is a non-negative integer.
 
 Parameters are read by ``theorems._read_params``, as the theorems read
 them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .cliques import contains_complete
@@ -58,7 +57,7 @@ def gen_random(n: int, types: Iterable[int], density: float, seed: int) -> Hyper
     n, ts = _read_int("n", n), _read_types("types", types)
     p = _read_real("density", density)
     _check_limits(n)
-    rng = random.Random(_read_int("seed", seed))
+    rng = random.Random(_read_int("seed", seed, 0))
     edges: list[Edge] = []
     for r in ts:
         for e in itertools.combinations(range(1, n + 1), r):
@@ -115,7 +114,7 @@ def _gen_tpzz_free(rng: random.Random, t: int, m: int, n: int) -> Hypergraph:
 def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hypergraph:
     """Build one instance of a named family; deterministic in (family, params, seed)."""
     p = _read_params(params)
-    rng = random.Random(_read_int("seed", seed))
+    rng = random.Random(_read_int("seed", seed, 0))
     t, r = p.get("t", 4), p.get("r", 3)
     if family not in FAMILIES:
         raise GenerationError(f"unknown family {family!r}; choose from {FAMILIES}")

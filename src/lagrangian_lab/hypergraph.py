@@ -14,10 +14,10 @@ search of the sorted level. Link tables are built in numpy from
 
 Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
 elsewhere in the package tractable; ``validate`` and ``complete`` enforce
-them. ``_read_int`` is the one reader of an integer value, and an integer
-written as text is ASCII digits (``_DIGITS``). ``_read_types`` is the one
-reader of an edge-type set: a nonempty iterable, not a string, of ints from
-1 to 6, as a sorted tuple without repeats.
+them. ``_read_int`` is the one reader of an integer value, with an optional
+floor of 1 or 0; an integer written as text is ASCII digits (``_DIGITS``).
+``_read_types`` is the one reader of an edge-type set: a nonempty
+iterable, not a string, of ints from 1 to 6, as a sorted tuple without repeats.
 """
 
 from __future__ import annotations
@@ -51,12 +51,16 @@ class HypergraphError(ValueError):
     """Malformed hypergraph input: bad vertex, duplicate or empty edge, bad edge-type set."""
 
 
-def _read_int(key: str, value) -> int:
-    """An int, or an integral float as an int; never a bool or a string."""
+def _read_int(key: str, value, least: int | None = None) -> int:
+    """An int, or an integral float as an int; never a bool or a string.
+    A floor ``least`` of 1 or 0 also rejects a smaller value."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be a {'positive' if least else 'non-negative'} integer, "
+                         f"got {value}")
     return int(value)
 
 
@@ -183,10 +187,10 @@ def _read_types(key: str, types) -> tuple[int, ...]:
     """An edge-type set as a sorted tuple without repeats: each entry read by
     ``_read_int``, at least 1 and within the soft limit, and at least one."""
     try:
-        ts = sorted({_read_int(key, r) for r in types}) if not isinstance(types, str) else []
-    except (TypeError, ValueError):  # not iterable, or an entry is not an int
+        ts = sorted({_read_int(key, r, 1) for r in types}) if not isinstance(types, str) else []
+    except (TypeError, ValueError):  # not iterable, or an entry is not a positive int
         ts = []
-    if not ts or ts[0] < 1:
+    if not ts:
         raise HypergraphError(f"{key} must be a nonempty list of positive integers, got {types!r}")
     _check_limits(0, ts)
     return tuple(ts)

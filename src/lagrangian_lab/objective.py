@@ -3,16 +3,18 @@
 One evaluator, :class:`Objective`, computes the weighted program
 L(x) = sum_r alpha_r sum_{e in E_r} prod_{i in e} x_i, its gradient and its
 Hessian on a batch of points: the base-cardinality level has coefficient 1
-and each higher level r a positive coefficient alpha_r. All three add up
-k-terms, the edge products with k = 0, 1 or 2 positions left out, and one
-kernel yields them in one order: per level (r increasing), per k-subset S
-of edge positions (lexicographic), per edge, the coefficient and the
-product of the weights outside S, multiplied left to right. A value sums
-each level's products pairwise (numpy's summation), scales the sum by the
-coefficient and adds the levels in turn. An entry of the gradient (k = 1)
-or of the Hessian's upper triangle (k = 2, mirrored below a zero diagonal)
-starts from 0 and adds, in term order, the coefficient times each product
-whose left-out positions hold its indices.
+and each higher level r a positive coefficient alpha_r, which
+``Coefficients`` reads by ``_read_positive`` (its level by ``_read_level``)
+and keeps as a ``Fraction``. All three add up k-terms, the edge products
+with k = 0, 1 or 2 positions left out, and one kernel yields them in one
+order: per level (r increasing), per k-subset S of edge positions
+(lexicographic), per edge, the coefficient and the product of the weights
+outside S, multiplied left to right. A value sums each level's products
+pairwise (numpy's summation), scales the sum by the coefficient and adds
+the levels in turn. An entry of the gradient (k = 1) or of the Hessian's
+upper triangle (k = 2, mirrored below a zero diagonal) starts from 0 and
+adds, in term order, the coefficient times each product whose left-out
+positions hold its indices.
 
 :func:`flavour_coefficients` is the one map from an objective flavour to
 ``L``: it returns the coefficients and the scale with flavour = scale * L.
@@ -56,27 +58,24 @@ class Coefficients:
 
     The base cardinality ``r0`` always has coefficient 1; ``alpha``, a mapping
     or (level, value) pairs, gives each higher cardinality a positive
-    constant. Values may be exact ``Fraction``s, which flow unchanged into
-    the exact evaluation mode. Coverage of a hypergraph's levels is checked
-    at call time, so one value can serve a whole family of graphs.
+    constant, read by ``_read_level`` (key) and ``_read_positive`` (value) and
+    kept as a ``Fraction``. Coverage of a hypergraph's levels is checked at
+    call time, so one value can serve a whole family of graphs.
     """
 
     r0: int
-    alpha: tuple[tuple[int, Number], ...] = ()
+    alpha: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "r0", _read_int("r0", self.r0))
-        if self.r0 < 1:
-            raise ValueError(f"base cardinality must be >= 1, got {self.r0}")
-        alpha = tuple(sorted(dict(self.alpha).items()))
-        object.__setattr__(self, "alpha", alpha)
-        for r, a in alpha:
+        object.__setattr__(self, "r0", _read_int("r0", self.r0, 1))
+        alpha = {_read_level(r): _read_positive(f"alpha_{r}", a)
+                 for r, a in dict(self.alpha).items()}
+        object.__setattr__(self, "alpha", tuple(sorted(alpha.items())))
+        for r, _ in self.alpha:
             if r <= self.r0:
                 raise ValueError(f"alpha keys must exceed the base cardinality {self.r0}, got {r}")
-            if a <= 0:
-                raise ValueError(f"alpha_{r} must be positive, got {a}")
 
-    def coefficient(self, r: int) -> Number:
+    def coefficient(self, r: int) -> int | Fraction:
         if r == self.r0:
             return 1
         for rr, a in self.alpha:
@@ -92,16 +91,13 @@ class Coefficients:
     @classmethod
     def from_json(cls, text: str) -> "Coefficients":
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``, reading only
-        ``r0`` and ``alpha``: another key or a malformed document raises
-        ``ValueError``. The constructor reads ``r0``; ``_read_level`` reads
-        the ``alpha`` keys, as it reads those of theorem parameters."""
+        ``r0`` and ``alpha`` (by the constructor): another key or a
+        malformed document raises ``ValueError``."""
         doc = json.loads(text)
         try:
             if unknown := [repr(k) for k in doc.keys() if k not in ("r0", "alpha")]:
                 raise ValueError(f"unknown keys: {', '.join(unknown)} (the keys are r0 and alpha)")
-            entries = doc.get("alpha", {}).items()
-            alpha = {_read_level(r): _read_positive(f"alpha_{r}", a) for r, a in entries}
-            return cls(doc["r0"], alpha)
+            return cls(doc["r0"], doc.get("alpha", {}).items())
         except (KeyError, AttributeError, TypeError) as exc:
             raise ValueError(f"malformed coefficients document: {exc!r}") from None
 
@@ -323,6 +319,6 @@ def eval_exact(h: Hypergraph, coeffs: Coefficients, x: Sequence[Fraction]) -> Fr
     total = Fraction(0)
     for r, es in h.levels:
         s_r = sum(math.prod(k[v - 1] for v in e) for e in es)
-        total += Fraction(coeffs.coefficient(r)) * Fraction(s_r, d**r)
+        total += coeffs.coefficient(r) * Fraction(s_r, d**r)
     return total
 

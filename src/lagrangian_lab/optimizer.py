@@ -70,10 +70,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("starts", "max_iters", "seed"):  # by name: dataclasses.fields costs more
-            object.__setattr__(self, key, _read_int(key, getattr(self, key)))
-        if min(self.starts, self.max_iters) < 1:
-            raise ValueError("starts and max_iters must be positive")
+        for key, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):  # fields() costs more
+            object.__setattr__(self, key, _read_int(key, getattr(self, key), least))
 
 
 @dataclass(frozen=True)
@@ -361,10 +359,8 @@ def grid_oracle(
     raises ``ValueError``, and one whose grid has more than 10^7 points
     raises ``GridTooLargeError``.
     """
-    resolution = _read_int("resolution", resolution)
     obj = Objective(h, coeffs)
-    if resolution < 1:
-        raise ValueError(f"grid resolution must be a positive integer, got {resolution}")
+    resolution = _read_int("grid resolution", resolution, 1)
     count = math.comb(resolution + h.n - 1, h.n - 1)
     if count > 10_000_000:
         raise GridTooLargeError(f"grid with D={resolution}, n={h.n} has {count} points (limit 10^7)")

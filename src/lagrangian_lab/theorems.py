@@ -199,20 +199,17 @@ def _read_params(params: Mapping | None) -> dict:
     p = {k: v for k, v in raw.items() if v is not None}
     for key, value in p.items():
         if key in ("t", "r", "n", "m"):
-            p[key] = _read_int(key, value)
+            p[key] = _read_int(key, value, 1 if key == "t" else None)
         elif key.startswith("alpha_"):
             p[key] = _read_positive(key, value)
         elif key in ("density", "extra_density"):
             p[key] = _read_real(key, value)
         elif key == "types":
             p[key] = _read_types(key, value)
-    if "alpha" in p:
-        if not isinstance(p["alpha"], Mapping):
-            raise ValueError(f"alpha must map levels to coefficients, got {p['alpha']!r}")
-        entries = p["alpha"].items()
-        p["alpha"] = {_read_level(k): _read_positive(f"alpha[{k}]", v) for k, v in entries}
-    if p.get("t", 1) < 1:
-        raise ValueError(f"t must be a positive integer, got {p['t']!r}")
+        elif key == "alpha":
+            if not isinstance(value, Mapping):
+                raise ValueError(f"alpha must map levels to coefficients, got {value!r}")
+            p[key] = {_read_level(k): _read_positive(f"alpha[{k}]", v) for k, v in value.items()}
     if "r" in p:
         _check_limits(0, (p["r"],))
     return p
@@ -320,9 +317,9 @@ class _Checker:
     def t(self) -> int | None:
         return self.derived.get("t")
 
-    def coef(self, v: int) -> Fraction:
+    def coef(self, v: int) -> int | Fraction:
         """The flavour's coefficient on level v, 1 on the base level."""
-        return Fraction(self.row.coeffs.coefficient(v))
+        return self.row.coeffs.coefficient(v)
 
     def cond(self, name: str, ok, detail: str = "") -> None:
         self.conds.append(ConditionCheck(name, bool(ok), detail))

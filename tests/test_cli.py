@@ -601,7 +601,7 @@ class TestSweepSeedsAndFailures:
         out = tmp_path / "y.csv"
         args = ["--theorem", "PTZ", "--seeds", "1..2", "--starts", "0", "--out", str(out)]
         assert run(self.BASE + args) == 1
-        assert capsys.readouterr().err == "error: starts and max_iters must be positive\n"
+        assert capsys.readouterr().err == "error: starts must be a positive integer, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["1,,2", "a..3", "5..3", "", "٢..٣"],

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from lagrangian_lab import (
     Coefficients,
     MissingCoefficientError,
+    SolverConfig,
     check_rational_feasible,
     complete,
     eval_exact,
     eval_L,
     flavour_coefficients,
+    gen_planted,
     gen_random,
     gradient,
     grid_oracle,
@@ -128,6 +130,59 @@ class TestCoefficients:
         for call in (Objective, maximize, lambda h, c: grid_oracle(h, c, 0)):
             with pytest.raises(MissingCoefficientError, match="cardinality 3"):
                 call(h, Coefficients(2, {}))
+
+
+# Each number a constructor or generator keeps is read where it is stored,
+# by the package's rule for its kind: each of these was once kept as given.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Coefficients(2, {3: float("nan")}),
+                 "alpha_3 must be a positive number, got nan", id="alpha-nan"),
+    pytest.param(lambda: Coefficients(2, {3: float("inf")}),
+                 "alpha_3 must be a positive number, got inf", id="alpha-inf"),
+    pytest.param(lambda: Coefficients(2, {3: True}),
+                 "alpha_3 must be a positive number, got True", id="alpha-bool"),
+    pytest.param(lambda: flavour_coefficients("L", (2, 3), {3: float("nan")}),
+                 "alpha_3 must be a positive number, got nan", id="flavour-L-nan"),
+    pytest.param(lambda: Coefficients(2, {3.5: 1}),
+                 "alpha keys must be positive integer levels, got 3.5", id="key-fractional"),
+    pytest.param(lambda: Coefficients(2, {3.0: 1}),
+                 "alpha keys must be positive integer levels, got 3.0", id="key-float"),
+    pytest.param(lambda: SolverConfig(seed=-1),
+                 "seed must be a non-negative integer, got -1", id="SolverConfig-seed"),
+    pytest.param(lambda: gen_random(8, (2, 3), 0.5, -7),
+                 "seed must be a non-negative integer, got -7", id="gen_random-seed"),
+    pytest.param(lambda: gen_planted("t6a", {"t": 4}, -3),
+                 "seed must be a non-negative integer, got -3", id="gen_planted-seed"),
+])
+def test_stored_number_rejected_where_kept(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+class TestCoefficientsReadTheirWeights:
+    """``Coefficients`` reads each alpha key by ``_read_level`` and each value
+    by ``_read_positive``, as theorem parameters are read, and keeps the
+    values as ``Fraction``s."""
+
+    @pytest.mark.parametrize("alpha, expected", [
+        ({3: "3/2"}, {3: Fraction(3, 2)}),
+        ({"3": 1}, {3: 1}),
+        ({"4": "1/3", 3: 2.5}, {3: Fraction(5, 2), 4: Fraction(1, 3)}),
+    ])
+    def test_text_keys_and_values_accepted(self, alpha, expected):
+        assert Coefficients(2, alpha) == Coefficients(2, expected)
+
+    def test_values_kept_as_fractions(self):
+        c = Coefficients(2, {3: 0.5})
+        assert c.alpha == ((3, Fraction(1, 2)),)
+        assert type(c.alpha[0][1]) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+    def test_float_values_reach_the_solver_unchanged(self, a):
+        c = Coefficients(2, {3: a})
+        assert float(c.coefficient(3)) == a
+        assert Objective(complete(3, (2, 3)), c)._levels[1][0] == a
 
 
 class TestFeasibility:
@@ -427,7 +482,9 @@ def test_zero_weight_vertex_deletion_invariance():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: Coefficients(r0=0), "base cardinality must be >= 1, got 0"),
+    # r0 is read by _read_int's floor; the id is the one the case had before.
+    pytest.param(lambda: Coefficients(r0=0), "r0 must be a positive integer, got 0",
+                 id="<lambda>-base cardinality must be >= 1, got 0"),
     # The message now names 1..n; the id is the one the case had before.
     pytest.param(lambda: rational_uniform(3, []), r"support must be a nonempty subset of 1\.\.3",
                  id="<lambda>-support must be nonempty"),
