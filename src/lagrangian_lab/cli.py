@@ -13,7 +13,7 @@ builds each seed's instance once, checks every (seed, theorem) pair's alpha
 keys on it before any solve, then seeds each solve with that instance's seed
 and uses 16 starts unless --starts sets them. Integer flags (--starts,
 --max-iters, --seed, --jobs, --grid-d) and --seeds tokens are non-negative
-ints in ASCII digits.
+ints in ASCII digits. A JSON object that repeats a key is an error.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from ._readers import _DIGITS, _LEVEL, _load_json
 from .cliques import max_complete_subgraph
 from .compression import is_left_compressed, left_compress_fixpoint
 from .generators import FAMILIES, gen_planted
-from .hypergraph import _DIGITS, Hypergraph, dump, load, to_json
-from .objective import _LEVEL, Coefficients, flavour_coefficients
+from .hypergraph import Hypergraph, dump, load, to_json
+from .objective import Coefficients, flavour_coefficients
 from .optimizer import SolverConfig, grid_oracle, maximize, polish
 from .theorems import _Checker, theorem_ids, verify
 
@@ -68,7 +69,7 @@ def _load_params(text: str | None) -> dict:
         is_file = path.is_file()
     except OSError:  # inline JSON can be longer than a file name may be
         is_file = False
-    doc = json.loads(path.read_text() if is_file else text)
+    doc = _load_json(path.read_text() if is_file else text)
     if not isinstance(doc, dict):
         raise ValueError("--params must be a JSON object")
     return doc

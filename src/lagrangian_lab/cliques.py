@@ -4,7 +4,7 @@ Completeness for a type set T is hereditary (every subset of a complete set
 is complete), so one depth-first search over vertices in increasing label
 order is exact; instances are desk-scale by design, so there is no
 approximate fallback. The search is one function, ``_search``; it reads T
-by ``hypergraph._read_types``.
+as ``_readers`` reads an edge-type set.
 
 Vertex sets are integer bitmasks (bit v for vertex v). Every search on an
 instance reads the link tables the instance keeps (``Hypergraph.link_table``:
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .hypergraph import Hypergraph, _read_int, _read_types
+from ._readers import _read_int, _read_types
+from .hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,8 @@ failed condition with its detail. ``tpzz-free`` samples until it finds a
 clique-free graph, with a bounded retry budget. Generation is a pure
 function of (family, parameters, seed); a seed is a non-negative integer.
 
-Parameters are read by ``theorems._read_params``, as the theorems read
-them: ``t`` (default 4), ``r`` (3), ``n`` and ``m`` are ints, ``alpha_r``
-is a positive rational, ``density`` and ``extra_density`` are numbers in
-[0, 1], ``types`` is a list of positive ints, ``null`` means the default,
-and an unknown key raises; ``gen_random`` reads ``density`` as they do.
+Parameters are read by ``_readers._read_params``, as the theorems read
+them; ``t`` defaults to 4, ``r`` to 3, and ``null`` means the default.
 ``t6a``, ``t7a`` and ``ptz`` need r >= 3 and share one builder: it plants
 a clique on [t] and adds the m - lo extra edges of one window through
 vertex t+1. ``t6a`` and ``t7a`` plant every 2- and r-edge on [t] with extra
@@ -29,17 +26,11 @@ import itertools
 import random
 from typing import Iterable, Mapping
 
+from ._readers import _check_limits, _read_int, _read_params, _read_real, _read_types
 from .cliques import contains_complete
 from .compression import left_compress_fixpoint
-from .hypergraph import Edge, Hypergraph, _check_limits, _read_int, _read_types, complete, validate
-from .theorems import (
-    _read_params,
-    _read_real,
-    check_hypotheses,
-    pair_edge_window,
-    strict_three_window,
-    uniform_edge_window,
-)
+from .hypergraph import Edge, Hypergraph, complete, validate
+from .theorems import check_hypotheses, pair_edge_window, strict_three_window, uniform_edge_window
 
 _MAX_RETRIES = 1000
 

@@ -12,12 +12,8 @@ left-compression reads and writes masks. A membership test is a binary
 search of the sorted level. Link tables are built in numpy from
 ``edge_array``: one sort of (key, vertex) packed into an int64, one OR per key.
 
-Desk-scale soft limits (n <= 24, r <= 6) keep the enumeration oracles
-elsewhere in the package tractable; ``validate`` and ``complete`` enforce
-them. ``_read_int`` is the one reader of an integer value, with an optional
-floor of 1 or 0; an integer written as text is ASCII digits (``_DIGITS``).
-``_read_types`` is the one reader of an edge-type set: a nonempty
-iterable, not a string, of ints from 1 to 6, as a sorted tuple without repeats.
+Every input is read by the rules of ``_readers``, the soft limits (n <= 24,
+r <= 6) among them: ``validate`` and ``complete`` enforce them.
 """
 
 from __future__ import annotations
@@ -28,40 +24,20 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-MAX_CARDINALITY = 6
-MAX_VERTICES = 24
+from ._readers import (_DIGITS, MAX_VERTICES, HypergraphError, _check_limits, _load_json,
+                       _read_int, _read_types)
 
 Edge = tuple[int, ...]
-# An integer written as text: ASCII digits only, where int() also reads '٣', '1_0' and '-1'.
-_DIGITS = "[0-9]+"
 
 _BIT = [1 << v for v in range(MAX_VERTICES + 1)].__getitem__
 # _BYTE_VERTICES[k][b]: the vertices 8k + i for the set bits i of byte b, lowest first.
 _BYTE_VERTICES = [[tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)]
                   for k in range(4)]
-
-
-class HypergraphError(ValueError):
-    """Malformed hypergraph input: bad vertex, duplicate or empty edge, bad edge-type set."""
-
-
-def _read_int(key: str, value, least: int | None = None) -> int:
-    """An int, or an integral float as an int; never a bool or a string.
-    A floor ``least`` of 1 or 0 also rejects a smaller value."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{key} must be a {'positive' if least else 'non-negative'} integer, "
-                         f"got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -173,29 +149,6 @@ def _from_masks(n: int, levels: Mapping[int, Collection[int]]) -> Hypergraph:
     return h
 
 
-def _check_limits(n: int, types: Iterable[int] = ()) -> None:
-    """Raise ``HypergraphError`` if n or a level in ``types`` exceeds its
-    soft limit; builders call it before they list any edge."""
-    if n > MAX_VERTICES:
-        raise HypergraphError(f"n={n} exceeds the soft limit {MAX_VERTICES}")
-    for r in types:
-        if r > MAX_CARDINALITY:
-            raise HypergraphError(f"edge type {r} exceeds the soft limit {MAX_CARDINALITY}")
-
-
-def _read_types(key: str, types) -> tuple[int, ...]:
-    """An edge-type set as a sorted tuple without repeats: each entry read by
-    ``_read_int``, at least 1 and within the soft limit, and at least one."""
-    try:
-        ts = sorted({_read_int(key, r, 1) for r in types}) if not isinstance(types, str) else []
-    except (TypeError, ValueError):  # not iterable, or an entry is not a positive int
-        ts = []
-    if not ts:
-        raise HypergraphError(f"{key} must be a nonempty list of positive integers, got {types!r}")
-    _check_limits(0, ts)
-    return tuple(ts)
-
-
 def validate(n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Canonicalize raw edge lists into a Hypergraph.
 
@@ -271,8 +224,8 @@ def to_json(h: Hypergraph) -> str:
 
 def from_json(text: str) -> Hypergraph:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _load_json(text)
+    except ValueError as exc:
         raise HypergraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise HypergraphError('hypergraph JSON must be {"n": int, "edges": [[...], ...]}')

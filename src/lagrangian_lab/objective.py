@@ -4,17 +4,16 @@ One evaluator, :class:`Objective`, computes the weighted program
 L(x) = sum_r alpha_r sum_{e in E_r} prod_{i in e} x_i, its gradient and its
 Hessian on a batch of points: the base-cardinality level has coefficient 1
 and each higher level r a positive coefficient alpha_r, which
-``Coefficients`` reads by ``_read_positive`` (its level by ``_read_level``)
-and keeps as a ``Fraction``. All three add up k-terms, the edge products
-with k = 0, 1 or 2 positions left out, and one kernel yields them in one
-order: per level (r increasing), per k-subset S of edge positions
-(lexicographic), per edge, the coefficient and the product of the weights
-outside S, multiplied left to right. A value sums each level's products
-pairwise (numpy's summation), scales the sum by the coefficient and adds
-the levels in turn. An entry of the gradient (k = 1) or of the Hessian's
-upper triangle (k = 2, mirrored below a zero diagonal) starts from 0 and
-adds, in term order, the coefficient times each product whose left-out
-positions hold its indices.
+``Coefficients`` reads as ``_readers`` says and keeps as a ``Fraction``.
+All three add up k-terms, the edge products with k = 0, 1 or 2 positions
+left out, and one kernel yields them in one order: per level (r increasing),
+per k-subset S of edge positions (lexicographic), per edge, the coefficient
+and the product of the weights outside S, multiplied left to right. A value
+sums each level's products pairwise (numpy's summation), scales the sum by
+the coefficient and adds the levels in turn. An entry of the gradient
+(k = 1) or of the Hessian's upper triangle (k = 2, mirrored below a zero
+diagonal) starts from 0 and adds, in term order, the coefficient times each
+product whose left-out positions hold its indices.
 
 :func:`flavour_coefficients` is the one map from an objective flavour to
 ``L``: it returns the coefficients and the scale with flavour = scale * L.
@@ -33,19 +32,17 @@ builds one ``Fraction`` per level.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _read_int
+from ._readers import _load_json, _read_alpha, _read_int
+from .hypergraph import Hypergraph
 
 Number = float | int | Fraction
-_LEVEL = "[1-9][0-9]*"  # a level in a key: one spelling, ASCII digits, no leading 0
 
 
 class MissingCoefficientError(ValueError):
@@ -56,11 +53,11 @@ class MissingCoefficientError(ValueError):
 class Coefficients:
     """Per-cardinality weights for the polynomial program.
 
-    The base cardinality ``r0`` always has coefficient 1; ``alpha``, a mapping
-    or (level, value) pairs, gives each higher cardinality a positive
-    constant, read by ``_read_level`` (key) and ``_read_positive`` (value) and
-    kept as a ``Fraction``. Coverage of a hypergraph's levels is checked at
-    call time, so one value can serve a whole family of graphs.
+    The base cardinality ``r0`` always has coefficient 1; ``alpha``, an
+    ``alpha`` map as ``_readers`` reads it, gives each higher cardinality a
+    positive constant, kept as a ``Fraction``. Coverage of a hypergraph's
+    levels is checked at call time, so one value can serve a whole family of
+    graphs.
     """
 
     r0: int
@@ -68,9 +65,7 @@ class Coefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "r0", _read_int("r0", self.r0, 1))
-        alpha = {_read_level(r): _read_positive(f"alpha_{r}", a)
-                 for r, a in dict(self.alpha).items()}
-        object.__setattr__(self, "alpha", tuple(sorted(alpha.items())))
+        object.__setattr__(self, "alpha", tuple(sorted(_read_alpha(self.alpha, "alpha_{}").items())))
         for r, _ in self.alpha:
             if r <= self.r0:
                 raise ValueError(f"alpha keys must exceed the base cardinality {self.r0}, got {r}")
@@ -93,7 +88,7 @@ class Coefficients:
         """Parse ``{"r0": int, "alpha": {"r": number, ...}}``, reading only
         ``r0`` and ``alpha`` (by the constructor): another key or a
         malformed document raises ``ValueError``."""
-        doc = json.loads(text)
+        doc = _load_json(text)
         try:
             if unknown := [repr(k) for k in doc.keys() if k not in ("r0", "alpha")]:
                 raise ValueError(f"unknown keys: {', '.join(unknown)} (the keys are r0 and alpha)")
@@ -118,27 +113,6 @@ def flavour_coefficients(
     if flavour == "L":
         return Coefficients(r0, {r: a for r, a in (alpha or {}).items() if r > r0}), 1
     raise ValueError(f"unknown objective flavour {flavour!r}")
-
-
-def _read_positive(key: str, value) -> Fraction:
-    """An int, float, ``Fraction`` or "p/q" string above 0 and within float
-    range (the solver reads it as a float), as a ``Fraction``."""
-    try:
-        a = None if isinstance(value, bool) else Fraction(value)
-        float(a or 0)  # past float range: OverflowError
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        a = None
-    if a is None or a <= 0:
-        raise ValueError(f"{key} must be a positive number, got {value!r}")
-    return a
-
-
-def _read_level(key) -> int:
-    """An ``alpha`` map key: a positive int, or a string of one as ``_LEVEL``."""
-    level = int(key) if isinstance(key, str) and re.fullmatch(_LEVEL, key) else key
-    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
-        raise ValueError(f"alpha keys must be positive integer levels, got {key!r}")
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._readers import _read_int
 from .cliques import max_complete_subgraph
-from .hypergraph import Hypergraph, _read_int
+from .hypergraph import Hypergraph
 from .objective import Coefficients, Objective, uniform_weights
 
 _MIN_STEP = 1e-18

@@ -17,9 +17,9 @@ above 2. ``_row`` resolves a row, against a list of edge types, into a
 record: the rank, the levels, the ``alpha`` key each level reads, the
 flavour's ``Coefficients`` and scale on those levels, and the closed form,
 which sums c_r from those ``Coefficients`` over those levels only. A
-``_Checker`` reads a request on an instance once: the parameters, and the
-row on the instance's edge types, for the checks' thresholds,
-``check_hypotheses``, ``verify`` and the CLI's sweep alike.
+``_Checker`` reads a request on an instance once: the parameters (by
+``_readers._read_params``), and the row on the instance's edge types, for the
+checks' thresholds, ``check_hypotheses``, ``verify`` and the CLI's sweep alike.
 
 From that record ``verify`` rejects, by name, each ``alpha`` key and
 ``alpha`` map entry the row does not read (``closed_form_exact`` ignores
@@ -28,36 +28,19 @@ the derived t and at most ``_REL_EXCESS`` times the closed form above it,
 and the uniform-on-clique value equal to it in rational arithmetic, or,
 where a clique-free check found no order-t clique, the optimum
 ``_STRICT_MARGIN`` below it; either way from a converged solve.
-
-``_read_params`` is the one reader of theorem and family parameters (the
-generators read through it too). ``t``, ``r``, ``n`` and ``m`` are ints (an
-integral float is taken, a bool, string or fractional float is not), and
-``t`` is positive and ``r`` at most 6, the soft limit on edge types. The
-``alpha`` keys are ``alpha_r``, ``alpha_<level>`` and the map ``alpha``, keyed
-by positive ints or levels; one rule, ``_LEVEL``, reads every level in a key:
-ASCII decimal digits without a leading zero (``alpha_3`` and ``"3"``, never
-``alpha_03``, ``"03"`` or ``alpha_R``). Their values and the map's entries
-are positive ``Fraction``s (from an int, float, ``Fraction`` or "p/q" string).
-``density`` and ``extra_density`` are floats in [0, 1] (never a bool or a
-string); ``types`` is a nonempty list of positive ints up to 6, read as a
-sorted tuple without repeats (by ``hypergraph._read_types``).
-``null`` counts as absent; an unknown key (named in the message) or
-anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from numbers import Real
 from typing import Callable, Iterable, Mapping
 
+from ._readers import _read_params
 from .cliques import contains_complete, max_complete_subgraph
-from .hypergraph import Hypergraph, _check_limits, _read_int, _read_types, vertex_support
-from .objective import (_LEVEL, Coefficients, _read_level, _read_positive, eval_exact,
-                         flavour_coefficients, rational_uniform)
+from .hypergraph import Hypergraph, vertex_support
+from .objective import Coefficients, eval_exact, flavour_coefficients, rational_uniform
 from .optimizer import OptimizationResult, SolverConfig, maximize
 
 
@@ -178,41 +161,6 @@ def threshold_general(
 ) -> Fraction:
     """Minimal t with several levels above 2; the largest cardinality drives it."""
     return k_higher * alpha_max / (alpha_2 * math.factorial(r_max - 2)) + 1
-
-
-def _read_real(key: str, value) -> float:
-    """A real number in [0, 1], never a bool or a string, as a float."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value <= 1:
-        raise ValueError(f"{key} must be a number in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _read_params(params: Mapping | None) -> dict:
-    """Copy of the parameters, read as the module docstring says."""
-    raw = dict(params or {})
-    known = ("t", "r", "n", "m", "alpha", "density", "extra_density", "types")
-    unknown = [repr(k) for k in raw if k not in known
-               and not re.fullmatch(f"alpha_(r|{_LEVEL})", str(k))]
-    if unknown:
-        raise ValueError(f"unknown parameters: {', '.join(unknown)} "
-                         f"(the keys are {', '.join(known)}, alpha_r and alpha_<level>)")
-    p = {k: v for k, v in raw.items() if v is not None}
-    for key, value in p.items():
-        if key in ("t", "r", "n", "m"):
-            p[key] = _read_int(key, value, 1 if key == "t" else None)
-        elif key.startswith("alpha_"):
-            p[key] = _read_positive(key, value)
-        elif key in ("density", "extra_density"):
-            p[key] = _read_real(key, value)
-        elif key == "types":
-            p[key] = _read_types(key, value)
-        elif key == "alpha":
-            if not isinstance(value, Mapping):
-                raise ValueError(f"alpha must map levels to coefficients, got {value!r}")
-            p[key] = {_read_level(k): _read_positive(f"alpha[{k}]", v) for k, v in value.items()}
-    if "r" in p:
-        _check_limits(0, (p["r"],))
-    return p
 
 
 def _resolve(pattern: tuple, r: int | None, present: Iterable[int]) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -10,13 +12,16 @@ from hypothesis import strategies as st
 
 from lagrangian_lab import (
     Coefficients,
+    HypergraphError,
     MissingCoefficientError,
     SolverConfig,
     check_rational_feasible,
     complete,
+    dump,
     eval_exact,
     eval_L,
     flavour_coefficients,
+    from_json,
     gen_planted,
     gen_random,
     gradient,
@@ -28,6 +33,8 @@ from lagrangian_lab import (
 )
 
 from lagrangian_lab import objective as objective_module
+from lagrangian_lab._readers import _read_params
+from lagrangian_lab.cli import run
 from lagrangian_lab.objective import Objective
 
 from conftest import (
@@ -145,8 +152,6 @@ class TestCoefficients:
                  "alpha_3 must be a positive number, got nan", id="flavour-L-nan"),
     pytest.param(lambda: Coefficients(2, {3.5: 1}),
                  "alpha keys must be positive integer levels, got 3.5", id="key-fractional"),
-    pytest.param(lambda: Coefficients(2, {3.0: 1}),
-                 "alpha keys must be positive integer levels, got 3.0", id="key-float"),
     pytest.param(lambda: SolverConfig(seed=-1),
                  "seed must be a non-negative integer, got -1", id="SolverConfig-seed"),
     pytest.param(lambda: gen_random(8, (2, 3), 0.5, -7),
@@ -157,6 +162,41 @@ class TestCoefficients:
 def test_stored_number_rejected_where_kept(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _cli(*argv):
+    """Run the CLI; an exit of 1 with one ``error:`` line raises that line."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(list(argv))
+    lines = err.getvalue().splitlines()
+    if code == 1 and len(lines) == 1 and lines[0].startswith("error:"):
+        raise ValueError(lines[0])
+
+
+# A key given twice, in one spelling or in two, is an error where it is read:
+# each of these once kept the last value. ``g`` is a hypergraph file.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda g: Coefficients(2, {3: 1, "3": 2}), ValueError,
+                 "alpha repeats a key: 3", id="Coefficients-spellings"),
+    pytest.param(lambda g: Coefficients(2, [(3, 1), (3, 2)]), ValueError,
+                 "alpha repeats a key: 3", id="Coefficients-pairs"),
+    pytest.param(lambda g: _read_params({"alpha": {3: 1, "3": 2}}), ValueError,
+                 "alpha repeats a key: 3", id="read_params-alpha"),
+    pytest.param(lambda g: from_json('{"n": 4, "n": 5, "edges": [[1, 2]]}'), HypergraphError,
+                 "malformed JSON: JSON object repeats a key: 'n'", id="hypergraph-json"),
+    pytest.param(lambda g: Coefficients.from_json('{"r0": 2, "alpha": {"3": 1, "3": 5}}'),
+                 ValueError, "JSON object repeats a key: '3'", id="Coefficients-json"),
+    pytest.param(lambda g: _cli("verify", "--theorem", "TWO_R_T6a", "--input", g,
+                                "--params", '{"t": 4, "t": 9}'),
+                 ValueError, "^error: JSON object repeats a key: 't'$", id="cli-verify"),
+    pytest.param(lambda g: _cli("generate", "--family", "t6a", "--params", '{"t": 4, "t": 5}'),
+                 ValueError, "^error: JSON object repeats a key: 't'$", id="cli-generate"),
+])
+def test_repeated_key_rejected(call, error, message, tmp_path):
+    g = tmp_path / "g.json"
+    dump(gen_planted("t6a", {"t": 4}, 1), g)
+    with pytest.raises(error, match=message):
+        call(str(g))
 
 
 class TestCoefficientsReadTheirWeights:
@@ -171,6 +211,12 @@ class TestCoefficientsReadTheirWeights:
     ])
     def test_text_keys_and_values_accepted(self, alpha, expected):
         assert Coefficients(2, alpha) == Coefficients(2, expected)
+
+    @pytest.mark.parametrize("key", [pytest.param(3.0, id="key-float"),
+                                     pytest.param(np.int64(3), id="key-int64")])
+    def test_integral_keys_read_as_levels(self, key):
+        c = Coefficients(2, {key: 1})
+        assert c == Coefficients(2, {3: 1}) and type(c.alpha[0][0]) is int
 
     def test_values_kept_as_fractions(self):
         c = Coefficients(2, {3: 0.5})

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lagrangian_lab import (
@@ -133,10 +134,10 @@ class TestReadParams:
             _read_params({key: value})
 
     def test_alpha_keys_read_as_levels(self):
-        got = _read_params({"alpha": {"3": 2, 4: "1/2"}})["alpha"]
-        assert got == {3: 2, 4: Fraction(1, 2)} and all(type(k) is int for k in got)
+        got = _read_params({"alpha": {"3": 2, 4: "1/2", 2.0: 1, np.int64(5): 3}})["alpha"]
+        assert got == {2: 1, 3: 2, 4: Fraction(1, 2), 5: 3} and all(type(k) is int for k in got)
 
-    @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, 2.0, None, "03",
+    @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, None, "03",
                                      "\u0663"])
     def test_bad_alpha_keys_rejected(self, key):
         with pytest.raises(ValueError, match=r"alpha keys must be positive integer levels, got "):
