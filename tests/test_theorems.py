@@ -134,8 +134,14 @@ class TestReadParams:
             _read_params({key: value})
 
     def test_alpha_keys_read_as_levels(self):
-        got = _read_params({"alpha": {"3": 2, 4: "1/2", 2.0: 1, np.int64(5): 3}})["alpha"]
-        assert got == {2: 1, 3: 2, 4: Fraction(1, 2), 5: 3} and all(type(k) is int for k in got)
+        got = _read_params({"alpha": {"3": 2, 4: "1/2"}})["alpha"]
+        assert got == {3: 2, 4: Fraction(1, 2)} and all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("key", [pytest.param(2.0, id="key-float"),
+                                     pytest.param(np.int64(2), id="key-int64")])
+    def test_integral_alpha_keys_read_as_levels(self, key):
+        got = _read_params({"alpha": {key: 1}})["alpha"]
+        assert got == {2: 1} and all(type(k) is int for k in got)
 
     @pytest.mark.parametrize("key", ["x", "0", 0, -1, "-1", "1.5", "", True, None, "03",
                                      "\u0663"])
