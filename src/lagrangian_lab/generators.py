@@ -109,13 +109,8 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
     t, r = p.get("t", 4), p.get("r", 3)
     if family not in FAMILIES:
         raise GenerationError(f"unknown family {family!r}; choose from {FAMILIES}")
-    n, levels = {
-        "t6a": (p.get("n", t + 2), (2, r)),
-        "t7a": (p.get("n", t + 1), (2, r)),
-        "ptz": (t + 1, (r,)),
-        "tpzz-free": (p.get("n", t + 2), (3,)),
-        "random-lc": (p.get("n", 6), p.get("types", (2, 3))),
-    }[family]
+    n = {"t6a": p.get("n", t + 2), "t7a": p.get("n", t + 1), "ptz": t + 1,
+         "tpzz-free": p.get("n", t + 2), "random-lc": p.get("n", 6)}[family]
     if family in ("t6a", "t7a", "ptz") and r < 3:
         # PTZ needs r >= 3, and t6a and t7a plant the 2-level on its own, so
         # r = 2 would plant it twice.
@@ -141,8 +136,8 @@ def gen_planted(family: str, params: Mapping | None = None, seed: int = 0) -> Hy
         m = p.get("m", strict_three_window(t)[0])
         return _gen_tpzz_free(rng, t, m, n)  # clique-freeness is its own check
     else:
-        density = p.get("density", 0.5)
-        return left_compress_fixpoint(gen_random(n, levels, density, rng.randrange(2**63)))
+        density, types = p.get("density", 0.5), p.get("types", (2, 3))
+        return left_compress_fixpoint(gen_random(n, types, density, rng.randrange(2**63)))
 
     report = check_hypotheses(target, h, tparams)
     if not report.ok:

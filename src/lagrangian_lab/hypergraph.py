@@ -229,6 +229,8 @@ def from_json(text: str) -> Hypergraph:
         raise HypergraphError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise HypergraphError('hypergraph JSON must be {"n": int, "edges": [[...], ...]}')
+    if unknown := [repr(k) for k in doc if k not in ("n", "edges")]:
+        raise HypergraphError(f"unknown keys: {', '.join(unknown)} (the keys are n and edges)")
     return validate(doc["n"], doc["edges"])
 
 
@@ -246,8 +248,8 @@ def from_text(text: str) -> Hypergraph:
 
 
 def loads(text: str) -> Hypergraph:
-    """Parse either accepted format, sniffing JSON by the leading character."""
-    if text.lstrip().startswith("{"):
+    """Parse either format: JSON starts with ``{`` or ``[``, text with ASCII digits."""
+    if text.lstrip().startswith(("{", "[")):
         return from_json(text)
     return from_text(text)
 

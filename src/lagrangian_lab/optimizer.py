@@ -338,11 +338,10 @@ def polish(
 _GRID_ROWS = 200_000
 
 
-def _grid_blocks(n: int, total: int):
-    """All compositions of ``total`` into n nonnegative parts, as (rows, n)
+def _grid_blocks(n: int, total: int, count: int):
+    """The ``count`` compositions of ``total`` into n nonnegative parts, as (rows, n)
     count arrays in ``itertools.combinations`` order of the n - 1 cuts."""
     cuts = itertools.chain.from_iterable(itertools.combinations(range(total + n - 1), n - 1))
-    count = math.comb(total + n - 1, n - 1)
     for start in range(0, count, _GRID_ROWS):
         rows = min(_GRID_ROWS, count - start)
         c = np.fromiter(itertools.islice(cuts, rows * (n - 1)), np.intp, rows * (n - 1))
@@ -366,7 +365,7 @@ def grid_oracle(
     if count > 10_000_000:
         raise GridTooLargeError(f"grid with D={resolution}, n={h.n} has {count} points (limit 10^7)")
     best_val, best_x = -math.inf, None
-    for counts in _grid_blocks(h.n, resolution):
+    for counts in _grid_blocks(h.n, resolution, count):
         pts = counts / resolution
         vals = obj.values(pts)
         k = int(np.argmax(vals))

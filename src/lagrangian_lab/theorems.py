@@ -17,9 +17,10 @@ above 2. ``_row`` resolves a row, against a list of edge types, into a
 record: the rank, the levels, the ``alpha`` key each level reads, the
 flavour's ``Coefficients`` and scale on those levels, and the closed form,
 which sums c_r from those ``Coefficients`` over those levels only. A
-``_Checker`` reads a request on an instance once: the parameters (by
-``_readers._read_params``), and the row on the instance's edge types, for the
-checks' thresholds, ``check_hypotheses``, ``verify`` and the CLI's sweep alike.
+``_Checker`` reads a request on an instance once, for ``check_hypotheses``,
+``verify`` and the CLI's sweep alike: the parameters (by ``_read_params``)
+and the row on the instance's edge types. The checks, the clique search and
+the closed form all read the row's levels, so t and the closed form agree.
 
 From that record ``verify`` rejects, by name, each ``alpha`` key and
 ``alpha`` map entry the row does not read (``closed_form_exact`` ignores
@@ -246,9 +247,10 @@ def closed_form_exact(theorem: str, params: Mapping) -> Fraction:
 class _Checker:
     """The one reading of a request: the parameters, and the row resolved on
     the instance's edge types (None where its pattern names a rank that is
-    missing or below 3). ``report`` runs the row's checks in order; each
-    appends conditions and fills ``derived``, and one that returns False
-    ends the run."""
+    missing or below 3), whose ``levels`` (empty without a row) the checks,
+    the clique search and the closed form read. ``report`` runs the row's
+    checks in order; each appends conditions and fills ``derived`` (the
+    levels as ``types``), and one that returns False ends the run."""
 
     def __init__(self, theorem: str, h: Hypergraph, params: Mapping | None):
         self.theorem, self.spec = theorem, _spec(theorem)
@@ -256,8 +258,7 @@ class _Checker:
         self.types = h.edge_types
         self.p = _read_params(params)
         self.row = _row(theorem, self.p, self.types)
-        self.want = self.row.levels if self.row else ()
-        self.levels = self.types if "3+" in self.spec.pattern else self.want
+        self.levels = self.row.levels if self.row else ()
         self.conds: list[ConditionCheck] = []
         self.derived: dict = {}
 
@@ -301,17 +302,17 @@ class _Checker:
             self.derived["types"] = self.levels
             # The top level is the rank, except where an optional level makes
             # the pattern's shape depend on the instance: there only "r" names it.
-            if self.want[-1] > 2 and not any(str(e).endswith("?") for e in pattern):
-                self.derived.setdefault("r", self.want[-1])
+            if self.levels[-1] > 2 and not any(str(e).endswith("?") for e in pattern):
+                self.derived.setdefault("r", self.levels[-1])
         return HypothesisReport(self.theorem, all(c.ok for c in self.conds), tuple(self.conds),
                                 self.derived)
 
     def shape(self) -> None:
-        got, want = self.types, self.want
+        got, want = self.types, self.levels
         self.cond("type-shape", got == want, f"T(H)={set(got) or {}} expected {set(want)}")
 
     def shape_within(self) -> None:
-        got, want = self.types, self.want
+        got, want = self.types, self.levels
         detail = f"T(H)={set(got) or {}} must be within {set(want)}"
         self.cond("type-shape", set(got) <= set(want), detail)
 
@@ -320,7 +321,7 @@ class _Checker:
         higher = [x for x in got if x > 2]
         base = ", ".join(str(e) for e in self.spec.pattern if e != "3+")
         detail = f"T(H)={set(got) or {}} must be {{{base}}} plus levels above 2"
-        self.cond("type-shape", got == self.want and len(higher) >= 1, detail)
+        self.cond("type-shape", got == self.levels and len(higher) >= 1, detail)
         return bool(higher)
 
     def rank_at_most_four(self) -> None:
@@ -336,15 +337,15 @@ class _Checker:
 
     def pair_clique(self) -> None:
         """The pattern without its top level has the same clique order."""
-        if 2 not in self.want:
+        if 2 not in self.levels:
             return
-        pair, t = self.want[:-1], self.t
+        pair, t = self.levels[:-1], self.t
         res = max_complete_subgraph(self.h, pair)
         detail = f"maximum complete {set(pair)}-subgraph has order {res.order}, t={t}"
         self.cond("pair-clique-order", t is not None and res.order == t, detail)
 
     def contains_clique(self) -> None:
-        top = self.want[-1]
+        top = self.levels[-1]
         res = max_complete_subgraph(self.h, (top,))
         t = self.p.get("t", res.order)
         self.derived["t"] = t
@@ -387,7 +388,7 @@ class _Checker:
         self.cond("level2-span", t is not None and span == t, detail)
 
     def top_span(self) -> None:
-        top, t = self.want[-1], self.t
+        top, t = self.levels[-1], self.t
         span = len(vertex_support(self.h, top))
         detail = f"{top}-level covers {span} vertices, allowed t+1={t + 1}"
         self.cond("r-level-span", span <= t + 1, detail)
@@ -399,8 +400,8 @@ class _Checker:
 
     def singleton_cover(self) -> None:
         """Without a 2-level, every vertex of a top-level edge has its singleton."""
-        if 2 not in self.want:
-            covered = vertex_support(self.h, self.want[-1]) <= vertex_support(self.h, 1)
+        if 2 not in self.levels:
+            covered = vertex_support(self.h, self.levels[-1]) <= vertex_support(self.h, 1)
             detail = "every vertex in a 3-edge must carry its singleton"
             self.cond("singleton-cover", covered, detail)
 
@@ -413,7 +414,7 @@ class _Checker:
         self.edge_window(2, *pair_edge_window(self.t))
 
     def uniform_window(self) -> None:
-        top, t = self.want[-1], self.t
+        top, t = self.levels[-1], self.t
         if t < 1:
             self.cond("edge-window", False, f"t={t}: the {top}-level window needs t >= 1")
         else:
@@ -447,7 +448,7 @@ class _Checker:
         self.cond("coefficient-ratio-strong", a2 >= strong, detail)
 
     def min_order_general(self) -> None:
-        higher = [x for x in self.want if x > 2]
+        higher = [x for x in self.levels if x > 2]
         k, r = len(higher), higher[-1]
         a_r, a2 = self.coef(r), self.coef(2)
         detail = f"k a_r/(a2 (r-2)!) + 1 with k={k}, r={r}, a_r={a_r}, a2={a2}"

@@ -158,8 +158,12 @@ class TestCompute:
          ('{"n": 5, "edges": 3}', 'hypergraph JSON must be {"n": int, "edges": [[...], ...]}'),
          ('{"n": 5, "edges": [3]}', "edge must be a list of vertices, got 3"),
          ('{"n": 5, "edges": [["a", 2]]}', "vertex must be an integer, got 'a'"),
-         ('{"n": 5, "edges": [[true, 2]]}', "vertex must be an integer, got True")],
-        ids=["n-string", "n-fraction", "edges-int", "edge-int", "vertex-string", "vertex-bool"],
+         ('{"n": 5, "edges": [[true, 2]]}', "vertex must be an integer, got True"),
+         ('{"n": 4, "edges": [[1, 2]], "egdes": [[2, 3]]}',
+          "unknown keys: 'egdes' (the keys are n and edges)"),
+         ("[[1, 2], [2, 3]]", 'hypergraph JSON must be {"n": int, "edges": [[...], ...]}')],
+        ids=["n-string", "n-fraction", "edges-int", "edge-int", "vertex-string", "vertex-bool",
+             "unknown-key", "json-array"],
     )
     @pytest.mark.parametrize("command", ["compute", "clique"])
     def test_malformed_hypergraph_exits_one(self, tmp_path, capsys, command, doc, message):

@@ -183,6 +183,16 @@ class TestIO:
         with pytest.raises(HypergraphError):
             from_json('{"n": 3}')
 
+    def test_unknown_json_key_named(self):
+        doc = '{"n": 4, "edges": [[1, 2]], "egdes": [[2, 3]]}'
+        with pytest.raises(HypergraphError, match=r"unknown keys: 'egdes' \(the keys are n and"):
+            from_json(doc)
+
+    def test_json_array_read_as_json(self):
+        # Text input starts with its vertex count, so a leading '[' is JSON.
+        with pytest.raises(HypergraphError, match="hypergraph JSON must be"):
+            loads(" [[1, 2], [2, 3]]")
+
     def test_malformed_text(self):
         with pytest.raises(HypergraphError):
             from_text("x\n1 2\n")

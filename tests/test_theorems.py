@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrangian_lab import (
     Coefficients,
@@ -15,6 +17,7 @@ from lagrangian_lab import (
     eval_exact,
     flavour_coefficients,
     gen_planted,
+    gen_random,
     maximize,
     rational_uniform,
     theorem_ids,
@@ -33,7 +36,7 @@ from lagrangian_lab.theorems import (
     uniform_edge_window,
 )
 
-from conftest import closed_form, gradient_exact, lambda_prime_complete
+from conftest import closed_form, gradient_exact, is_complete_on, lambda_prime_complete
 
 
 def complete_value(t, levels):
@@ -535,6 +538,23 @@ def test_registry_is_closed():
                  lambda: verify("NOPE", h)):
         with pytest.raises(ValueError, match="unknown theorem 'NOPE'"):
             call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(types=st.sets(st.sampled_from((1, 2, 3, 4)), min_size=1), n=st.integers(1, 7),
+       density=st.floats(0.3, 1.0), seed=st.integers(0, 10_000))
+def test_reports_read_the_rows_levels(types, n, density, seed):
+    # The levels a report states, and the levels its clique is complete on,
+    # are the row's: the ones its closed form sums. On the "3+" rows these
+    # differ from the instance's edge types whenever the type shape fails.
+    h = gen_random(n, sorted(types), density, seed)
+    for theorem in theorem_ids():
+        row = theorems_module._row(theorem, _read_params({}), h.edge_types)
+        derived = check_hypotheses(theorem, h, {}).derived
+        if "types" in derived:
+            assert derived["types"] == row.levels, theorem
+        if "clique" in derived:
+            assert is_complete_on(h, derived["clique"], row.levels), theorem
 
 
 def pair_window_graph(t, r=3):
