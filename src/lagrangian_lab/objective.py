@@ -165,10 +165,11 @@ class Objective:
 
     The level index arrays and coefficients are read once, and one kernel,
     :meth:`_terms`, yields every product that :meth:`values`,
-    :meth:`gradients` and :meth:`hessians` add up. Every row gets exactly
-    the arithmetic of a one-point evaluation, in the order the module
-    docstring gives. Construction raises ``MissingCoefficientError`` for the
-    first level without a coefficient.
+    :meth:`gradients` and :meth:`hessians` add up (the first two also from
+    one gather, :meth:`values_and_gradients`). Every row gets exactly the
+    arithmetic of a one-point evaluation, in the order the module docstring
+    gives. Construction raises ``MissingCoefficientError`` for the first
+    level without a coefficient.
     """
 
     def __init__(self, h: Hypergraph, coeffs: Coefficients):
@@ -234,14 +235,17 @@ class Objective:
             flat = self._flat[k] = ((np.arange(rows) * self.n ** k)[:, None] + flat[:width]).ravel()
         return flat[:rows * width]
 
-    def _partials(self, x, k: int) -> np.ndarray:
+    def _partials(self, x, k: int, values: np.ndarray | None = None) -> np.ndarray:
         """The coefficient times each k-term of every row of ``x``, added
-        into the n**k partials in term order by one flat scatter."""
+        into the n**k partials in term order by one flat scatter (and L into
+        ``values``, if given, as :meth:`values` adds it)."""
         arr = self._rows(x)
         width, size = sum(e for _, e, _, _ in self._plan(k)), self.n ** k
         out = np.empty((arr.shape[0], size))
         for lo, w in self._blocks(arr, max(width, size)):
             b = len(w)
+            for a, prod in self._terms(w, 0) if values is not None else ():
+                values[lo:lo + b] += a * prod.sum(axis=1)
             contrib, c = np.empty((b, width)), 0
             for a, prod in self._terms(w, k):
                 np.multiply(prod, a, out=contrib[:, c:c + prod.shape[1]])
@@ -264,6 +268,11 @@ class Objective:
     def gradients(self, x) -> np.ndarray:
         """Gradient of L at every row of ``x``."""
         return self._partials(x, 1)
+
+    def values_and_gradients(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(x), gradients(x))`` from one gather of the weights."""
+        out = np.zeros(self._rows(x).shape[0])
+        return out, self._partials(x, 1, out)
 
     def hessians(self, x) -> np.ndarray:
         """Hessian of L at every row of ``x``, a ``(B, n, n)`` array; the

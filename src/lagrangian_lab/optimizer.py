@@ -9,9 +9,9 @@ bound for cross-validation; it turns the grid's compositions into numpy
 count arrays one block of rows at a time, in ``itertools.combinations``
 order, and evaluates each block as one batch.
 
-All starts ascend in lockstep as one ``(B, n)`` batch: each iteration takes
-one batched gradient and KKT residual over the rows still running. A row
-leaves the batch when it converges, stalls or runs out of iterations.
+All starts ascend in lockstep as one ``(B, n)`` batch; each row carries the
+gradient and KKT residual of its point, taken once per point it reaches. A
+row leaves the batch when it converges, stalls or runs out of iterations.
 
 At a maximizer every support vertex has the same partial derivative, the
 first-order condition the Motzkin-Straus-type results are read from. From
@@ -179,9 +179,12 @@ _NEWTON_ULPS = 4
 
 
 def _solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve every system a[i] z = b[i]; a singular one (an exact zero LU pivot,
-    which ``slogdet`` and ``solve`` meet alike) takes its minimum-norm lstsq z."""
-    singular = np.linalg.slogdet(a)[0] == 0
+    """Solve each a[i] z = b[i] in one ``solve``; if it raises (an exact zero LU
+    pivot, as ``slogdet`` finds), a singular system takes its min-norm lstsq z."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(a)[0] == 0
     z = np.empty_like(b)
     z[~singular] = np.linalg.solve(a[~singular], b[~singular])
     for i in np.flatnonzero(singular):
@@ -196,29 +199,33 @@ def _newton(obj: Objective, x, val, res, g, rows) -> np.ndarray:
     [-g_S; 0]`` on its support S (weights above ``_SUPPORT_EPS``), with
     identity rows off S so that d = 0 there, and moves to the projection of
     x + d if that keeps the support S, does not lower the value beyond
-    rounding, and strictly lowers the KKT residual; x and val of those rows
-    are updated in place. Returns the accepted mask over ``rows``.
+    rounding, and strictly lowers the KKT residual; x, val, res and g of
+    those rows are updated in place. Returns the accepted mask over ``rows``.
     """
     xs = x[rows]
     m, n = xs.shape
     sup = xs > _SUPPORT_EPS
     kkt = np.zeros((m, n + 1, n + 1))
     kkt[:, :n, :n] = np.where(sup[:, :, None] & sup[:, None, :], obj.hessians(xs), 0.0)
-    kkt[:, range(n), range(n)] += ~sup
+    kkt.reshape(m, -1)[:, :n * (n + 2):n + 2] = ~sup  # the Hessian's diagonal is 0
     kkt[:, :n, n], kkt[:, n, :n] = -1.0 * sup, sup
-    rhs = np.append(np.where(sup, -g, 0.0), np.zeros((m, 1)), axis=1)[:, :, None]
+    rhs = np.zeros((m, n + 1, 1))
+    rhs[:, :n, 0] = np.where(sup, -g[rows], 0.0)
     y = np.where(sup, xs + _solve_systems(kkt, rhs)[:, :n, 0], xs)
-    # A step that keeps the face is finite and has every weight at most 1.
+    # A step that keeps the face is finite and has every weight at most 1; one
+    # that projects back onto x cannot lower the residual and is not evaluated.
     accepted = (((y > _SUPPORT_EPS) == sup) & (y <= 1.0)).all(axis=1)
     y = _project_rows(y[accepted])
-    vy, gy = obj.values(y), obj.gradients(y)
-    old = val[rows[accepted]]
+    accepted[accepted] = moves = (y != xs[accepted]).any(axis=1)
+    y = y[moves]
+    vy, gy = obj.values_and_gradients(y)
+    ry, old = _residuals(y, gy), val[rows[accepted]]
     keep = (((y > _SUPPORT_EPS) == sup[accepted]).all(axis=1)
             & (vy >= old - _NEWTON_ULPS * np.spacing(old))
-            & (_residuals(y, gy) < res[accepted]))
+            & (ry < res[rows[accepted]]))
     accepted[accepted] = keep
     done = rows[accepted]
-    x[done], val[done] = y[keep], vy[keep]
+    x[done], val[done], res[done], g[done] = y[keep], vy[keep], ry[keep], gy[keep]
     return accepted
 
 
@@ -226,18 +233,19 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
     """Projected-gradient ascent of every row of x0 in lockstep, with a
     face-Newton finish.
 
-    Each iteration takes one batched gradient and residual over the rows
-    still running. A row with two or more support vertices first tries one
-    Newton step on its face (``_newton``); the other rows, and those whose
-    step is rejected, take one batched line search, and a rejected row
-    waits ``_NEWTON_WAIT`` iterations before its next try. A row stops when
-    its residual is within ``_TOL_GRAD`` or no step above ``_MIN_STEP``
-    ascends (both count as converged), or when ``max_iters`` runs out.
-    Returns points, values, iterations and converged flags, one per row.
+    A row with two or more support vertices first tries one Newton step on
+    its face (``_newton``); the other rows, and those whose step is
+    rejected, take one batched line search, which is followed by one
+    gradient of the rows it moved. A rejected row waits ``_NEWTON_WAIT``
+    iterations before its next try. A row stops when its residual is
+    within ``_TOL_GRAD`` or no step above ``_MIN_STEP`` ascends (both count
+    as converged), or when ``max_iters`` runs out. Returns points, values,
+    iterations and converged flags, one per row.
     """
     x = _project_rows(x0)
     rows = len(x)
-    val = obj.values(x)
+    val, g = obj.values_and_gradients(x)
+    res = _residuals(x, g)
     step = np.ones(rows)
     iters = np.full(rows, cfg.max_iters)
     converged = np.zeros(rows, dtype=bool)
@@ -245,21 +253,21 @@ def _ascend_batch(obj: Objective, x0: np.ndarray, cfg: SolverConfig):
     newton_from = np.ones(rows, dtype=int)
     active = np.arange(rows)
     for it in range(1, cfg.max_iters + 1):
-        xa = x[active]
-        g = obj.gradients(xa)
-        res = _residuals(xa, g)
-        small = res <= _TOL_GRAD
-        tries = ~small & ((xa > _SUPPORT_EPS).sum(axis=1) > 1) & (newton_from[active] <= it)
+        small = res[active] <= _TOL_GRAD
+        tries = ~small & ((x[active] > _SUPPORT_EPS).sum(axis=1) > 1) & (newton_from[active] <= it)
         newton = np.zeros(len(active), dtype=bool)
         if tries.any():
-            ok = _newton(obj, x, val, res[tries], g[tries], active[tries])
+            ok = _newton(obj, x, val, res, g, active[tries])
             newton[tries] = ok
             newton_from[active[tries][~ok]] = it + 1 + _NEWTON_WAIT
-        pgd = ~small & ~newton
-        stalled = _line_search(obj, x, val, step, active[pgd], g[pgd])
+        pgd = active[~small & ~newton]
+        stalled = _line_search(obj, x, val, step, pgd, g[pgd]) if pgd.size else pgd
         stopped = np.concatenate([active[small], stalled])
         iters[stopped] = it
         converged[stopped] = True
+        if (moved := pgd[~converged[pgd]]).size:
+            g[moved] = obj.gradients(x[moved])
+            res[moved] = _residuals(x[moved], g[moved])
         active = np.flatnonzero(~converged)
         if not active.size:
             break
@@ -270,16 +278,25 @@ def _support(x: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(x > _SUPPORT_EPS)[0])
 
 
+def _best(x: np.ndarray, val: np.ndarray) -> int:
+    """The row ``_solve`` picks. Of equal-size supports the lexicographically
+    smallest has the largest indicator row; lexsort's last key leads, stably."""
+    tied = np.flatnonzero(val >= val.max() - _TOL_VALUE)
+    sup = x[tied] > _SUPPORT_EPS
+    return int(tied[np.lexsort(np.vstack((~sup[:, ::-1].T, sup.sum(axis=1))))[0]])
+
+
 def _finalize(
     obj: Objective, x: np.ndarray, label: str, iterations: int, converged: bool
 ) -> OptimizationResult:
     x = _project_rows(x[None])[0]
     row = x[None, :]
+    value, g = obj.values_and_gradients(row)
     return OptimizationResult(
-        value=float(obj.values(row)[0]),
+        value=float(value[0]),
         x=x,
         support=_support(x),
-        kkt_residual=float(_residuals(row, obj.gradients(row))[0]),
+        kkt_residual=float(_residuals(row, g)[0]),
         method=label,
         iterations=iterations,
         converged=converged,
@@ -300,8 +317,7 @@ def _solve(
     """
     obj = Objective(h, coeffs)
     x, val, iters, conv = _ascend_batch(obj, points, cfg)
-    supports = {i: _support(x[i]) for i in np.flatnonzero(val >= val.max() - _TOL_VALUE)}
-    i = min(supports, key=lambda i: (len(supports[i]), supports[i]))
+    i = _best(x, val)
     return _finalize(obj, x[i], labels[i], int(iters[i]), bool(conv[i]))
 
 

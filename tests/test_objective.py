@@ -354,7 +354,8 @@ class TestGradient:
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 9), budget=st.sampled_from([1, 40, 1 << 16]))
 def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
     """A row's value, gradient and Hessian do not depend on the batch around
-    it or on how the batch is split into blocks."""
+    it or on how the batch is split into blocks, and the one-pass value and
+    gradient are those of ``values`` and ``gradients``."""
     h = random_instance(seed, n_max=8, families=TYPE_FAMILIES + ((3,), (2, 4)))
     coeffs = flavour_coefficients("lambda'", h.edge_types)[0]
     x = np.random.default_rng(seed).dirichlet(np.ones(h.n), size=rows)
@@ -362,6 +363,8 @@ def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
         mp.setattr(objective_module, "_BLOCK_ELEMENTS", budget)
         obj = Objective(h, coeffs)
         values, grads, hessians = obj.values(x), obj.gradients(x), obj.hessians(x)
+        both = obj.values_and_gradients(x)
+    assert np.array_equal(both[0], values) and np.array_equal(both[1], grads)
     one = Objective(h, coeffs)
     for i in range(rows):
         assert values[i] == eval_L(h, coeffs, x[i])
@@ -369,7 +372,7 @@ def test_batch_rows_match_one_point_evaluation(seed, rows, budget):
         assert np.array_equal(hessians[i], one.hessians(x[i:i + 1])[0])
 
 
-@pytest.mark.parametrize("method", ["values", "gradients", "hessians"])
+@pytest.mark.parametrize("method", ["values", "gradients", "values_and_gradients", "hessians"])
 @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,)], ids=["n-1", "n+1", "vector"])
 def test_batch_shape_checked(method, shape):
     obj = Objective(complete(4, (2, 3)), Coefficients.ones((2, 3)))

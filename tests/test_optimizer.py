@@ -363,7 +363,8 @@ def test_singular_face_takes_the_least_squares_newton_step():
     assert np.linalg.slogdet(kkt)[0] == 0
     val, g = obj.values(x), obj.gradients(x)
     res = optimizer._residuals(x, g)
-    assert optimizer._newton(obj, x, val, res, g, np.array([0])).tolist() == [True]
+    # _newton writes the accepted row's residual and gradient in place.
+    assert optimizer._newton(obj, x, val, res.copy(), g, np.array([0])).tolist() == [True]
     assert optimizer._residuals(x, obj.gradients(x))[0] < 1e-12 < res[0]
     assert x[0, 1:] == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
@@ -389,6 +390,74 @@ def test_batched_systems_solve_as_one_at_a_time():
     want, singular = zip(*(alone(ai, bi) for ai, bi in zip(a, b)))
     assert singular[0] and not all(singular)
     assert np.array_equal(optimizer._solve_systems(a, b), np.array(want))
+
+
+@pytest.mark.parametrize("h, starts", [
+    (gen_planted("ptz", {"t": 4}, 16), 16),
+    (validate(4, [[1, 4], [2, 3], [3, 4]]), 4),   # the path face of _path_face
+])
+def test_ascent_differentiates_each_point_once_and_factors_each_system_once(
+        h, starts, monkeypatch):
+    """No start's ascent sends a point (row bytes) to the gradient kernel
+    twice, and ``slogdet`` runs only on a stack for which the batched
+    ``solve`` raised (both instances meet a singular face system). Distinct
+    starts may meet at one point (others reach a prefix start), so each
+    start is also ascended alone, with the arithmetic it has in the batch."""
+    points, recording, raised, split = [], [], [], []
+    partials, solve, slogdet = optimizer.Objective._partials, np.linalg.solve, np.linalg.slogdet
+    ascend = optimizer._ascend_batch
+
+    def spy_partials(self, x, k, *rest):
+        if k == 1 and recording:
+            points[-1].extend(row.tobytes() for row in np.asarray(x))
+        return partials(self, x, k, *rest)
+
+    def spy_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.tobytes())
+            raise
+
+    def spy_slogdet(a):
+        split.append(a.tobytes())
+        return slogdet(a)
+
+    def spy_ascend(obj, x0, cfg):
+        recording.append(True)
+        for start in x0:
+            points.append([])
+            ascend(obj, start[None], cfg)
+        recording.clear()
+        return ascend(obj, x0, cfg)
+
+    monkeypatch.setattr(optimizer.Objective, "_partials", spy_partials)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "slogdet", spy_slogdet)
+    monkeypatch.setattr(optimizer, "_ascend_batch", spy_ascend)
+    res = maximize(h, Coefficients.ones(h.edge_types), SolverConfig(starts=starts, seed=16))
+    monkeypatch.undo()
+    assert res.converged and len(points) == 1 + h.n + starts
+    assert all(p and len(set(p)) == len(p) for p in points)
+    assert split and set(split) <= set(raised)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), rows=st.integers(1, 10))
+def test_best_row_is_the_smallest_support_then_the_first_start(data, n, rows):
+    """``_best`` on arrays picks the row the tuple rule picks among the rows
+    whose values tie the maximum within ``_TOL_VALUE``: smallest support,
+    then the lexicographically smallest support, then start order."""
+    pattern = st.lists(st.booleans(), min_size=n, max_size=n)
+    sup = np.array(data.draw(st.lists(pattern, min_size=rows, max_size=rows)), dtype=bool)
+    # Forced ties: values within _TOL_VALUE of each other, and some below.
+    levels = st.sampled_from([1.0, 1.0 - 1e-13, 1.0 - 1e-12, 1.0 - 1e-11, 0.5])
+    val = np.array(data.draw(st.lists(levels, min_size=rows, max_size=rows)))
+    # Off the support a weight is at most _SUPPORT_EPS, on it above.
+    x = np.where(sup, 0.25, data.draw(st.sampled_from([0.0, optimizer._SUPPORT_EPS])))
+    support = [tuple(int(v) + 1 for v in np.flatnonzero(row)) for row in sup]
+    tied = [i for i in range(rows) if val[i] >= val.max() - optimizer._TOL_VALUE]
+    assert optimizer._best(x, val) == min(tied, key=lambda i: (len(support[i]), support[i]))
 
 
 @pytest.mark.parametrize("seed", range(10))
